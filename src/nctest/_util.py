@@ -9,17 +9,16 @@ import numpy as np
 def thread_count() -> int:
     """Worker threads for embarrassingly parallel sweeps.
 
-    Controlled by the NCTEST_THREADS environment variable; 0 or unset
-    means one thread per available CPU.
+    Controlled by the NCTEST_THREADS environment variable: unset means
+    one thread per available CPU; a set value must be an integer of at
+    least 1, otherwise ValueError is raised.
     """
-    raw = os.environ.get("NCTEST_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        k = os.cpu_count() or 1
-    return k
+    raw = os.environ.get("NCTEST_THREADS")
+    if raw is None:
+        return os.cpu_count() or 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"NCTEST_THREADS must be an integer of at least 1, got {raw!r}")
+    return int(raw)
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:

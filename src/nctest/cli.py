@@ -23,22 +23,22 @@ import sys
 import numpy as np
 
 from . import __version__, svg
+from ._util import thread_count
 from .data import load_csv
 from .errors import DataError
 from .localfdr import cdf_threshold, localfdr_curve
 from .nullfit import falsify_subgroups, null_diagnostics_table
 from .procedures import (
+    RejectionResult,
     bh,
     bonferroni_global,
-    fisher_global_statistic,
     hochberg,
     holm,
     lehmann_romano,
     permutation_global,
     simes_global,
-    simes_statistic,
 )
-from .ranc import ranc_pvalues, ranc_values
+from .ranc import ranc_pvalues
 from .simulate import (
     SimConfig,
     fisher_miscalibration_demo,
@@ -182,19 +182,6 @@ def _want_svg(ns: argparse.Namespace) -> bool:
     return ns.plots == "svg"
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("NCTEST_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"NCTEST_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError("NCTEST_THREADS must be at least 1")
-    return value
-
-
 def _desc(manifest: dict) -> str:
     return _stable_manifest_line(manifest)[2:]
 
@@ -209,36 +196,21 @@ def cmd_analyze(ns, manifest) -> Report:
     p = ranc_pvalues(statistics)
     q = 0.1 if ns.q is None else ns.q
     alpha = 0.05 if ns.alpha is None else ns.alpha
-    if ns.procedure == "bh":
-        result = bh(p, q)
-        outcome = result.to_dict()
-        rejected = result.rejected
-        threshold = result.threshold
-    elif ns.procedure == "holm":
-        result = holm(p, alpha)
-        outcome = result.to_dict()
-        rejected = result.rejected
-        threshold = result.threshold
-    elif ns.procedure == "hochberg":
-        result = hochberg(p, alpha)
-        outcome = result.to_dict()
-        rejected = result.rejected
-        threshold = result.threshold
-    elif ns.procedure == "lr":
-        result = lehmann_romano(p, alpha, ns.gamma)
-        outcome = result.to_dict()
-        rejected = result.rejected
-        threshold = result.threshold
-    elif ns.procedure in ("bonferroni", "simes"):
-        fn = bonferroni_global if ns.procedure == "bonferroni" else simes_global
-        flag = bool(fn(p, alpha))
+    result = {
+        "bh": lambda: bh(p, q),
+        "holm": lambda: holm(p, alpha),
+        "hochberg": lambda: hochberg(p, alpha),
+        "lr": lambda: lehmann_romano(p, alpha, ns.gamma),
+        "bonferroni": lambda: bonferroni_global(p, alpha),
+        "simes": lambda: simes_global(p, alpha),
+    }[ns.procedure]()
+    if isinstance(result, RejectionResult):
+        outcome, rejected, threshold = result.to_dict(), result.rejected, result.threshold
+    else:
         outcome = {"procedure": ns.procedure, "parameters": {"alpha": alpha},
-                   "reject_global": flag}
+                   "reject_global": result}
         # a global test makes no per-hypothesis claims
-        rejected = frozenset()
-        threshold = None
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown procedure {ns.procedure!r}")
+        rejected, threshold = frozenset(), None
     payload = {
         "procedure": ns.procedure,
         "n": statistics.n,
@@ -439,12 +411,15 @@ def _power_rows(curves: dict):
 
 
 def cmd_simulate(ns, manifest) -> Report:
-    threads = _threads()
+    try:
+        thread_count()  # the presets' worker pools read NCTEST_THREADS
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     preset = ns.preset
     seed = ns.seed
     if preset == "table1":
         reps = 10_000 if ns.reps is None else ns.reps
-        reports = run_table1(reps=reps, seed=seed, threads=threads)
+        reports = run_table1(reps=reps, seed=seed)
         payload = {"preset": preset, "reps": reps,
                    "cells": {cell: rep.to_dict() for cell, rep in reports.items()}}
         header, rows = _table1_rows(reports)
@@ -452,7 +427,7 @@ def cmd_simulate(ns, manifest) -> Report:
         reps = 1000 if ns.reps is None else ns.reps
         mu_alt = -2.0 if preset.endswith("weak") else -3.0
         config = SimConfig(reps=reps, seed=seed, mu_alt=mu_alt)
-        curves = power_vs_m(config, m_grid=(25, 50, 100, 200, 400), threads=threads)
+        curves = power_vs_m(config, m_grid=(25, 50, 100, 200, 400))
         payload = {"preset": preset, "reps": reps, "config": config.to_dict(),
                    "m": curves["m"],
                    "power": {name: curves[name] for name in curves if name != "m"}}
@@ -469,9 +444,7 @@ def cmd_simulate(ns, manifest) -> Report:
                 ("p_b", repr(float(exact[1])), repr(float(mc[1])))]
     elif preset == "b2":
         reps = 1000 if ns.reps is None else ns.reps
-        chi2_rate, perm_rate = fisher_miscalibration_demo(
-            reps=reps, seed=seed, threads=threads
-        )
+        chi2_rate, perm_rate = fisher_miscalibration_demo(reps=reps, seed=seed)
         payload = {"preset": preset, "reps": reps,
                    "chi2_reject_rate": chi2_rate, "perm_reject_rate": perm_rate}
         header = ("calibration", "reject_rate")
@@ -501,18 +474,13 @@ def cmd_simulate(ns, manifest) -> Report:
 def cmd_permtest(ns, manifest) -> Report:
     statistics = _load(ns)
     b = 999 if ns.reps is None else ns.reps
-    p_value, samples = permutation_global(
-        statistics, statistic=ns.statistic, B=b, seed=ns.seed, threads=_threads()
-    )
-    stat_fn = {"simes_min_ratio": simes_statistic, "fisher": fisher_global_statistic}[ns.statistic]
-    observed = float(stat_fn(ranc_values(statistics.investigation,
-                                         statistics.negative_controls)))
-    samples = np.asarray(samples, dtype=float)
+    result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)
+    p_value, samples = result
     payload = {
         "n": statistics.n,
         "m": statistics.m,
         "statistic": ns.statistic,
-        "observed": observed,
+        "observed": result.observed,
         "p_value": float(p_value),
         "draws": int(samples.size),
         "null_summary": {
@@ -529,7 +497,7 @@ def cmd_permtest(ns, manifest) -> Report:
     if _want_svg(ns):
         svg_text = svg.histogram_svg(
             samples, bins=min(50, max(5, samples.size // 20)),
-            thresholds=[(observed, "observed")],
+            thresholds=[(result.observed, "observed")],
             title=f"{ns.statistic} permutation null (p={p_value:.3g})",
             xlabel="statistic", desc=_desc(manifest),
         )

@@ -18,22 +18,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import map_reps, rep_rng
+from ._util import rep_rng
 from .data import StatisticSet
 from .errors import DataError
-from .ranc import PValueVector, ranc_values
+from .ranc import PValueVector
+
+
+def _checked_pvalues(p) -> np.ndarray:
+    """Validated p-values; an array may hold one vector per last-axis row."""
+    if isinstance(p, PValueVector):
+        return np.asarray(p.values, dtype=float)
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise DataError("need a non-empty p-value vector")
+    if not np.all(np.isfinite(arr) & (arr > 0) & (arr <= 1)):
+        raise DataError("p-values must be finite and lie in (0, 1]")
+    return arr
 
 
 def _pvalues_and_ids(p):
     """Accept a PValueVector or a bare array, yielding (values, ids)."""
-    if isinstance(p, PValueVector):
-        return np.asarray(p.values, dtype=float), tuple(p.ids)
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DataError("need a non-empty one-dimensional p-value vector")
-    if np.any(arr <= 0) or np.any(arr > 1):
-        raise DataError("p-values must lie in (0, 1]")
-    return arr, tuple(f"p{k}" for k in range(1, arr.size + 1))
+    arr = _checked_pvalues(p)
+    if arr.ndim != 1:
+        raise DataError("need a one-dimensional p-value vector")
+    ids = p.ids if isinstance(p, PValueVector) else (f"p{k}" for k in range(1, arr.size + 1))
+    return arr, tuple(ids)
 
 
 def _sorted_order(values: np.ndarray, ids):
@@ -174,14 +183,15 @@ def bh(p, q: float) -> RejectionResult:
     return _prefix_result("bh", {"q": q}, values, ids, boundaries, k)
 
 
-def fisher_global_statistic(p) -> float:
-    """Fisher's combination statistic, -2 * sum(log p).
+def fisher_global_statistic(p):
+    """Fisher's combination statistic, -2 * sum(log p), per last-axis row.
 
     Invalid as a chi-square test on rank based p-values; kept for the
     miscalibration demonstration.
     """
-    values, _ = _pvalues_and_ids(p)
-    return float(-2.0 * np.sum(np.log(values)))
+    values = _checked_pvalues(p)
+    out = -2.0 * np.sum(np.log(values), axis=-1)
+    return float(out) if values.ndim == 1 else out
 
 
 def confusion_counts(result: RejectionResult, statistics: StatisticSet) -> dict:
@@ -204,19 +214,66 @@ def confusion_counts(result: RejectionResult, statistics: StatisticSet) -> dict:
     }
 
 
-def simes_statistic(pvalues) -> float:
-    """Simes combination: n * min_i p_(i)/i, small values are extreme."""
-    p = np.sort(np.asarray(pvalues, dtype=float))
-    n = p.size
-    if n == 0:
-        raise DataError("empty p-value vector")
-    return float(n * np.min(p / np.arange(1, n + 1)))
+def simes_statistic(pvalues):
+    """Simes combination: n * min_i p_(i)/i per last-axis row, small
+    values are extreme."""
+    p = np.sort(_checked_pvalues(pvalues), axis=-1)
+    n = p.shape[-1]
+    out = n * np.min(p / np.arange(1, n + 1), axis=-1)
+    return float(out) if p.ndim == 1 else out
 
 
 _STATISTICS = {
     "simes_min_ratio": (simes_statistic, "small"),
     "fisher": (fisher_global_statistic, "large"),
 }
+
+# Mask elements (arrangements x pool size) per block: 1 byte each, plus 8
+# for the control counts when the pool has ties.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _subset_masks(rng, b: int, size: int, n_test: int) -> np.ndarray:
+    # b random n_test-subsets of the sorted pool positions
+    keys = rng.random((b, size))
+    cut = np.argsort(keys, axis=1)[:, :n_test]
+    masks = np.zeros((b, size), dtype=bool)
+    np.put_along_axis(masks, cut, True, axis=1)
+    return masks
+
+
+def _mask_pvalues(masks: np.ndarray, tie_end: np.ndarray | None = None) -> np.ndarray:
+    """(1 + #controls at or below) / (m + 1) of each test, (rows, n) in pooled order.
+
+    masks[r, k] marks position k of the ascending pool as a test in
+    arrangement r.  Controls up to tie_end[k], the end of k's tie group,
+    count as below k, as in ranc_values; None means a pool without ties.
+    """
+    rows, size = masks.shape
+    positions = np.flatnonzero(masks).reshape(rows, -1) - np.arange(0, rows * size, size)[:, None]
+    if tie_end is None:
+        counts = positions - np.arange(positions.shape[1])
+    else:
+        counts = np.take_along_axis(np.cumsum(~masks, axis=1), tie_end[positions], axis=1)
+    return (1.0 + counts) / (size - positions.shape[1] + 1.0)
+
+
+def _mask_blocks(subsets, size: int, n: int):
+    """Masks of the n-subsets of range(size) from `subsets`, in blocks."""
+    rows = max(1, _BLOCK_ELEMENTS // size)
+    while len(chosen := np.fromiter(itertools.islice(subsets, rows), np.dtype((np.intp, n)))):
+        masks = np.zeros((len(chosen), size), dtype=bool)
+        np.put_along_axis(masks, chosen, True, axis=1)
+        yield masks
+
+
+class PermutationResult(tuple):
+    """(p_value, null_samples), with the observed statistic as .observed."""
+
+    def __new__(cls, p_value: float, samples: np.ndarray, observed: float):
+        result = super().__new__(cls, (p_value, samples))
+        result.observed = observed
+        return result
 
 
 def permutation_global(
@@ -225,72 +282,61 @@ def permutation_global(
     B: int = 999,
     seed: int = 0,
     direction: str | None = None,
-    threads: int | None = None,
     max_enumeration: int = 1_000_000,
 ):
     """Permutation test of the global null that the investigation
     statistics are exchangeable with the negative controls.
 
     The chosen statistic is computed from the rank based p-values of
-    each relabeled sample.  Monte-Carlo sampling uses the add-one
-    correction p = (1 + #extreme) / (1 + B); when C(n+m, n) does not
-    exceed max_enumeration the permutation distribution is enumerated
-    exactly instead and p = #extreme / total.
-
-    Returns (p_value, null_samples).
+    each relabeled sample, in pooled order (a custom callable gets one
+    such vector per call).  Monte-Carlo relabeling b is drawn from
+    rep_rng(seed, b), with the add-one correction p = (1 + #extreme) /
+    (1 + B); when C(n+m, n) does not exceed max_enumeration the
+    distribution is enumerated exactly instead and p = #extreme / total.
+    The observed statistic is the identity relabeling evaluated by the
+    same code, so input row order cannot change it.  Blocks of 2**16
+    mask elements bound working memory beyond the pool and samples to
+    about 1 MB.  Unpacks as (p_value, null_samples); .observed holds
+    the observed statistic.
     """
     if B < 1:
         raise DataError("B must be at least 1")
     if callable(statistic):
-        stat_fn = statistic
         if direction not in ("small", "large"):
             raise DataError("custom statistic requires direction 'small' or 'large'")
+
+        def stat_rows(p):
+            return np.array([float(statistic(row)) for row in p])
     else:
         try:
-            stat_fn, stat_direction = _STATISTICS[statistic]
+            stat_rows, stat_direction = _STATISTICS[statistic]
         except KeyError:
             raise DataError(f"unknown statistic {statistic!r}") from None
         if direction is None:
             direction = stat_direction
 
     n, m = statistics.n, statistics.m
-    pool = np.sort(np.concatenate([statistics.investigation, statistics.negative_controls]))
-
-    def stat_of_mask(mask: np.ndarray) -> float:
-        test_vals = pool[mask]
-        nc_vals = pool[~mask]
-        value = float(stat_fn(ranc_values(test_vals, nc_vals)))
-        if not math.isfinite(value):
-            raise DataError("statistic undefined on permuted sample")
-        return value
-
-    observed = float(stat_fn(ranc_values(statistics.investigation, statistics.negative_controls).astype(float)))
-    if not math.isfinite(observed):
-        raise DataError("statistic undefined on observed sample")
+    values = np.concatenate([statistics.investigation, statistics.negative_controls])
+    order = np.argsort(values, kind="stable")
+    pool = values[order]
+    tie_end = None
+    if np.any(pool[1:] == pool[:-1]):
+        tie_end = np.searchsorted(pool, pool, side="right") - 1
 
     total = math.comb(n + m, n)
-    if total <= max_enumeration:
-        samples = np.empty(total)
-        mask = np.zeros(n + m, dtype=bool)
-        for b, subset in enumerate(itertools.combinations(range(n + m), n)):
-            mask[:] = False
-            mask[list(subset)] = True
-            samples[b] = stat_of_mask(mask)
-        if direction == "small":
-            extreme = int(np.sum(samples <= observed))
-        else:
-            extreme = int(np.sum(samples >= observed))
-        return extreme / total, samples
-
-    def one_perm(b: int) -> float:
-        rng = rep_rng(seed, b)
-        mask = np.zeros(n + m, dtype=bool)
-        mask[rng.choice(n + m, size=n, replace=False)] = True
-        return stat_of_mask(mask)
-
-    samples = np.asarray(map_reps(one_perm, B, threads))
-    if direction == "small":
-        extreme = int(np.sum(samples <= observed))
+    exact = total <= max_enumeration
+    if exact:
+        subsets = itertools.combinations(range(n + m), n)
     else:
-        extreme = int(np.sum(samples >= observed))
-    return (1 + extreme) / (1 + B), samples
+        subsets = (rep_rng(seed, b).choice(n + m, size=n, replace=False) for b in range(B))
+    # the identity relabeling first: the observed value is computed as the samples are
+    subsets = itertools.chain([np.flatnonzero(order < n)], subsets)
+    computed = np.concatenate(
+        [stat_rows(_mask_pvalues(masks, tie_end)) for masks in _mask_blocks(subsets, n + m, n)]
+    )
+    if not np.all(np.isfinite(computed)):
+        raise DataError("statistic undefined on the observed or a permuted sample")
+    observed, samples = float(computed[0]), computed[1:]
+    extreme = int(np.sum(samples <= observed if direction == "small" else samples >= observed))
+    p_value = extreme / total if exact else (1 + extreme) / (1 + B)
+    return PermutationResult(p_value, samples, observed)

@@ -40,8 +40,8 @@ class PValueVector:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("p-value vector must be one-dimensional and non-empty")
-        if np.any(arr <= 0) or np.any(arr > 1):
-            raise DataError("p-values must lie in (0, 1]")
+        if not np.all(np.isfinite(arr) & (arr > 0) & (arr <= 1)):
+            raise DataError("p-values must be finite and lie in (0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "ids", tuple(self.ids))

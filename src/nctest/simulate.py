@@ -22,6 +22,12 @@ from scipy import integrate, special, stats
 from ._util import map_reps, rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
 from .errors import DataError
+from .procedures import (
+    _mask_pvalues,
+    _subset_masks,
+    fisher_global_statistic,
+    simes_statistic,
+)
 from .ranc import PValueVector
 
 __all__ = [
@@ -334,33 +340,6 @@ def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int
     )
 
 
-def _subset_masks(rng, b: int, size: int, n_test: int) -> np.ndarray:
-    # b random n_test-subsets of the sorted pool positions
-    keys = rng.random((b, size))
-    cut = np.argsort(keys, axis=1)[:, :n_test]
-    masks = np.zeros((b, size), dtype=bool)
-    np.put_along_axis(masks, cut, True, axis=1)
-    return masks
-
-
-def _rank_pvalues_from_masks(masks: np.ndarray, m: int) -> np.ndarray:
-    # control count below each sorted position, inclusive
-    nc_cum = np.cumsum(~masks, axis=1)
-    return (1.0 + nc_cum) / (m + 1.0)
-
-
-def _fisher_from_masks(masks: np.ndarray, m: int) -> np.ndarray:
-    p = _rank_pvalues_from_masks(masks, m)
-    return -2.0 * np.where(masks, np.log(p), 0.0).sum(axis=1)
-
-
-def _simes_from_masks(masks: np.ndarray, m: int, n: int) -> np.ndarray:
-    p = _rank_pvalues_from_masks(masks, m)
-    ranks = np.cumsum(masks, axis=1)
-    ratio = np.where(masks, p / np.maximum(ranks, 1), np.inf)
-    return n * ratio.min(axis=1)
-
-
 def fisher_miscalibration_demo(
     n: int = 400,
     m: int = 400,
@@ -382,9 +361,9 @@ def fisher_miscalibration_demo(
         pool = rng.normal(size=n + m)
         order = np.argsort(pool, kind="stable")
         obs_mask = (order < n)[None, :]
-        obs = _fisher_from_masks(obs_mask, m)[0]
+        obs = fisher_global_statistic(_mask_pvalues(obs_mask))[0]
         chi2_reject = stats.chi2.sf(obs, 2 * n) < alpha
-        perm = _fisher_from_masks(_subset_masks(rng, b, n + m, n), m)
+        perm = fisher_global_statistic(_mask_pvalues(_subset_masks(rng, b, n + m, n)))
         p_perm = (1.0 + np.sum(perm >= obs)) / (b + 1.0)
         return chi2_reject, p_perm <= alpha
 
@@ -406,6 +385,6 @@ def simes_permutation_diagnostic(
     rates = {}
     for m in m_values:
         rng = rep_rng(seed, int(m))
-        samples = _simes_from_masks(_subset_masks(rng, b, n + int(m), n), int(m), n)
+        samples = simes_statistic(_mask_pvalues(_subset_masks(rng, b, n + int(m), n)))
         rates[int(m)] = float(np.mean(samples <= alpha))
     return rates

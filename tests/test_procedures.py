@@ -153,6 +153,11 @@ def test_simes_statistic():
 def test_empty_pvalues_rejected():
     with pytest.raises(DataError):
         bh(np.array([]), 0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for call in (lambda p: bh(p, 0.1), lambda p: holm(p, 0.05),
+                     lambda p: simes_global(p, 0.05)):
+            with pytest.raises(DataError):
+                call([0.01, bad, 0.5])
 
 
 def test_level_validated():
@@ -210,10 +215,42 @@ def test_permutation_b1_counting():
 def test_permutation_seed_and_thread_determinism():
     rng = np.random.default_rng(5)
     s = make_statistic_set(rng.normal(size=12), rng.normal(size=30))
-    p1, s1 = permutation_global(s, "simes_min_ratio", B=50, seed=9, threads=1)
-    p2, s2 = permutation_global(s, "simes_min_ratio", B=50, seed=9, threads=4)
+    p1, s1 = permutation_global(s, "simes_min_ratio", B=50, seed=9)
+    p2, s2 = permutation_global(s, "simes_min_ratio", B=50, seed=9)
     assert p1 == p2
     np.testing.assert_array_equal(s1, s2)
+
+
+def test_permutation_invariant_to_row_order():
+    # the Fisher sum of the observed sample once depended on input row
+    # order: rows [0,1,2,3] gave p = 18/495 and [1,3,2,0] gave 19/495
+    rng = np.random.default_rng(3)
+    t = rng.normal(size=4) - 2
+    c = rng.normal(size=8)
+    for statistic in ("fisher", "simes_min_ratio"):
+        for max_enumeration in (1_000_000, 0):
+            results = [
+                permutation_global(make_statistic_set(t[rows], c), statistic, B=200,
+                                   seed=4, max_enumeration=max_enumeration)
+                for rows in ([0, 1, 2, 3], [1, 3, 2, 0], [3, 2, 1, 0])
+            ]
+            for other in results[1:]:
+                assert other[0] == results[0][0]
+                np.testing.assert_array_equal(other[1], results[0][1])
+                assert other.observed == results[0].observed
+
+
+def test_permutation_exact_matches_monte_carlo():
+    # exact enumeration and large-B Monte Carlo estimate one p-value
+    rng = np.random.default_rng(21)
+    s = make_statistic_set(rng.normal(size=4) - 1.0, rng.normal(size=8))
+    B = 20_000
+    for statistic in ("simes_min_ratio", "fisher"):
+        exact, samples = permutation_global(s, statistic)
+        assert samples.size == math.comb(12, 4)
+        mc, _ = permutation_global(s, statistic, B=B, seed=22, max_enumeration=0)
+        se = math.sqrt(exact * (1 - exact) / B)
+        assert abs(mc - exact) <= 3 * se, (statistic, exact, mc, se)
 
 
 def test_permutation_level_calibration():

@@ -4,6 +4,7 @@ from scipy import stats
 
 from nctest import (
     DataError,
+    PValueVector,
     empirical_null_cdf,
     make_statistic_set,
     modified_ranc_pvalues,
@@ -33,6 +34,12 @@ def test_empirical_null_cdf_right_continuous_and_monotone():
 def test_empirical_null_cdf_empty_controls():
     with pytest.raises(DataError):
         empirical_null_cdf(np.array([]), 0.5)
+
+
+def test_pvalue_vector_rejects_invalid():
+    for bad in ([], [0.1, 0.0], [0.1, 1.5], [0.1, np.nan], [0.1, np.inf], [-np.inf]):
+        with pytest.raises(DataError):
+            PValueVector(values=bad, ids=[f"t{k}" for k in range(len(bad))], kind="external")
 
 
 def test_ranc_worked_values():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from scipy import special, stats
 
 from nctest import DataError, make_statistic_set, ranc_values
-from nctest.procedures import bh, confusion_counts, permutation_global
+from nctest._util import rep_rng, thread_count
+from nctest.procedures import (
+    bh,
+    confusion_counts,
+    fisher_global_statistic,
+    permutation_global,
+    simes_statistic,
+)
 from nctest.ranc import PValueVector
 from nctest.simulate import (
     SimConfig,
@@ -19,12 +27,7 @@ from nctest.simulate import (
     simes_permutation_diagnostic,
     simulate_cell,
 )
-from nctest.simulate import (
-    _fdp_tpr_rows,
-    _fisher_from_masks,
-    _ranc_rows,
-    _simes_from_masks,
-)
+from nctest.simulate import _fdp_tpr_rows, _ranc_rows
 
 
 def test_config_validation():
@@ -194,6 +197,17 @@ def test_determinism_across_thread_counts():
     json.dumps(a)
 
 
+def test_thread_count_setting(monkeypatch):
+    monkeypatch.delenv("NCTEST_THREADS", raising=False)
+    assert thread_count() >= 1
+    monkeypatch.setenv("NCTEST_THREADS", "3")
+    assert thread_count() == 3
+    for bad in ("zero", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("NCTEST_THREADS", bad)
+        with pytest.raises(ValueError, match="NCTEST_THREADS"):
+            thread_count()
+
+
 def test_power_vs_m_granularity_and_monotonicity():
     cfg = SimConfig(reps=1500, seed=15)
     curves = power_vs_m(cfg, [1, 5, 25, 100, 400])
@@ -244,19 +258,34 @@ def test_prds_monte_carlo_agrees():
 
 
 def test_mask_kernels_match_module_statistics():
-    rng = np.random.default_rng(17)
-    n, m = 6, 8
-    pool = np.sort(rng.normal(size=n + m))
-    for _ in range(5):
-        chosen = rng.choice(n + m, size=n, replace=False)
-        mask = np.zeros(n + m, dtype=bool)
-        mask[chosen] = True
-        test_vals, nc_vals = pool[mask], pool[~mask]
-        p = ranc_values(test_vals, nc_vals)
-        fisher = -2.0 * np.log(p).sum()
-        simes = n * np.min(np.sort(p) / np.arange(1, n + 1))
-        assert _fisher_from_masks(mask[None, :], m)[0] == pytest.approx(fisher)
-        assert _simes_from_masks(mask[None, :], m, n)[0] == pytest.approx(simes)
+    # every sample of the engine, exact orbit and Monte-Carlo draws,
+    # equals the module statistic of ranc_values on that relabeling; the
+    # data tie test values with controls, so ties must count as
+    # below-or-equal as in ranc_values
+    def reference(pool, stat_fn, subset):
+        mask = np.zeros(pool.size, dtype=bool)
+        mask[subset] = True
+        return stat_fn(ranc_values(pool[mask], pool[~mask]))
+
+    rng = np.random.default_rng(23)
+    small = (np.array([0.3, 1.0, 1.0, 2.5]), np.array([1.0, -0.4, 2.5, 0.0, 1.0, 3.1, -1.2]))
+    # n = 12 exercises the unrolled pairwise summation of the Fisher sum
+    large = (np.round(rng.normal(size=12), 1), np.round(rng.normal(size=20), 1))
+    for name, stat_fn in (("simes_min_ratio", simes_statistic),
+                          ("fisher", fisher_global_statistic)):
+        for test, nc in (small, large):
+            s = make_statistic_set(test, nc)
+            pool = np.sort(np.concatenate([test, nc]))
+            _, samples = permutation_global(s, name, B=40, seed=8, max_enumeration=0)
+            expected = [reference(pool, stat_fn, rep_rng(8, b).choice(pool.size, test.size,
+                                                                      replace=False))
+                        for b in range(40)]
+            np.testing.assert_array_equal(samples, expected)
+        _, samples = permutation_global(make_statistic_set(*small), name)
+        pool = np.sort(np.concatenate(small))
+        expected = [reference(pool, stat_fn, list(subset))
+                    for subset in itertools.combinations(range(pool.size), small[0].size)]
+        np.testing.assert_array_equal(samples, expected)
 
 
 def test_two_arrangement_permutation_pvalue():
