@@ -66,15 +66,16 @@ class StatisticSet:
             raise DataError("no investigation statistics")
         if nc.size < 1:
             raise DataError("no negative controls")
-        ids_inv = tuple(str(i) for i in self.investigation_ids)
-        ids_nc = tuple(str(i) for i in self.nc_ids)
+        ids_inv = tuple(map(str, self.investigation_ids))
+        ids_nc = tuple(map(str, self.nc_ids))
         if len(ids_inv) != inv.size or len(ids_nc) != nc.size:
             raise DataError("id list and value list lengths differ")
-        seen = set()
-        for i in ids_inv + ids_nc:
-            if i in seen:
-                raise DataError(f"duplicate id {i!r}")
-            seen.add(i)
+        if len(set(ids_inv + ids_nc)) != inv.size + nc.size:
+            seen = set()
+            for i in ids_inv + ids_nc:
+                if i in seen:
+                    raise DataError(f"duplicate id {i!r}")
+                seen.add(i)
         for key, label in self.truth.items():
             if label not in (TRUTH_NULL, TRUTH_NONNULL):
                 raise DataError(f"unknown truth label {label!r} for id {key!r}")
@@ -184,29 +185,44 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
     if columns:
         colmap.update(columns)
 
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
         raise DataError("empty CSV: missing header")
-    header = set(reader.fieldnames)
+    # a repeated header name means its last column, as with csv.DictReader
+    index = {name: k for k, name in enumerate(header)}
     for required in ("id", "value", "role"):
-        if colmap[required] not in header:
+        if colmap[required] not in index:
             raise DataError(f"missing required column {colmap[required]!r}")
-    has = {name: colmap[name] in header for name in _CANONICAL_COLUMNS}
+    col = {name: index.get(colmap[name]) for name in _CANONICAL_COLUMNS}
+    i_id, i_value, i_role = col["id"], col["value"], col["role"]
+    i_subgroup, i_treatment, i_control, i_truth = (
+        col[name] for name in ("subgroup", "treatment", "control", "truth")
+    )
+    optional = any(k is not None for k in (i_subgroup, i_treatment, i_control, i_truth))
+    # short rows read as empty fields; pad them out to every column used
+    pad = [""] * (1 + max(k for k in col.values() if k is not None))
 
     inv_ids, inv_vals, nc_ids, nc_vals = [], [], [], []
     subgroup, paired_raw, truth = {}, {}, {}
-    for lineno, row in enumerate(reader, start=2):
-        rid = (row.get(colmap["id"]) or "").strip()
+    lineno = 1
+    for row in reader:
+        if not row:
+            continue  # blank lines are skipped and not counted
+        lineno += 1
+        if len(row) < len(pad):
+            row += pad[len(row):]
+        rid = row[i_id].strip()
         if not rid:
             raise DataError(f"line {lineno}: empty id")
-        raw = (row.get(colmap["value"]) or "").strip()
+        raw = row[i_value].strip()
         try:
             value = float(raw)
         except ValueError:
             raise DataError(f"line {lineno}: bad value {raw!r}") from None
         if not math.isfinite(value):
             raise DataError(f"line {lineno}: non-finite value {raw!r}")
-        role = (row.get(colmap["role"]) or "").strip()
+        role = row[i_role].strip()
         if role == "test":
             inv_ids.append(rid)
             inv_vals.append(value)
@@ -215,12 +231,14 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
             nc_vals.append(value)
         else:
             raise DataError(f"line {lineno}: unknown role {role!r}")
-        if has["subgroup"]:
-            label = (row.get(colmap["subgroup"]) or "").strip()
+        if not optional:
+            continue
+        if i_subgroup is not None:
+            label = row[i_subgroup].strip()
             if label:
                 subgroup[rid] = label
-        t_raw = (row.get(colmap["treatment"]) or "").strip() if has["treatment"] else ""
-        c_raw = (row.get(colmap["control"]) or "").strip() if has["control"] else ""
+        t_raw = row[i_treatment].strip() if i_treatment is not None else ""
+        c_raw = row[i_control].strip() if i_control is not None else ""
         if t_raw or c_raw:
             if not (t_raw and c_raw):
                 raise DataError(f"line {lineno}: treatment and control must both be present")
@@ -231,8 +249,8 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
             if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
                 raise DataError(f"line {lineno}: non-finite treatment/control pair")
             paired_raw[rid] = pair
-        if has["truth"]:
-            label = (row.get(colmap["truth"]) or "").strip()
+        if i_truth is not None:
+            label = row[i_truth].strip()
             if label:
                 truth[rid] = label
 

@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .data import StatisticSet
 from .errors import DataError
@@ -381,6 +380,8 @@ def pdf_localfdr_baseline(
         raise DataError("pi must lie in [0, 1]")
     if statistics.m < 2 or statistics.n < 2:
         raise DataError("kernel density estimation needs at least two points per role")
+    from scipy.stats import gaussian_kde
+
     f0_hat = gaussian_kde(statistics.negative_controls, bw_method=bandwidth)
     f_hat = gaussian_kde(statistics.investigation, bw_method=bandwidth)
     pooled = np.concatenate([statistics.investigation, statistics.negative_controls])

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
 
 from .data import StatisticSet
 from .errors import DataError
@@ -275,9 +274,11 @@ def pvalues_from_null(statistics: StatisticSet, model: NullModel) -> PValueVecto
     """One-sided p-values for the investigation statistics under a fitted null."""
     if model.kind == "nc_ecdf":
         return ranc_pvalues(statistics)
+    from scipy.special import ndtr
+
     z = (statistics.investigation - model.mu) / model.sigma
     return PValueVector(
-        values=special.ndtr(z),
+        values=ndtr(z),
         ids=statistics.investigation_ids,
         kind="parametric_null",
     )
@@ -324,6 +325,8 @@ def uniformity_tests(p, window=(0.5, 0.99)) -> UniformityReport:
     portion of the distribution dominated by true nulls.
     """
     values = p.values if isinstance(p, PValueVector) else np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0) & (values <= 1)):
+        raise DataError("p-values must be finite and lie in [0, 1]")
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise DataError("window must satisfy 0 <= lo < hi <= 1")
@@ -333,7 +336,9 @@ def uniformity_tests(p, window=(0.5, 0.99)) -> UniformityReport:
             f"only {inside.size} p-values inside ({lo}, {hi}); need at least 10"
         )
     rescaled = (inside - lo) / (hi - lo)
-    ks = stats.kstest(rescaled, "uniform", mode="asymp")
+    from scipy.stats import kstest
+
+    ks = kstest(rescaled, "uniform", mode="asymp")
     return UniformityReport(
         ks_pvalue=float(ks.pvalue),
         ad_pvalue=_anderson_darling_uniform_pvalue(rescaled),
@@ -362,6 +367,8 @@ def falsify_subgroups(statistics: StatisticSet, min_size: int = 5) -> Falsificat
                 f"subgroup {label!r} has {len(groups[label])} controls; "
                 f"need at least {min_size}"
             )
+    from scipy.stats import ks_2samp
+
     k = len(labels)
     pvalues = np.ones((k, k))
     qq = {}
@@ -369,7 +376,7 @@ def falsify_subgroups(statistics: StatisticSet, min_size: int = 5) -> Falsificat
         for j in range(i + 1, k):
             a = np.asarray(groups[labels[i]], dtype=float)
             b = np.asarray(groups[labels[j]], dtype=float)
-            pv = float(stats.ks_2samp(a, b).pvalue)
+            pv = float(ks_2samp(a, b).pvalue)
             pvalues[i, j] = pvalues[j, i] = pv
             probs = (np.arange(1, min(a.size, b.size, 100) + 1) - 0.5) / min(
                 a.size, b.size, 100

@@ -234,12 +234,32 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _subset_masks(rng, b: int, size: int, n_test: int) -> np.ndarray:
-    # b random n_test-subsets of the sorted pool positions
-    keys = rng.random((b, size))
-    cut = np.argsort(keys, axis=1)[:, :n_test]
+    """b random n_test-subsets of the sorted pool positions, as masks.
+
+    Row r holds the positions of the n_test smallest of `size` uniform
+    keys.  The keys are drawn in blocks of rows; consecutive rng.random
+    calls continue one stream, so the masks do not depend on the block.
+    """
     masks = np.zeros((b, size), dtype=bool)
-    np.put_along_axis(masks, cut, True, axis=1)
+    rows = max(1, _BLOCK_ELEMENTS // size)
+    for start in range(0, b, rows):
+        keys = rng.random((min(rows, b - start), size))
+        cut = np.argpartition(keys, n_test - 1, axis=1)[:, :n_test]
+        np.put_along_axis(masks[start:start + len(keys)], cut, True, axis=1)
     return masks
+
+
+def _count_extreme(samples: np.ndarray, observed: float, direction: str) -> int:
+    """Samples at least as extreme as observed in `direction`.
+
+    Values within a relative 1e-12 of observed count as ties, hence as
+    extreme: statistics equal in exact arithmetic (Fisher's sum of logs
+    of equal products, say) can differ in the last bits.
+    """
+    tol = 1e-12 * abs(observed)
+    if direction == "small":
+        return int(np.sum(samples <= observed + tol))
+    return int(np.sum(samples >= observed - tol))
 
 
 def _mask_pvalues(masks: np.ndarray, tie_end: np.ndarray | None = None) -> np.ndarray:
@@ -337,6 +357,6 @@ def permutation_global(
     if not np.all(np.isfinite(computed)):
         raise DataError("statistic undefined on the observed or a permuted sample")
     observed, samples = float(computed[0]), computed[1:]
-    extreme = int(np.sum(samples <= observed if direction == "small" else samples >= observed))
+    extreme = _count_extreme(samples, observed, direction)
     p_value = extreme / total if exact else (1 + extreme) / (1 + B)
     return PermutationResult(p_value, samples, observed)

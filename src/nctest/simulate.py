@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, special, stats
 
 from ._util import map_reps, rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
 from .errors import DataError
 from .procedures import (
+    _count_extreme,
     _mask_pvalues,
     _subset_masks,
     fisher_global_statistic,
@@ -79,6 +79,9 @@ class SimConfig:
             raise DataError("need at least one negative control")
         if self.reps < 1:
             raise DataError("need at least one replication")
+        for name in ("rho", "mu_null", "mu_alt"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite")
         if not 0.0 <= self.rho < 1.0:
             raise DataError("rho must be in [0, 1)")
         if self.dependence not in DEPENDENCE_KINDS:
@@ -150,8 +153,10 @@ def _z_draws(config: SimConfig, rng) -> np.ndarray:
 
 def generate_emn(config: SimConfig, rep_seed: int):
     """One replication of the equicorrelated normal model."""
+    from scipy.special import ndtr
+
     rng = rep_rng(config.seed, rep_seed)
-    t = special.ndtr(_mu_vector(config) + _z_draws(config, rng))
+    t = ndtr(_mu_vector(config) + _z_draws(config, rng))
     n = config.n
     ids = [f"t{i}" for i in range(1, n + 1)]
     truth = {
@@ -168,7 +173,9 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
     missing = [i for i in statistics.investigation_ids if i not in statistics.truth]
     if missing:
         raise DataError("oracle correction requires simulation truth labels")
-    p = special.ndtr(special.ndtri(statistics.investigation) - config.mu_null)
+    from scipy.special import ndtr, ndtri
+
+    p = ndtr(ndtri(statistics.investigation) - config.mu_null)
     return PValueVector(
         values=np.clip(p, np.finfo(float).tiny, 1.0),
         ids=statistics.investigation_ids,
@@ -209,6 +216,8 @@ def _ranc_rows(t: np.ndarray, nc: np.ndarray) -> np.ndarray:
 
 def simulate_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     """FDP and TPR of the three BH variants over config.reps replications."""
+    from scipy.special import ndtr, ndtri
+
     n, m = config.n, config.m
     mu = _mu_vector(config)
 
@@ -216,14 +225,14 @@ def simulate_cell(config: SimConfig, threads: int | None = None) -> SimReport:
         return _z_draws(config, rep_rng(config.seed, rep))
 
     draws = np.asarray(map_reps(one_rep, config.reps, threads))
-    t = special.ndtr(mu + draws)
+    t = ndtr(mu + draws)
     inv, nc = t[:, :n], t[:, n:]
     null_mask = np.arange(n) < config.n0
 
     p_by_method = {
         "bh_raw": inv,
         "bh_ranc": _ranc_rows(inv, nc),
-        "bh_oracle": special.ndtr(special.ndtri(inv) - config.mu_null),
+        "bh_oracle": ndtr(ndtri(inv) - config.mu_null),
     }
     methods = {}
     for name, p in p_by_method.items():
@@ -308,6 +317,8 @@ def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int
     p2 value less likely.
     """
     if method == "exact":
+        from scipy import integrate
+
         cdf = _beta12_cdf
         joint_low, _ = integrate.dblquad(
             lambda t2, t1: (cdf(t2) - cdf(t1)) ** 2, 0.0, 1.0, lambda t1: t1, 1.0
@@ -355,6 +366,7 @@ def fisher_miscalibration_demo(
     independent uniforms, which they are not; the permutation
     calibration stays at the nominal level.
     """
+    from scipy.special import chdtrc
 
     def one_rep(rep):
         rng = rep_rng(seed, rep)
@@ -362,9 +374,9 @@ def fisher_miscalibration_demo(
         order = np.argsort(pool, kind="stable")
         obs_mask = (order < n)[None, :]
         obs = fisher_global_statistic(_mask_pvalues(obs_mask))[0]
-        chi2_reject = stats.chi2.sf(obs, 2 * n) < alpha
+        chi2_reject = chdtrc(2 * n, obs) < alpha
         perm = fisher_global_statistic(_mask_pvalues(_subset_masks(rng, b, n + m, n)))
-        p_perm = (1.0 + np.sum(perm >= obs)) / (b + 1.0)
+        p_perm = (1.0 + _count_extreme(perm, obs, "large")) / (b + 1.0)
         return chi2_reject, p_perm <= alpha
 
     flags = np.asarray(map_reps(one_rep, reps, threads), dtype=float)

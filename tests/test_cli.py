@@ -333,3 +333,30 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert "nctest 0.1.0" in result.stdout
+
+
+def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
+    # the rank-based paths need only numpy; scipy loads where it is called
+    script = (
+        "import contextlib, io, sys\n"
+        "import nctest\n"
+        "assert 'scipy' not in sys.modules, 'import nctest'\n"
+        "from nctest.cli import main\n"
+        "for args in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = main(args.split())\n"
+        "        except SystemExit as stop:\n"
+        "            code = stop.code\n"
+        "    assert code == 0, (args, code)\n"
+        "    assert 'scipy' not in sys.modules, args\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "--version",
+         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'} --plots svg",
+         f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr

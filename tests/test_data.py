@@ -100,6 +100,85 @@ def test_column_mapping():
     assert s.n == 1 and s.m == 1
 
 
+def test_load_csv_blank_short_and_long_rows():
+    # blank lines are skipped; missing trailing fields read as empty;
+    # fields beyond the header are ignored
+    csv_text = (
+        "id,value,role,subgroup,truth\n"
+        "\n"
+        "a,0.1,test\n"
+        "b,0.2,test,g1,null,extra,more\n"
+        "\n"
+        "n1,0.3,nc,g2\n"
+    )
+    s = load_csv(io.StringIO(csv_text))
+    assert s.investigation_ids == ("a", "b")
+    assert s.nc_ids == ("n1",)
+    assert s.subgroup == {"b": "g1", "n1": "g2"}
+    assert s.truth == {"b": "null"}
+
+
+def test_load_csv_duplicate_header_uses_last_column():
+    csv_text = "id,value,role,value\na,9,test,0.1\nn1,9,nc,0.3\n"
+    s = load_csv(io.StringIO(csv_text))
+    np.testing.assert_array_equal(s.investigation, [0.1])
+    np.testing.assert_array_equal(s.negative_controls, [0.3])
+
+
+def test_load_csv_column_mapping_of_optional_columns():
+    csv_text = "name,stat,kind,grp,t,c,label\na,0.1,test,g,1.5,1.2,nonnull\nn,0.3,nc,g,,,\n"
+    s = load_csv(
+        io.StringIO(csv_text),
+        columns={"id": "name", "value": "stat", "role": "kind", "subgroup": "grp",
+                 "treatment": "t", "control": "c", "truth": "label"},
+    )
+    assert s.subgroup == {"a": "g", "n": "g"}
+    assert s.paired_raw == {"a": (1.5, 1.2)}
+    assert s.truth == {"a": "nonnull"}
+
+
+def test_load_csv_byte_stream_and_path(tmp_path):
+    data = "id,value,role\n\u00e9,0.1,test\nn1,0.3,nc\n".encode("utf-8")
+    from_bytes = load_csv(io.BytesIO(data))
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        from_binary_file = load_csv(fh)
+    for s in (from_bytes, from_binary_file, load_csv(path), load_csv(str(path))):
+        assert s.investigation_ids == ("\u00e9",)
+        assert s.nc_ids == ("n1",)
+
+
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        ("", "empty CSV: missing header"),
+        ("id,role\na,test\n", "missing required column 'value'"),
+        ("id,value,role\na,0.1,test\n ,0.2,nc\n", "line 3: empty id"),
+        ("id,value,role\na,0.1,test\nb\n", "line 3: bad value ''"),
+        # blank lines are not counted in the line number
+        ("id,value,role\n\na,0.1,test\n\nb, x ,nc\n", "line 3: bad value 'x'"),
+        ("id,value,role\na,0.1,test\nb,-inf,nc\n", "line 3: non-finite value '-inf'"),
+        ("id,value,role\na,0.1,Test\n", "line 2: unknown role 'Test'"),
+        ("id,value,role,treatment,control\na,0.1,test,1.0,\n",
+         "line 2: treatment and control must both be present"),
+        ("id,value,role,treatment\na,0.1,test,1.0\n",
+         "line 2: treatment and control must both be present"),
+        ("id,value,role,treatment,control\na,0.1,test,1.0,x\n",
+         "line 2: bad treatment/control pair"),
+        ("id,value,role,treatment,control\na,0.1,test,nan,1\n",
+         "line 2: non-finite treatment/control pair"),
+        ("id,value,role\nn1,0.1,nc\n", "no investigation statistics (role=test)"),
+        ("id,value,role\na,0.1,test\n", "no negative controls (role=nc)"),
+        ("id,value,role\na,0.1,test\na,0.2,nc\n", "duplicate id 'a'"),
+    ],
+)
+def test_load_csv_error_messages(csv_text, message):
+    with pytest.raises(DataError) as excinfo:
+        load_csv(io.StringIO(csv_text))
+    assert str(excinfo.value) == message
+
+
 def test_json_round_trip_preserves_multiset():
     csv_text = (
         "id,value,role,truth\n"

@@ -179,6 +179,13 @@ def test_uniformity_point_mass():
     assert report.ad_pvalue < 1e-6
 
 
+def test_uniformity_rejects_invalid_pvalues():
+    good = np.linspace(0.51, 0.98, 50)
+    for bad in (np.nan, np.inf, -np.inf, -0.1, 1.5):
+        with pytest.raises(DataError, match="finite and lie in"):
+            uniformity_tests(np.append(good, bad))
+
+
 def test_uniformity_window_preconditions():
     with pytest.raises(DataError, match="inside"):
         uniformity_tests(np.linspace(0.01, 0.4, 100))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from nctest import DataError, make_statistic_set
 from nctest.procedures import (
+    _subset_masks,
     bh,
     bonferroni_global,
     confusion_counts,
@@ -238,6 +240,41 @@ def test_permutation_invariant_to_row_order():
                 assert other[0] == results[0][0]
                 np.testing.assert_array_equal(other[1], results[0][1])
                 assert other.observed == results[0].observed
+
+
+def test_permutation_fisher_counts_equal_products_as_ties():
+    # p-values (1+c_i)/(m+1) with equal products, such as factors {2, 6}
+    # against {3, 4}, give equal Fisher statistics in exact arithmetic; the
+    # float sums of logs may differ in the last bit and must still count
+    total = math.comb(15, 5)
+    tied_cases = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        s = make_statistic_set(rng.normal(size=5), rng.normal(size=10))
+        pool = np.sort(np.concatenate([s.investigation, s.negative_controls]))
+        observed = np.searchsorted(pool, np.sort(s.investigation))
+
+        def product(positions):
+            # 1 + number of controls below each test, over the sorted tests
+            return math.prod(1 + int(p) - i for i, p in enumerate(positions))
+
+        products = [product(c) for c in itertools.combinations(range(15), 5)]
+        target = product(observed)
+        tied_cases += products.count(target) > 1
+        p, _ = permutation_global(s, statistic="fisher")
+        assert p == sum(v <= target for v in products) / total, seed
+    assert tied_cases > 0
+
+
+def test_subset_masks_match_full_argsort():
+    # the blocked argpartition draws the same keys and picks the same
+    # subsets as one argsort of the whole (b, size) key matrix
+    for b, size, n_test in ((1000, 300, 7), (5, 40, 40), (3, 70_000, 1)):
+        keys = np.random.default_rng(8).random((b, size))
+        want = np.zeros((b, size), dtype=bool)
+        np.put_along_axis(want, np.argsort(keys, axis=1)[:, :n_test], True, axis=1)
+        got = _subset_masks(np.random.default_rng(8), b, size, n_test)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_permutation_exact_matches_monte_carlo():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ def test_config_validation():
         SimConfig(dependence="clustered")
     with pytest.raises(DataError, match="rho"):
         SimConfig(rho=1.0, dependence="exchangeable")
+
+
+def test_config_rejects_non_finite():
+    for name in ("rho", "mu_null", "mu_alt"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DataError, match=f"{name} must be finite"):
+                SimConfig(**{name: bad})
 
 
 def test_generate_shapes_and_truth():
