@@ -30,10 +30,10 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def map_reps(worker, n_reps: int, threads: int | None = None) -> list:
-    """Run worker(rep) for rep in range(n_reps), results ordered by rep."""
-    if threads is None:
-        threads = thread_count()
+def map_reps(worker, n_reps: int) -> list:
+    """Run worker(rep) for rep in range(n_reps) on thread_count() threads,
+    results ordered by rep."""
+    threads = thread_count()
     if threads <= 1 or n_reps <= 1:
         return [worker(r) for r in range(n_reps)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

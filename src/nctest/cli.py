@@ -412,7 +412,7 @@ def _power_rows(curves: dict):
 
 def cmd_simulate(ns, manifest) -> Report:
     try:
-        thread_count()  # the presets' worker pools read NCTEST_THREADS
+        thread_count()  # the b2 preset's worker pool reads NCTEST_THREADS
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     preset = ns.preset

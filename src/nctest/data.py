@@ -205,11 +205,12 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
 
     inv_ids, inv_vals, nc_ids, nc_vals = [], [], [], []
     subgroup, paired_raw, truth = {}, {}, {}
-    lineno = 1
+    end = reader.line_num
     for row in reader:
+        # errors name the file line where the record starts; blank lines count
+        lineno, end = end + 1, reader.line_num
         if not row:
-            continue  # blank lines are skipped and not counted
-        lineno += 1
+            continue
         if len(row) < len(pad):
             row += pad[len(row):]
         rid = row[i_id].strip()

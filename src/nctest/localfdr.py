@@ -311,15 +311,6 @@ def neighborhood_threshold(statistics: StatisticSet, lam: float, h: float) -> li
     return results
 
 
-def _ecdf_factory(sample):
-    sorted_vals = np.sort(np.asarray(sample, dtype=float))
-
-    def ecdf(t):
-        return np.searchsorted(sorted_vals, t, side="right") / sorted_vals.size
-
-    return ecdf
-
-
 def bayes_risk_curves(source, q: float, pi: float, grid=None):
     """Weighted misclassification error curves.
 
@@ -341,8 +332,8 @@ def bayes_risk_curves(source, q: float, pi: float, grid=None):
                 np.concatenate([source.investigation, source.negative_controls])
             )
         grid = np.asarray(grid, dtype=float)
-        f0 = _ecdf_factory(source.negative_controls)(grid)
-        fn = _ecdf_factory(source.investigation)(grid)
+        f0 = counts_at_or_below(source.negative_controls, grid) / source.m
+        fn = counts_at_or_below(source.investigation, grid) / source.n
         f1 = (fn - pi * f0) / (1 - pi) if pi < 1 else np.zeros_like(grid)
     else:
         cdf0, cdf1 = source

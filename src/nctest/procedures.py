@@ -85,9 +85,24 @@ class RejectionResult:
         }
 
 
-def _prefix_result(name, params, values, ids, boundaries, k) -> RejectionResult:
+def _step_prefix(sorted_p: np.ndarray, boundaries, step_up: bool):
+    """Size of the rejected prefix of each last-axis row of sorted_p.
+
+    sorted_p holds p-values (or any statistic) in rejection order.
+    Step-up: one past the last position with sorted_p <= boundaries, or 0.
+    Step-down: the first position where that fails, or n if none does.
+    """
+    passing = sorted_p <= boundaries
+    n = passing.shape[-1]
+    if step_up:
+        return np.where(passing.any(axis=-1), n - np.argmax(passing[..., ::-1], axis=-1), 0)
+    return np.where(passing.all(axis=-1), n, np.argmin(passing, axis=-1))
+
+
+def _prefix_result(name, params, values, ids, boundaries, step_up) -> RejectionResult:
     order = _sorted_order(values, ids)
     sorted_p = values[order]
+    k = int(_step_prefix(sorted_p, boundaries, step_up))
     ordered_ids = tuple(ids[j] for j in order)
     rejected = frozenset(ordered_ids[:k])
     threshold = float(sorted_p[k - 1]) if k > 0 else None
@@ -121,34 +136,23 @@ def simes_global(p, alpha: float) -> bool:
     _check_level(alpha, "alpha")
     values, _ = _pvalues_and_ids(p)
     n = values.size
-    sorted_p = np.sort(values)
-    return bool(np.any(sorted_p <= alpha * np.arange(1, n + 1) / n))
+    return bool(_step_prefix(np.sort(values), alpha * np.arange(1, n + 1) / n, step_up=True))
 
 
 def holm(p, alpha: float) -> RejectionResult:
     """Step-down FWER control: reject while p_(i) <= alpha/(n-i+1)."""
     _check_level(alpha, "alpha")
     values, ids = _pvalues_and_ids(p)
-    n = values.size
-    i = np.arange(1, n + 1)
-    boundaries = alpha / (n - i + 1)
-    sorted_p = values[_sorted_order(values, ids)]
-    passing = sorted_p <= boundaries
-    k = n if passing.all() else int(np.argmin(passing))
-    return _prefix_result("holm", {"alpha": alpha}, values, ids, boundaries, k)
+    boundaries = alpha / (values.size - np.arange(values.size))
+    return _prefix_result("holm", {"alpha": alpha}, values, ids, boundaries, step_up=False)
 
 
 def hochberg(p, alpha: float) -> RejectionResult:
     """Step-up counterpart of Holm on the same boundaries."""
     _check_level(alpha, "alpha")
     values, ids = _pvalues_and_ids(p)
-    n = values.size
-    i = np.arange(1, n + 1)
-    boundaries = alpha / (n - i + 1)
-    sorted_p = values[_sorted_order(values, ids)]
-    passing = np.nonzero(sorted_p <= boundaries)[0]
-    k = int(passing[-1]) + 1 if passing.size else 0
-    return _prefix_result("hochberg", {"alpha": alpha}, values, ids, boundaries, k)
+    boundaries = alpha / (values.size - np.arange(values.size))
+    return _prefix_result("hochberg", {"alpha": alpha}, values, ids, boundaries, step_up=True)
 
 
 def lehmann_romano(p, alpha: float, gamma: float) -> RejectionResult:
@@ -163,11 +167,8 @@ def lehmann_romano(p, alpha: float, gamma: float) -> RejectionResult:
     i = np.arange(1, n + 1)
     g = np.floor(gamma * i)
     boundaries = (g + 1) * alpha / (n + g + 1 - i)
-    sorted_p = values[_sorted_order(values, ids)]
-    passing = sorted_p <= boundaries
-    k = n if passing.all() else int(np.argmin(passing))
     return _prefix_result(
-        "lehmann_romano", {"alpha": alpha, "gamma": gamma}, values, ids, boundaries, k
+        "lehmann_romano", {"alpha": alpha, "gamma": gamma}, values, ids, boundaries, step_up=False
     )
 
 
@@ -177,10 +178,7 @@ def bh(p, q: float) -> RejectionResult:
     values, ids = _pvalues_and_ids(p)
     n = values.size
     boundaries = q * np.arange(1, n + 1) / n
-    sorted_p = values[_sorted_order(values, ids)]
-    passing = np.nonzero(sorted_p <= boundaries)[0]
-    k = int(passing[-1]) + 1 if passing.size else 0
-    return _prefix_result("bh", {"q": q}, values, ids, boundaries, k)
+    return _prefix_result("bh", {"q": q}, values, ids, boundaries, step_up=True)
 
 
 def fisher_global_statistic(p):

@@ -48,9 +48,19 @@ class PValueVector:
 
 
 def counts_at_or_below(nc_values, queries) -> np.ndarray:
-    """#{j: nc_j <= t} for each query t.  Ties count as below-or-equal."""
-    nc_sorted = np.sort(np.asarray(nc_values, dtype=float))
-    return np.searchsorted(nc_sorted, np.asarray(queries, dtype=float), side="right")
+    """#{j: nc_j <= t} for each query t.  Ties count as below-or-equal.
+
+    Two-dimensional controls are taken row by row: row r of queries is
+    counted against row r of nc_values.
+    """
+    nc_sorted = np.sort(np.asarray(nc_values, dtype=float), axis=-1)
+    queries = np.asarray(queries, dtype=float)
+    if nc_sorted.ndim == 1:
+        return np.searchsorted(nc_sorted, queries, side="right")
+    counts = np.empty(queries.shape, dtype=np.intp)
+    for r, row in enumerate(nc_sorted):
+        counts[r] = np.searchsorted(row, queries[r], side="right")
+    return counts
 
 
 def empirical_null_cdf(nc_values, t):
@@ -61,24 +71,25 @@ def empirical_null_cdf(nc_values, t):
     control keeps the result strictly positive.  Accepts scalar or
     array t.
     """
-    nc_sorted = np.sort(np.asarray(nc_values, dtype=float))
-    m = nc_sorted.size
+    m = np.size(nc_values)
     if m < 1:
         raise DataError("need at least one negative control")
-    counts = np.searchsorted(nc_sorted, t, side="right")
-    return (1.0 + counts) / (1.0 + m)
+    return (1.0 + counts_at_or_below(nc_values, t)) / (1.0 + m)
 
 
 def ranc_values(test_values, nc_values) -> np.ndarray:
-    """Array form of the RANC p-value, (1 + #{nc <= T_i}) / (1 + m)."""
+    """Array form of the RANC p-value, (1 + #{nc <= T_i}) / (1 + m).
+
+    Two-dimensional inputs give one vector of p-values per row.
+    """
     nc = np.asarray(nc_values, dtype=float)
-    return (1.0 + counts_at_or_below(nc, test_values)) / (1.0 + nc.size)
+    return (1.0 + counts_at_or_below(nc, test_values)) / (1.0 + nc.shape[-1])
 
 
 def modified_ranc_values(test_values, nc_values) -> np.ndarray:
     """Array form of the modified p-value, min{(2 + #{nc <= T_i}) / (1 + m), 1}."""
     nc = np.asarray(nc_values, dtype=float)
-    raw = (2.0 + counts_at_or_below(nc, test_values)) / (1.0 + nc.size)
+    raw = (2.0 + counts_at_or_below(nc, test_values)) / (1.0 + nc.shape[-1])
     return np.minimum(raw, 1.0)
 
 

@@ -10,7 +10,8 @@ non-PRDS construction and the miscalibration of Fisher's combination
 test); and a permutation diagnostic for the Simes statistic.
 
 Every replication uses its own counter-derived RNG stream, so results
-are bit-identical regardless of the worker thread count.
+depend only on the seed.  The Fisher demonstration, the one study run on
+worker threads, gives the same numbers for any thread count.
 """
 
 import math
@@ -24,11 +25,12 @@ from .errors import DataError
 from .procedures import (
     _count_extreme,
     _mask_pvalues,
+    _step_prefix,
     _subset_masks,
     fisher_global_statistic,
     simes_statistic,
 )
-from .ranc import PValueVector
+from .ranc import PValueVector, ranc_values
 
 __all__ = [
     "DEPENDENCE_KINDS",
@@ -183,18 +185,12 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
     )
 
 
-def _bh_reject_rows(p: np.ndarray, q: float):
-    """Row-wise BH: number rejected and the sort order per row."""
+def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
+    """Row-wise BH: false discovery proportion and true positive rate per row."""
     n = p.shape[1]
     order = np.argsort(p, axis=1, kind="stable")
     psort = np.take_along_axis(p, order, axis=1)
-    ok = psort <= q * np.arange(1, n + 1) / n
-    k = np.where(ok.any(axis=1), n - ok[:, ::-1].argmax(axis=1), 0)
-    return k, order
-
-
-def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
-    k, order = _bh_reject_rows(p, q)
+    k = _step_prefix(psort, q * np.arange(1, n + 1) / n, step_up=True)
     null_sorted = null_mask[order]
     vcum = np.cumsum(null_sorted, axis=1)
     rows = np.arange(p.shape[0])
@@ -205,33 +201,19 @@ def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
     return fdp, tpr
 
 
-def _ranc_rows(t: np.ndarray, nc: np.ndarray) -> np.ndarray:
-    m = nc.shape[1]
-    nc_sorted = np.sort(nc, axis=1)
-    counts = np.empty_like(t)
-    for r in range(t.shape[0]):
-        counts[r] = np.searchsorted(nc_sorted[r], t[r], side="right")
-    return (1.0 + counts) / (m + 1.0)
-
-
-def simulate_cell(config: SimConfig, threads: int | None = None) -> SimReport:
+def simulate_cell(config: SimConfig) -> SimReport:
     """FDP and TPR of the three BH variants over config.reps replications."""
     from scipy.special import ndtr, ndtri
 
-    n, m = config.n, config.m
-    mu = _mu_vector(config)
-
-    def one_rep(rep):
-        return _z_draws(config, rep_rng(config.seed, rep))
-
-    draws = np.asarray(map_reps(one_rep, config.reps, threads))
-    t = ndtr(mu + draws)
+    n = config.n
+    draws = np.array([_z_draws(config, rep_rng(config.seed, rep)) for rep in range(config.reps)])
+    t = ndtr(_mu_vector(config) + draws)
     inv, nc = t[:, :n], t[:, n:]
     null_mask = np.arange(n) < config.n0
 
     p_by_method = {
         "bh_raw": inv,
-        "bh_ranc": _ranc_rows(inv, nc),
+        "bh_ranc": ranc_values(inv, nc),
         "bh_oracle": ndtr(ndtri(inv) - config.mu_null),
     }
     methods = {}
@@ -272,17 +254,15 @@ def table1_grid(
     return grid
 
 
-def run_table1(
-    reps: int = 10_000, seed: int = 0, threads: int | None = None, **grid_kwargs
-) -> dict:
+def run_table1(reps: int = 10_000, seed: int = 0, **grid_kwargs) -> dict:
     """The six-cell dependence-by-null-setting comparison."""
     return {
-        cell: simulate_cell(config, threads=threads)
+        cell: simulate_cell(config)
         for cell, config in table1_grid(reps=reps, seed=seed, **grid_kwargs).items()
     }
 
 
-def power_vs_m(config: SimConfig, m_grid, threads: int | None = None) -> dict:
+def power_vs_m(config: SimConfig, m_grid) -> dict:
     """Mean TPR of each method as the control-pool size varies."""
     m_grid = [int(v) for v in m_grid]
     if any(v < 1 for v in m_grid):
@@ -291,7 +271,7 @@ def power_vs_m(config: SimConfig, m_grid, threads: int | None = None) -> dict:
     for name in METHODS:
         out[name] = []
     for m in m_grid:
-        report = simulate_cell(replace(config, m=m), threads=threads)
+        report = simulate_cell(replace(config, m=m))
         for name in METHODS:
             out[name].append(report.methods[name]["power"])
     return out
@@ -358,7 +338,6 @@ def fisher_miscalibration_demo(
     b: int = 1000,
     seed: int = 0,
     alpha: float = 0.05,
-    threads: int | None = None,
 ):
     """Global-null rejection rates of Fisher's combination statistic.
 
@@ -379,7 +358,7 @@ def fisher_miscalibration_demo(
         p_perm = (1.0 + _count_extreme(perm, obs, "large")) / (b + 1.0)
         return chi2_reject, p_perm <= alpha
 
-    flags = np.asarray(map_reps(one_rep, reps, threads), dtype=float)
+    flags = np.asarray(map_reps(one_rep, reps), dtype=float)
     return float(flags[:, 0].mean()), float(flags[:, 1].mean())
 
 

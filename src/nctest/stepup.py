@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import StatisticSet
 from .errors import DataError
-from .procedures import bh
+from .procedures import _step_prefix, bh
 from .ranc import counts_at_or_below, modified_ranc_pvalues
 
 __all__ = [
@@ -130,7 +130,7 @@ def counting_processes(statistics: StatisticSet):
     curves = []
     for values in (statistics.investigation, statistics.negative_controls):
         points = np.unique(values)
-        counts = np.searchsorted(np.sort(values), points, side="right")
+        counts = counts_at_or_below(values, points)
         curves.append(StepCurve(points, counts.astype(float), 0.0))
     return tuple(curves)
 
@@ -208,20 +208,19 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
             "estimated null proportion is infinite; nothing can be rejected"
         )
 
-    u_sorted = np.sort(u)
     cand_counts = np.unique(counts[u <= lam])
     tau = tau_stat = None
     rejected = frozenset()
     if cand_counts.size and np.isfinite(pi):
         cand_u = (1.0 + cand_counts) / (1.0 + m)
-        r_at = np.searchsorted(u_sorted, cand_u, side="right")
+        r_at = counts_at_or_below(u, cand_u)
         fdr = pi * n * (cand_counts + 2.0) / ((m + 1.0) * np.maximum(r_at, 1))
-        ok = np.nonzero(fdr <= q)[0]
-        if ok.size:
-            tau = float(cand_u[ok[-1]])
+        k = _step_prefix(fdr, q, step_up=True)
+        if k:
+            tau = float(cand_u[k - 1])
             keep = u <= tau
             rejected = frozenset(
-                statistics.investigation_ids[k] for k in np.nonzero(keep)[0]
+                statistics.investigation_ids[i] for i in np.nonzero(keep)[0]
             )
             tau_stat = float(np.max(statistics.investigation[keep]))
     if tau is None and not diagnostics:

@@ -34,12 +34,13 @@ from nctest import (
     null_diagnostics_table,
     prds_counterexample,
     ranc_pvalues,
+    ranc_values,
     rule_of_thumb_m,
     run_table1,
     simulate_cell,
 )
 from nctest._util import rep_rng
-from nctest.simulate import _fdp_tpr_rows, _ranc_rows
+from nctest.simulate import _fdp_tpr_rows
 
 # expected mean FDP / mean TPR of the six-cell study, per method
 REFERENCE_CELLS = {
@@ -161,7 +162,7 @@ def test_criterion_3_validity_and_fdr_control(six_cell_run):
         r_rng = rep_rng(17, r)
         t = np.concatenate([r_rng.normal(size=n0), r_rng.normal(-3.0, 1.0, size=n1)])
         nc = r_rng.normal(-0.5, 1.0, size=m)
-        fdp, _ = _fdp_tpr_rows(_ranc_rows(t[None, :], nc[None, :]), q, null_mask)
+        fdp, _ = _fdp_tpr_rows(ranc_values(t[None, :], nc[None, :]), q, null_mask)
         fdps[r] = fdp[0]
     mis_fdr = float(fdps.mean())
     mis_bound = q + 3 * float(fdps.std(ddof=1)) / np.sqrt(mis_reps)

@@ -156,8 +156,10 @@ def test_load_csv_byte_stream_and_path(tmp_path):
         ("id,role\na,test\n", "missing required column 'value'"),
         ("id,value,role\na,0.1,test\n ,0.2,nc\n", "line 3: empty id"),
         ("id,value,role\na,0.1,test\nb\n", "line 3: bad value ''"),
-        # blank lines are not counted in the line number
-        ("id,value,role\n\na,0.1,test\n\nb, x ,nc\n", "line 3: bad value 'x'"),
+        # line numbers are file lines: blank lines count, and a quoted
+        # field spanning lines moves later records down
+        ("id,value,role\n\na,0.1,test\n\nb, x ,nc\n", "line 5: bad value 'x'"),
+        ('id,value,role\n"a\nb",0.1,test\n"c\nd",x,nc\n', "line 4: bad value 'x'"),
         ("id,value,role\na,0.1,test\nb,-inf,nc\n", "line 3: non-finite value '-inf'"),
         ("id,value,role\na,0.1,Test\n", "line 2: unknown role 'Test'"),
         ("id,value,role,treatment,control\na,0.1,test,1.0,\n",

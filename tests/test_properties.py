@@ -1,4 +1,4 @@
-"""Property tests of the input contract, generated with hypothesis."""
+"""Property tests of the input contract and the testing kernels, generated with hypothesis."""
 
 import csv
 import io
@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nctest import load_csv  # noqa: E402
+from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
+from nctest import ranc_values, stepup_threshold  # noqa: E402
+from nctest.procedures import _step_prefix  # noqa: E402
+from nctest.ranc import counts_at_or_below  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -56,3 +59,70 @@ def test_load_csv_returns_written_rows(rows, ids, with_subgroup, with_truth):
         assert got_values.tobytes() == np.array([v for _, v in mine]).tobytes()
     assert s.subgroup == ({rid: row[2] for rid, row in written if row[2]} if with_subgroup else {})
     assert s.truth == ({rid: row[3] for rid, row in written if row[3]} if with_truth else {})
+
+
+def _grid_matrix(draw, rows, cols, levels):
+    """A rows x cols matrix on the grid 0..levels, so ties are common."""
+    cells = draw(st.lists(st.integers(0, levels), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def _sorted_rows_and_boundaries(draw):
+    rows, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    p = np.sort(1.0 + _grid_matrix(draw, rows, n, 7), axis=1) / 8
+    return p, _grid_matrix(draw, 1, n, 8)[0] / 8
+
+
+def _brute_prefix(sorted_p, boundaries, step_up):
+    passing = [x <= b for x, b in zip(sorted_p, boundaries)]
+    if step_up:
+        return max((i + 1 for i, ok in enumerate(passing) if ok), default=0)
+    k = 0
+    while k < len(passing) and passing[k]:
+        k += 1
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_sorted_rows_and_boundaries(), step_up=st.booleans())
+def test_step_prefix_matches_definitions(data, step_up):
+    p, boundaries = data
+    k_rows = _step_prefix(p, boundaries, step_up)
+    for row, k in zip(p, k_rows):
+        assert k == _brute_prefix(row, boundaries, step_up)
+        assert int(_step_prefix(row, boundaries, step_up)) == k
+
+
+_int_values = st.lists(st.integers(-4, 4), min_size=1, max_size=15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tests=_int_values, controls=_int_values, q=st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]))
+# the first candidate fails and a later one passes: step-up and step-down differ
+@example(tests=[-4] + [-2] * 14, controls=[-3] + [4] * 14, q=0.2)
+def test_stepup_at_lambda_one_is_bh_on_modified_pvalues(tests, controls, q):
+    # integer statistics tie each other and the controls
+    s = make_statistic_set(np.array(tests, dtype=float), np.array(controls, dtype=float))
+    stepup = stepup_threshold(s, lam=1.0, q=q)
+    assert stepup.rejected == bh(modified_ranc_pvalues(s), q).rejected
+
+
+@st.composite
+def _rows_of_controls_and_queries(draw):
+    rows = draw(st.integers(1, 6))
+    return (_grid_matrix(draw, rows, draw(st.integers(1, 10)), 6),
+            _grid_matrix(draw, rows, draw(st.integers(1, 10)), 6) - 0.5 * draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_rows_of_controls_and_queries())
+def test_row_counts_equal_one_dimensional_counts(data):
+    nc, queries = data
+    counts = counts_at_or_below(nc, queries)
+    pvalues = ranc_values(queries, nc)
+    for r in range(len(nc)):
+        one = counts_at_or_below(nc[r], queries[r])
+        assert counts[r].dtype == one.dtype
+        assert counts[r].tobytes() == one.tobytes()
+        assert pvalues[r].tobytes() == ranc_values(queries[r], nc[r]).tobytes()

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -28,7 +27,7 @@ from nctest.simulate import (
     simes_permutation_diagnostic,
     simulate_cell,
 )
-from nctest.simulate import _fdp_tpr_rows, _ranc_rows
+from nctest.simulate import _fdp_tpr_rows
 
 
 def test_config_validation():
@@ -137,7 +136,7 @@ def test_vectorized_rank_pvalues_match_reference():
     rng = np.random.default_rng(10)
     t = rng.normal(size=(20, 15))
     nc = rng.normal(size=(20, 9))
-    rows = _ranc_rows(t, nc)
+    rows = ranc_values(t, nc)
     for r in range(20):
         np.testing.assert_array_equal(rows[r], ranc_values(t[r], nc[r]))
 
@@ -197,12 +196,13 @@ def test_rank_method_controls_fdr_all_cells():
         assert rep.methods["bh_ranc"]["fdr"] <= 0.2 + 3 * se
 
 
-def test_determinism_across_thread_counts():
-    cfg = SimConfig(reps=200, seed=14)
-    a = simulate_cell(cfg, threads=1).to_dict()
-    b = simulate_cell(cfg, threads=4).to_dict()
-    assert a == b
-    json.dumps(a)
+def test_determinism_across_thread_counts(monkeypatch):
+    # fisher_miscalibration_demo is the one study that runs on a worker pool
+    rates = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("NCTEST_THREADS", threads)
+        rates.append(fisher_miscalibration_demo(n=30, m=30, reps=12, b=50, seed=14))
+    assert rates[0] == rates[1]
 
 
 def test_thread_count_setting(monkeypatch):
