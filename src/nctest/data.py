@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -269,69 +268,6 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
         paired_raw=paired_raw,
         truth=truth,
     )
-
-
-def to_json_dict(statistics: StatisticSet) -> dict:
-    """Serialize to a dict mirroring the CSV schema (original value scale)."""
-    rows = []
-    for ids, values, role in (
-        (statistics.investigation_ids, statistics.to_original(statistics.investigation), "test"),
-        (statistics.nc_ids, statistics.to_original(statistics.negative_controls), "nc"),
-    ):
-        for rid, value in zip(ids, values):
-            row = {"id": rid, "value": float(value), "role": role}
-            if rid in statistics.subgroup:
-                row["subgroup"] = statistics.subgroup[rid]
-            if rid in statistics.paired_raw:
-                t, c = statistics.paired_raw[rid]
-                row["treatment"] = t
-                row["control"] = c
-            if rid in statistics.truth:
-                row["truth"] = statistics.truth[rid]
-            rows.append(row)
-    return {"orientation": statistics.orientation, "rows": rows}
-
-
-def to_json(statistics: StatisticSet) -> str:
-    return json.dumps(to_json_dict(statistics), indent=2)
-
-
-@dataclass(frozen=True)
-class TieReport:
-    """Groups of exactly equal statistic values.
-
-    count_cross is the number of groups containing both an investigation
-    and a negative-control statistic.  Zero cross ties means rank based
-    p-values need no tie-breaking.
-    """
-
-    groups: tuple
-    count_cross: int
-
-    def __bool__(self):
-        return bool(self.groups)
-
-
-def tie_report(statistics: StatisticSet) -> TieReport:
-    """List all exactly-equal value groups in the pooled statistics."""
-    ids = list(statistics.investigation_ids) + list(statistics.nc_ids)
-    roles = ["test"] * statistics.n + ["nc"] * statistics.m
-    values = np.concatenate([statistics.investigation, statistics.negative_controls])
-    order = np.argsort(values, kind="stable")
-    groups = []
-    cross = 0
-    start = 0
-    sorted_vals = values[order]
-    for k in range(1, values.size + 1):
-        if k == values.size or sorted_vals[k] != sorted_vals[start]:
-            if k - start > 1:
-                members = [order[j] for j in range(start, k)]
-                group_ids = tuple(ids[j] for j in members)
-                groups.append((float(sorted_vals[start]), group_ids))
-                if len({roles[j] for j in members}) == 2:
-                    cross += 1
-            start = k
-    return TieReport(groups=tuple(groups), count_cross=cross)
 
 
 def with_jitter(statistics: StatisticSet, seed: int) -> StatisticSet:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import StatisticSet
 from .errors import DataError
-from .ranc import counts_at_or_below, ranc_values
+from .ranc import ecdf_counts, ranc_values
 from .stepup import StepCurve
 
 __all__ = [
@@ -147,18 +147,20 @@ def _scores(counts_nc, counts_inv, lam, n, m):
     return counts_nc * float(n) - lam * (float(m) * counts_inv)
 
 
-def _result_from_candidates(statistics, lam, cand_t, c, r, q, pi):
+def _scored(statistics, lam, cand_t, c, r):
+    """Scores of the candidates and the (t, objective) pairs, boundary first."""
     n, m = statistics.n, statistics.m
     scores = _scores(c.astype(float), r.astype(float), lam, n, m)
-    all_scores = np.concatenate([[0.0], scores])
-    k = int(np.argmin(all_scores))  # first minimum: ties go to smallest t
     objective = tuple(
         [(None, 0.0)] + [(float(t), float(s) / (n * m)) for t, s in zip(cand_t, scores)]
     )
-    if k == 0:
-        tau = None
-        rejected = frozenset()
-    else:
+    return scores, objective
+
+
+def _result_at(statistics, lam, cand_t, objective, k, q=None, pi=None):
+    """The result with threshold at candidate k, counted from 1; 0 rejects nothing."""
+    tau, rejected = None, frozenset()
+    if k:
         tau = float(cand_t[k - 1])
         keep = statistics.investigation <= tau
         rejected = frozenset(
@@ -175,6 +177,13 @@ def _result_from_candidates(statistics, lam, cand_t, c, r, q, pi):
     )
 
 
+def _result_from_candidates(statistics, lam, cand_t, c, r, q, pi):
+    scores, objective = _scored(statistics, lam, cand_t, c, r)
+    # first minimum: ties go to the smallest t
+    k = int(np.argmin(np.concatenate([[0.0], scores])))
+    return _result_at(statistics, lam, cand_t, objective, k, q, pi)
+
+
 def cdf_threshold(statistics: StatisticSet, lam: float, q: float | None = None, pi: float | None = None) -> LocalFdrResult:
     """Minimize F0m(t) - lam*Fn(t) over every observed statistic.
 
@@ -184,11 +193,7 @@ def cdf_threshold(statistics: StatisticSet, lam: float, q: float | None = None, 
     allowed and always yields the empty rejection.
     """
     _check_lam(lam)
-    cand_t = np.unique(
-        np.concatenate([statistics.investigation, statistics.negative_controls])
-    )
-    c = counts_at_or_below(statistics.negative_controls, cand_t)
-    r = counts_at_or_below(statistics.investigation, cand_t)
+    cand_t, c, r = ecdf_counts(statistics)
     return _result_from_candidates(statistics, lam, cand_t, c, r, q, pi)
 
 
@@ -226,9 +231,7 @@ def localfdr_curve(statistics: StatisticSet, pi: float) -> LocalFdrCurve:
     if not (0 < pi <= 1):
         raise DataError("pi must lie in (0, 1]")
     n, m = statistics.n, statistics.m
-    cand_t = np.unique(statistics.investigation)
-    r = counts_at_or_below(statistics.investigation, cand_t)
-    c = counts_at_or_below(statistics.negative_controls, cand_t)
+    cand_t, c, r = ecdf_counts(statistics, np.unique(statistics.investigation))
     # lines score_k(lam) = a_k - b_k*lam; the boundary is the zero line
     a = c.astype(float) * n
     b = r.astype(float) * m
@@ -273,42 +276,17 @@ def neighborhood_threshold(statistics: StatisticSet, lam: float, h: float) -> li
     _check_lam(lam)
     if not (h > 0):
         raise DataError("h must be positive")
-    n, m = statistics.n, statistics.m
-    cand_t = np.unique(
-        np.concatenate([statistics.investigation, statistics.negative_controls])
-    )
-    c = counts_at_or_below(statistics.negative_controls, cand_t)
-    r = counts_at_or_below(statistics.investigation, cand_t)
-    scores = _scores(c.astype(float), r.astype(float), lam, n, m)
-    objective = tuple(
-        [(None, 0.0)] + [(float(t), float(s) / (n * m)) for t, s in zip(cand_t, scores)]
-    )
-    inv_values = set(np.unique(statistics.investigation).tolist())
-    results = []
+    cand_t, c, r = ecdf_counts(statistics)
+    scores, objective = _scored(statistics, lam, cand_t, c, r)
     lo = np.searchsorted(cand_t, cand_t - h, side="left")
     hi = np.searchsorted(cand_t, cand_t + h, side="right")
-    for k in range(cand_t.size):
-        if cand_t[k] not in inv_values:
-            continue  # minima can only sit at investigation statistics
-        window = scores[lo[k] : hi[k]]
-        if scores[k] <= window.min():
-            tau = float(cand_t[k])
-            keep = statistics.investigation <= tau
-            rejected = frozenset(
-                statistics.investigation_ids[j] for j in np.nonzero(keep)[0]
-            )
-            results.append(
-                LocalFdrResult(
-                    tau_hat=tau,
-                    lam=lam,
-                    rejected=rejected,
-                    objective_at_candidates=objective,
-                    argmin_index=k + 1,
-                    q=None,
-                    pi=None,
-                )
-            )
-    return results
+    # minima can only sit at investigation statistics, where r steps up
+    at_test = np.nonzero(np.diff(r, prepend=0) > 0)[0]
+    return [
+        _result_at(statistics, lam, cand_t, objective, int(k) + 1)
+        for k in at_test
+        if scores[k] <= scores[lo[k] : hi[k]].min()
+    ]
 
 
 def bayes_risk_curves(source, q: float, pi: float, grid=None):
@@ -327,13 +305,9 @@ def bayes_risk_curves(source, q: float, pi: float, grid=None):
     if not (0 < pi <= 1):
         raise DataError("pi must lie in (0, 1]")
     if isinstance(source, StatisticSet):
-        if grid is None:
-            grid = np.unique(
-                np.concatenate([source.investigation, source.negative_controls])
-            )
-        grid = np.asarray(grid, dtype=float)
-        f0 = counts_at_or_below(source.negative_controls, grid) / source.m
-        fn = counts_at_or_below(source.investigation, grid) / source.n
+        grid, c, r = ecdf_counts(source, grid)
+        f0 = c / source.m
+        fn = r / source.n
         f1 = (fn - pi * f0) / (1 - pi) if pi < 1 else np.zeros_like(grid)
     else:
         cdf0, cdf1 = source

@@ -63,18 +63,25 @@ def counts_at_or_below(nc_values, queries) -> np.ndarray:
     return counts
 
 
-def empirical_null_cdf(nc_values, t):
-    """ECDF of the controls extended by a point at minus infinity.
+def ecdf_counts(statistics: StatisticSet, at=None):
+    """Counts of both roles at or below each point t: (t, c, r).
 
-    Returns (1 + #{j: nc_j <= t}) / (1 + m), a right-continuous step
-    function with values in (0, 1].  The implicit point below every
-    control keeps the result strictly positive.  Accepts scalar or
-    array t.
+    c[k] = #{j: nc_j <= t[k]} and r[k] = #{i: T_i <= t[k]}, the
+    negative-control and investigation ECDFs times m and n.  t defaults
+    to the distinct pooled values; np.unique of the roles concatenated
+    in input order decides which of -0.0 and 0.0 stands for a tie.
     """
-    m = np.size(nc_values)
-    if m < 1:
-        raise DataError("need at least one negative control")
-    return (1.0 + counts_at_or_below(nc_values, t)) / (1.0 + m)
+    inv, nc = statistics.investigation, statistics.negative_controls
+    t = np.unique(np.concatenate([inv, nc])) if at is None else np.asarray(at, dtype=float)
+    return t, counts_at_or_below(nc, t), counts_at_or_below(inv, t)
+
+
+def _rank_pvalues(counts, m, shift):
+    # (shift + counts) / (1 + m) capped at 1: shift 1 is RANC, 2 the
+    # modified value.  The cap binds only for shift 2; skipping it at
+    # shift 1 saves a copy of the row matrices simulate_cell passes.
+    p = (shift + counts) / (1.0 + m)
+    return p if shift == 1.0 else np.minimum(p, 1.0)
 
 
 def ranc_values(test_values, nc_values) -> np.ndarray:
@@ -83,27 +90,35 @@ def ranc_values(test_values, nc_values) -> np.ndarray:
     Two-dimensional inputs give one vector of p-values per row.
     """
     nc = np.asarray(nc_values, dtype=float)
-    return (1.0 + counts_at_or_below(nc, test_values)) / (1.0 + nc.shape[-1])
+    return _rank_pvalues(counts_at_or_below(nc, test_values), nc.shape[-1], 1.0)
 
 
 def modified_ranc_values(test_values, nc_values) -> np.ndarray:
     """Array form of the modified p-value, min{(2 + #{nc <= T_i}) / (1 + m), 1}."""
     nc = np.asarray(nc_values, dtype=float)
-    raw = (2.0 + counts_at_or_below(nc, test_values)) / (1.0 + nc.shape[-1])
-    return np.minimum(raw, 1.0)
+    return _rank_pvalues(counts_at_or_below(nc, test_values), nc.shape[-1], 2.0)
 
 
-def _cross_tie_warning(statistics: StatisticSet) -> tuple:
+def _pvalue_vector(statistics: StatisticSet, kind: str, shift: float) -> PValueVector:
+    # one sort of the controls: right counts give the p-values, and a
+    # left count below the right one flags an exact cross tie
     nc_sorted = np.sort(statistics.negative_controls)
-    lo = np.searchsorted(nc_sorted, statistics.investigation, side="left")
-    hi = np.searchsorted(nc_sorted, statistics.investigation, side="right")
-    tied = int(np.sum(hi > lo))
+    below = np.searchsorted(nc_sorted, statistics.investigation, side="right")
+    strictly = np.searchsorted(nc_sorted, statistics.investigation, side="left")
+    tied = int(np.count_nonzero(below > strictly))
+    warnings = ()
     if tied:
-        return (
+        warnings = (
             f"{tied} investigation value(s) exactly tie a negative control; "
             "ties counted as below-or-equal (use with_jitter for a random break)",
         )
-    return ()
+    return PValueVector(
+        values=_rank_pvalues(below, statistics.m, shift),
+        ids=statistics.investigation_ids,
+        kind=kind,
+        m=statistics.m,
+        warnings=warnings,
+    )
 
 
 def ranc_pvalues(statistics: StatisticSet) -> PValueVector:
@@ -113,21 +128,9 @@ def ranc_pvalues(statistics: StatisticSet) -> PValueVector:
     the grid {1/(m+1), ..., 1}.  Exact cross ties are counted as
     below-or-equal and flagged in the result's warnings.
     """
-    return PValueVector(
-        values=ranc_values(statistics.investigation, statistics.negative_controls),
-        ids=statistics.investigation_ids,
-        kind="ranc",
-        m=statistics.m,
-        warnings=_cross_tie_warning(statistics),
-    )
+    return _pvalue_vector(statistics, "ranc", 1.0)
 
 
 def modified_ranc_pvalues(statistics: StatisticSet) -> PValueVector:
     """Modified RANC p-values, one grid step larger and capped at 1."""
-    return PValueVector(
-        values=modified_ranc_values(statistics.investigation, statistics.negative_controls),
-        ids=statistics.investigation_ids,
-        kind="modified_ranc",
-        m=statistics.m,
-        warnings=_cross_tie_warning(statistics),
-    )
+    return _pvalue_vector(statistics, "modified_ranc", 2.0)

@@ -27,12 +27,11 @@ import numpy as np
 from .data import StatisticSet
 from .errors import DataError
 from .procedures import _step_prefix, bh
-from .ranc import counts_at_or_below, modified_ranc_pvalues
+from .ranc import counts_at_or_below, ecdf_counts, modified_ranc_pvalues
 
 __all__ = [
     "StepCurve",
     "FdrStepupResult",
-    "counting_processes",
     "pi_hat",
     "fdr_hat",
     "stepup_threshold",
@@ -121,20 +120,6 @@ class FdrStepupResult:
         }
 
 
-def counting_processes(statistics: StatisticSet):
-    """Rejection and negative-control counting processes.
-
-    Returns (R, V_nc) as step curves over the internal statistic scale:
-    R(t) = #{i: T_i <= t}, V_nc(t) = #{j: nc_j <= t}.
-    """
-    curves = []
-    for values in (statistics.investigation, statistics.negative_controls):
-        points = np.unique(values)
-        counts = counts_at_or_below(values, points)
-        curves.append(StepCurve(points, counts.astype(float), 0.0))
-    return tuple(curves)
-
-
 def _rank_scale(statistics: StatisticSet):
     """Counts and rank-scale positions of investigation and control values."""
     m = statistics.m
@@ -150,6 +135,17 @@ def _check_lambda(lam: float):
         raise DataError("lambda must lie in (0, 1]")
 
 
+def _pi_hat(n, m, u, w, lam):
+    # u: rank-scale test values; w: sorted rank-scale control values
+    if lam == 1.0:
+        return 1.0
+    r_lam = int(np.sum(u <= lam))
+    v_lam = int(np.searchsorted(w, lam, side="right"))
+    if v_lam >= m:
+        return float("inf")
+    return (n + 1 - r_lam) / n * (m + 1) / (m - v_lam)
+
+
 def pi_hat(statistics: StatisticSet, lam: float) -> float:
     """Estimated proportion of true nulls among the investigation.
 
@@ -162,13 +158,14 @@ def pi_hat(statistics: StatisticSet, lam: float) -> float:
     _check_lambda(lam)
     if lam == 1.0:
         return 1.0
-    n, m = statistics.n, statistics.m
     _, u, w = _rank_scale(statistics)
-    r_lam = int(np.sum(u <= lam))
-    v_lam = int(np.searchsorted(w, lam, side="right"))
-    if v_lam >= m:
-        return float("inf")
-    return (n + 1 - r_lam) / n * (m + 1) / (m - v_lam)
+    return _pi_hat(statistics.n, statistics.m, u, w, lam)
+
+
+def _fdr_hat(pi, n, m, v, r):
+    # pi * n * (V + 2) / ((m + 1) * max(R, 1)); the stepup CSV prints
+    # the curve, so this operation order is part of the output
+    return pi * n * (v + 2.0) / ((m + 1.0) * np.maximum(r, 1))
 
 
 def fdr_hat(statistics: StatisticSet, lam: float, t: float) -> float:
@@ -177,13 +174,8 @@ def fdr_hat(statistics: StatisticSet, lam: float, t: float) -> float:
     t is on the internal statistic scale; lam on the rank scale.
     May exceed 1; propagates an infinite pi_hat.
     """
-    _check_lambda(lam)
-    n, m = statistics.n, statistics.m
-    pi = pi_hat(statistics, lam)
-    v_t = int(counts_at_or_below(statistics.negative_controls, np.array([t]))[0])
-    r_t = int(counts_at_or_below(statistics.investigation, np.array([t]))[0])
-    vbar = n * (v_t + 2.0) / (m + 1.0)
-    return pi * vbar / max(r_t, 1)
+    _, v_t, r_t = ecdf_counts(statistics, [t])
+    return float(_fdr_hat(pi_hat(statistics, lam), statistics.n, statistics.m, v_t, r_t)[0])
 
 
 def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1) -> FdrStepupResult:
@@ -201,7 +193,7 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
         raise DataError("q must lie strictly between 0 and 1")
     n, m = statistics.n, statistics.m
     counts, u, w = _rank_scale(statistics)
-    pi = pi_hat(statistics, lam)
+    pi = _pi_hat(n, m, u, w, lam)
     diagnostics = []
     if not np.isfinite(pi):
         diagnostics.append(
@@ -214,8 +206,7 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
     if cand_counts.size and np.isfinite(pi):
         cand_u = (1.0 + cand_counts) / (1.0 + m)
         r_at = counts_at_or_below(u, cand_u)
-        fdr = pi * n * (cand_counts + 2.0) / ((m + 1.0) * np.maximum(r_at, 1))
-        k = _step_prefix(fdr, q, step_up=True)
+        k = _step_prefix(_fdr_hat(pi, n, m, cand_counts, r_at), q, step_up=True)
         if k:
             tau = float(cand_u[k - 1])
             keep = u <= tau
@@ -228,14 +219,9 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
 
     curve = None
     if np.isfinite(pi):
-        pooled = np.unique(
-            np.concatenate([statistics.investigation, statistics.negative_controls])
-        )
-        v_t = counts_at_or_below(statistics.negative_controls, pooled)
-        r_t = counts_at_or_below(statistics.investigation, pooled)
-        fdr_vals = pi * n * (v_t + 2.0) / ((m + 1.0) * np.maximum(r_t, 1))
-        left = pi * n * 2.0 / (m + 1.0)
-        curve = StepCurve(pooled, fdr_vals, left)
+        pooled, v_t, r_t = ecdf_counts(statistics)
+        left = float(_fdr_hat(pi, n, m, 0, 0))
+        curve = StepCurve(pooled, _fdr_hat(pi, n, m, v_t, r_t), left)
 
     return FdrStepupResult(
         tau=tau,

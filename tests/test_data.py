@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -10,8 +9,6 @@ from nctest import (
     load_csv,
     make_statistic_set,
     ranc_values,
-    tie_report,
-    to_json_dict,
     with_jitter,
 )
 
@@ -181,61 +178,18 @@ def test_load_csv_error_messages(csv_text, message):
     assert str(excinfo.value) == message
 
 
-def test_json_round_trip_preserves_multiset():
-    csv_text = (
-        "id,value,role,truth\n"
-        "a,0.30000000000000004,test,null\n"
-        "n1,-1.7,nc,\n"
-    )
-    s = load_csv(io.StringIO(csv_text), orientation="large_is_significant")
-    d = to_json_dict(s)
-    assert d["orientation"] == "large_is_significant"
-    by_role = {}
-    for row in d["rows"]:
-        by_role.setdefault(row["role"], []).append((row["id"], row["value"]))
-    assert by_role["test"] == [("a", 0.30000000000000004)]
-    assert by_role["nc"] == [("n1", -1.7)]
-    json.dumps(d)
-
-
 def test_values_read_only():
     s = make_statistic_set([0.1], [0.2])
     with pytest.raises(ValueError):
         s.investigation[0] = 5.0
 
 
-def test_tie_report_no_ties():
-    s = make_statistic_set([0.1, 0.2], [0.3, 0.4])
-    r = tie_report(s)
-    assert r.groups == ()
-    assert r.count_cross == 0
-    assert not r
-
-
-def test_tie_report_cross_tie():
-    s = make_statistic_set([0.5, 0.1], [0.5, 0.9])
-    r = tie_report(s)
-    assert r.count_cross == 1
-    assert len(r.groups) == 1
-    value, ids = r.groups[0]
-    assert value == 0.5
-    assert set(ids) == {"t1", "c1"}
-
-
-def test_tie_report_within_nc():
-    s = make_statistic_set([0.1], [0.7, 0.7, 0.7])
-    r = tie_report(s)
-    assert r.count_cross == 0
-    assert len(r.groups) == 1
-    assert len(r.groups[0][1]) == 3
-
-
 def test_jitter_breaks_ties_and_preserves_order():
     s = make_statistic_set([0.5, 0.1, 0.9], [0.5, 0.5, 2.0])
     j = with_jitter(s, seed=7)
-    assert not tie_report(j)
     pooled = np.concatenate([s.investigation, s.negative_controls])
     jittered = np.concatenate([j.investigation, j.negative_controls])
+    assert np.unique(jittered).size == jittered.size
     # distinct values must keep their relative order
     for a in range(pooled.size):
         for b in range(pooled.size):

@@ -12,9 +12,9 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
-from nctest import ranc_values, stepup_threshold  # noqa: E402
+from nctest import localfdr_curve, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
 from nctest.procedures import _step_prefix  # noqa: E402
-from nctest.ranc import counts_at_or_below  # noqa: E402
+from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -126,3 +126,47 @@ def test_row_counts_equal_one_dimensional_counts(data):
         assert counts[r].dtype == one.dtype
         assert counts[r].tobytes() == one.tobytes()
         assert pvalues[r].tobytes() == ranc_values(queries[r], nc[r]).tobytes()
+
+
+# signed zeros tie each other and the other values tie across roles
+_tied_values = st.lists(st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tests=_tied_values, controls=_tied_values, queries=st.none() | _tied_values)
+def test_ecdf_counts_are_the_counts_of_each_role(tests, controls, queries):
+    s = make_statistic_set(np.array(tests), np.array(controls))
+    t, c, r = ecdf_counts(s, queries)
+    # which of -0.0 and 0.0 stands for a tie is what the CSVs print
+    expected_t = np.unique(np.array(tests + controls)) if queries is None else np.array(queries)
+    assert t.tobytes() == expected_t.tobytes()
+    assert c.tobytes() == counts_at_or_below(s.negative_controls, t).tobytes()
+    assert r.tobytes() == counts_at_or_below(s.investigation, t).tobytes()
+
+
+_transforms = st.sampled_from([np.exp, lambda x: x**3 + x, lambda x: 2.0 * x - 7.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tests=_int_values, controls=_int_values, transform=_transforms,
+       q=st.sampled_from([0.1, 0.5, 0.9]), pi=st.sampled_from([0.5, 0.8, 1.0]))
+def test_rank_only_routines_are_monotone_invariant(tests, controls, transform, q, pi):
+    # a strictly increasing map changes the statistics, never their ranks
+    t, nc = np.array(tests, dtype=float), np.array(controls, dtype=float)
+    s, g = make_statistic_set(t, nc), make_statistic_set(transform(t), transform(nc))
+
+    p, pg = ranc_pvalues(s), ranc_pvalues(g)
+    assert (p.values.tobytes(), p.warnings) == (pg.values.tobytes(), pg.warnings)
+
+    for lam in (0.5, 1.0):
+        plain, mapped = stepup_threshold(s, lam, q).to_dict(), stepup_threshold(g, lam, q).to_dict()
+        if plain["tau_statistic"] is not None:
+            plain["tau_statistic"] = float(transform(plain["tau_statistic"]))
+        if plain["fdr_curve"] is not None:
+            bp = transform(np.array(plain["fdr_curve"]["breakpoints"]))
+            plain["fdr_curve"]["breakpoints"] = bp.tolist()
+        assert plain == mapped
+
+    curve, mapped = localfdr_curve(s, pi), localfdr_curve(g, pi)
+    assert curve.values.tobytes() == mapped.values.tobytes()
+    assert transform(curve.breakpoints).tobytes() == mapped.breakpoints.tobytes()

@@ -5,7 +5,6 @@ from scipy import stats
 from nctest import (
     DataError,
     PValueVector,
-    empirical_null_cdf,
     make_statistic_set,
     modified_ranc_pvalues,
     modified_ranc_values,
@@ -14,26 +13,6 @@ from nctest import (
 )
 
 NC = np.array([0.1, 0.2, 0.3])
-
-
-def test_empirical_null_cdf_worked_values():
-    assert empirical_null_cdf(NC, 0.25) == 0.75
-    assert empirical_null_cdf(NC, -5.0) == 0.25  # 1/(m+1) below all controls
-    assert empirical_null_cdf(NC, 5.0) == 1.0
-
-
-def test_empirical_null_cdf_right_continuous_and_monotone():
-    grid = np.linspace(-1, 1, 401)
-    vals = empirical_null_cdf(NC, grid)
-    assert np.all(np.diff(vals) >= 0)
-    # ties count as below-or-equal, so the step is attained at the control
-    assert empirical_null_cdf(NC, 0.2) == 0.75
-    assert empirical_null_cdf(NC, np.nextafter(0.2, -np.inf)) == 0.5
-
-
-def test_empirical_null_cdf_empty_controls():
-    with pytest.raises(DataError):
-        empirical_null_cdf(np.array([]), 0.5)
 
 
 def test_pvalue_vector_rejects_invalid():
@@ -100,6 +79,9 @@ def test_cross_tie_warning():
     p = ranc_pvalues(s)
     assert len(p.warnings) == 1
     assert "tie" in p.warnings[0]
+    # the tied control counts as below-or-equal: the step sits at 0.2
+    np.testing.assert_array_equal(p.values, [0.75, 1.0])
+    assert ranc_values(np.nextafter(0.2, -np.inf), NC) == 0.5
 
 
 def test_uniform_on_grid_under_exchangeability():

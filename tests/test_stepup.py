@@ -6,7 +6,6 @@ from nctest.procedures import bh
 from nctest.stepup import (
     StepCurve,
     bh_equivalence_check,
-    counting_processes,
     fdr_hat,
     pi_hat,
     stepup_threshold,
@@ -27,15 +26,6 @@ def test_step_curve_validation():
         StepCurve([1.0, 1.0], [0.0, 0.0], 0.0)
     with pytest.raises(DataError):
         StepCurve([0.0], [np.inf], 0.0)
-
-
-def test_counting_processes_worked():
-    s = make_statistic_set([0.1, 0.9], [0.5])
-    r, v = counting_processes(s)
-    assert r.value_at(0.5) == 1.0
-    assert v.value_at(0.5) == 1.0
-    assert r.value_at(-10) == 0.0 and v.value_at(-10) == 0.0
-    assert r.value_at(10) == 2.0 and v.value_at(10) == 1.0
 
 
 def test_pi_hat_lambda_one_is_exactly_one():
@@ -83,6 +73,18 @@ def test_fdr_hat_worked_values():
     assert fdr_hat(s, 1.0, 0.5) == pytest.approx(4 * 2 / 5 / 1)
     # saturation: V_nc=m, R=n -> (m+2)/(m+1)
     assert fdr_hat(s, 1.0, 10.0) == pytest.approx(6 / 5)
+
+
+def test_fdr_hat_equals_the_step_up_curve():
+    # one formula in one operation order: equal to the last bit, at every
+    # pooled value and below all of them (the curve's left value)
+    for seed in (13, 21, 34):
+        rng = np.random.default_rng(seed)
+        s = make_statistic_set(np.round(rng.normal(size=12), 1), np.round(rng.normal(size=14), 1))
+        for lam in (0.5, 1.0):
+            curve = stepup_threshold(s, lam, 0.1).fdr_curve
+            for t in np.concatenate([[curve.breakpoints[0] - 1.0], curve.breakpoints]):
+                assert fdr_hat(s, lam, t) == curve.value_at(t)
 
 
 def test_stepup_worked_example():
