@@ -1,4 +1,4 @@
-"""Small shared helpers: reproducible RNG streams and thread budget."""
+"""Small shared helpers: RNG streams, thread budget, JSON float lists."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -38,3 +38,17 @@ def map_reps(worker, n_reps: int) -> list:
         return [worker(r) for r in range(n_reps)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(n_reps)))
+
+
+def float_list(values) -> list:
+    """The array as a (nested) list of Python floats, NaN and inf as None.
+
+    One .tolist() does the conversion.  Only when np.isfinite finds a
+    non-finite value does the array pass through an object array that
+    holds None in their places.
+    """
+    arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    if finite.all():
+        return arr.tolist()
+    return np.where(finite, arr, None).tolist()

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, svg
-from ._util import thread_count
+from ._util import float_list, thread_count
 from .data import load_csv
 from .errors import DataError
 from .localfdr import cdf_threshold, localfdr_curve
@@ -69,23 +69,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json_default(obj):
+    """JSON form of the numpy values and sets the C encoder does not know."""
+    if isinstance(obj, np.ndarray):
+        return float_list(obj) if obj.dtype.kind == "f" else obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+
+
 def _jsonify(obj):
     """Recursively coerce payloads into strict JSON (no NaN, no numpy)."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonify(v) for v in items]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (np.ndarray, np.generic, set, frozenset)):
+        return _jsonify(_json_default(obj))
     return obj
+
+
+def _json_text(payload) -> str:
+    """Compact strict JSON, with NaN and inf written as null.
+
+    The C encoder walks the payload, converting numpy values through
+    _json_default.  It refuses a NaN or inf float, and only then does
+    the payload take the element-by-element walk of _jsonify.
+    """
+    try:
+        return json.dumps(payload, default=_json_default, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        return _json_text(_jsonify(payload))
 
 
 def _sha256(path: str) -> str:
@@ -122,54 +140,49 @@ def _stable_manifest_line(manifest: dict) -> str:
     return "# manifest: " + json.dumps(stable, sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(fh, manifest: dict, header, rows):
-    fh.write(_stable_manifest_line(manifest) + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-
-
 class Report:
-    """One subcommand's results: JSON payload plus tabular/plot forms."""
+    """One subcommand's results: JSON payload plus tabular/plot forms.
+
+    rows is any iterable of CSV rows, read once when the CSV is written;
+    None fields are written empty.
+    """
 
     def __init__(self, payload, header, rows, svg_text=None):
         self.payload = payload
-        self.header = list(header)
-        self.rows = [list(r) for r in rows]
+        self.header = header
+        self.rows = rows
         self.svg_text = svg_text
 
 
 def _emit(report: Report, manifest: dict, ns: argparse.Namespace) -> None:
     payload = dict(report.payload)
     payload["manifest"] = manifest
-    payload = _jsonify(payload)
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    text = _json_text(payload) + "\n"
     out = getattr(ns, "out", None)
     if out is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
         return
     if out.endswith(".csv"):
         stem = out[: -len(".csv")]
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, manifest, report.header, report.rows)
-        with open(stem + ".json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if report.svg_text is not None:
-            with open(stem + ".svg", "w", encoding="utf-8") as fh:
-                fh.write(report.svg_text)
-        return
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "result.json"), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonify(manifest), indent=2) + "\n")
-    with open(os.path.join(out, "result.csv"), "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, manifest, report.header, report.rows)
-    if report.svg_text is not None:
-        with open(os.path.join(out, "plot.svg"), "w", encoding="utf-8") as fh:
-            fh.write(report.svg_text)
+        csv_path = out
+        files = {stem + ".json": text, stem + ".svg": report.svg_text}
+    else:
+        csv_path = os.path.join(out, "result.csv")
+        files = {
+            os.path.join(out, "result.json"): text,
+            os.path.join(out, "manifest.json"): _json_text(manifest) + "\n",
+            os.path.join(out, "plot.svg"): report.svg_text,
+        }
+    os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_stable_manifest_line(manifest) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows(report.rows)
+    for path, content in files.items():
+        if content is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
 
 
 def _load(ns: argparse.Namespace):
@@ -204,34 +217,34 @@ def cmd_analyze(ns, manifest) -> Report:
         "bonferroni": lambda: bonferroni_global(p, alpha),
         "simes": lambda: simes_global(p, alpha),
     }[ns.procedure]()
+    rejected = np.zeros(statistics.n, dtype=np.int8)
     if isinstance(result, RejectionResult):
-        outcome, rejected, threshold = result.to_dict(), result.rejected, result.threshold
+        outcome, threshold = result.to_dict(), result.threshold
+        rejected[result.order[: result.n_rejected]] = 1
     else:
         outcome = {"procedure": ns.procedure, "parameters": {"alpha": alpha},
                    "reject_global": result}
         # a global test makes no per-hypothesis claims
-        rejected, threshold = frozenset(), None
+        threshold = None
+    pvalues = float_list(p.values)
     payload = {
         "procedure": ns.procedure,
         "n": statistics.n,
         "m": statistics.m,
         "pvalue_kind": p.kind,
-        "pvalues": {pid: float(v) for pid, v in zip(p.ids, p.values)},
+        "pvalues": dict(zip(p.ids, pvalues)),
         "result": outcome,
-        "warnings": [w for w in p.warnings],
+        "warnings": list(p.warnings),
     }
     header = ("id", "statistic", "pvalue", "rejected")
-    by_id = dict(zip(statistics.investigation_ids, statistics.investigation))
-    rows = [
-        (pid, repr(float(by_id[pid])), repr(float(v)), int(pid in rejected))
-        for pid, v in zip(p.ids, p.values)
-    ]
+    # p follows the investigation rows, so the columns line up by position
+    rows = zip(p.ids, statistics.investigation.tolist(), pvalues, rejected.tolist())
     svg_text = None
     if _want_svg(ns):
         marks = [] if threshold is None else [(threshold, "p cutoff")]
         svg_text = svg.histogram_svg(
             p.values, bins=min(40, max(5, statistics.n // 2)), thresholds=marks,
-            title=f"{ns.procedure}: {len(rejected)} rejections",
+            title=f"{ns.procedure}: {int(rejected.sum())} rejections",
             xlabel="rank-based p-value", desc=_desc(manifest),
         )
     return Report(payload, header, rows, svg_text)
@@ -249,10 +262,7 @@ def _stepup_report(ns, manifest, statistics) -> Report:
     curve = result.fdr_curve
     rows = []
     if curve is not None:
-        rows = [
-            (repr(float(t)), repr(float(v)))
-            for t, v in zip(curve.breakpoints, curve.values)
-        ]
+        rows = zip(curve.breakpoints.tolist(), curve.values.tolist())
     svg_text = None
     if _want_svg(ns):
         marks = [] if result.tau_statistic is None else [(result.tau_statistic, "tau")]
@@ -286,25 +296,15 @@ def cmd_localfdr(ns, manifest) -> Report:
         curve = localfdr_curve(statistics, ns.pi)
         payload["curve"] = curve.to_dict()
     header = ("t", "objective")
-    rows = [
-        ("" if t is None else repr(float(t)), repr(float(v)))
-        for t, v in result.objective_at_candidates
-    ]
+    rows = result.objective_at_candidates
     svg_text = None
     if _want_svg(ns):
-        cand = [(t, v) for t, v in result.objective_at_candidates if t is not None]
         marks = [] if result.tau_hat is None else [(result.tau_hat, "tau")]
-        if cand:
-            svg_text = svg.step_curve_svg(
-                [t for t, _ in cand], [v for _, v in cand], left_value=0.0,
-                thresholds=marks, title=f"objective at lambda={lam:g}",
-                xlabel="candidate threshold", ylabel="objective", desc=_desc(manifest),
-            )
-        else:
-            svg_text = svg.histogram_svg(
-                statistics.investigation, thresholds=marks,
-                title="no candidates", xlabel="statistic", desc=_desc(manifest),
-            )
+        svg_text = svg.step_curve_svg(
+            result.candidates, result.objective, left_value=0.0,
+            thresholds=marks, title=f"objective at lambda={lam:g}",
+            xlabel="candidate threshold", ylabel="objective", desc=_desc(manifest),
+        )
     return Report(payload, header, rows, svg_text)
 
 
@@ -356,7 +356,7 @@ def cmd_falsify(ns, manifest) -> Report:
     statistics = _load(ns)
     report = falsify_subgroups(statistics)
     qq = {
-        f"{a}|{b}": {"a": [float(x) for x in qa], "b": [float(x) for x in qb]}
+        f"{a}|{b}": {"a": float_list(qa), "b": float_list(qb)}
         for (a, b), (qa, qb) in report.qq.items()
     }
     payload = dict(report.to_dict())
@@ -461,7 +461,7 @@ def cmd_simulate(ns, manifest) -> Report:
     svg_text = None
     if _want_svg(ns) and preset in ("power-vs-m", "power-vs-m-weak"):
         svg_text = svg.step_curve_svg(
-            curves["m"], [float(v) for v in curves["bh_ranc"]],
+            curves["m"], curves["bh_ranc"],
             title=f"{preset}: rank-based BH power", xlabel="control pool size",
             ylabel="mean true-positive rate", desc=_desc(manifest),
         )
@@ -492,7 +492,7 @@ def cmd_permtest(ns, manifest) -> Report:
         },
     }
     header = ("draw", "statistic")
-    rows = [(k, repr(float(v))) for k, v in enumerate(samples)]
+    rows = enumerate(samples.tolist())
     svg_text = None
     if _want_svg(ns):
         svg_text = svg.histogram_svg(

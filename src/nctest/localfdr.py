@@ -25,10 +25,12 @@ crossings instead of a grid sweep.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._util import float_list
 from .data import StatisticSet
 from .errors import DataError
 from .ranc import ecdf_counts, ranc_values
@@ -46,27 +48,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFdrResult:
     """Threshold chosen by minimizing the weighted ECDF difference.
 
     tau_hat is an observed investigation statistic, or None when the
     minimum sits at the below-everything boundary (reject nothing).
-    objective_at_candidates lists (t, objective) pairs in scan order,
-    with (None, 0.0) for the boundary; argmin_index points into it.
+    candidates holds the scanned thresholds in scan order and objective
+    the weighted ECDF difference at each; argmin_index counts the
+    boundary as 0, so a threshold is candidates[argmin_index - 1].
+    rejected_positions index ids, the investigation ids.  rejected and
+    objective_at_candidates present these as ids and (t, objective)
+    pairs, with (None, 0.0) for the boundary first.
     """
 
     tau_hat: float | None
     lam: float
-    rejected: frozenset
-    objective_at_candidates: tuple
+    ids: tuple = field(repr=False)
+    rejected_positions: np.ndarray = field(repr=False)
+    candidates: np.ndarray = field(repr=False)
+    objective: np.ndarray = field(repr=False)
     argmin_index: int
     q: float | None = None
     pi: float | None = None
 
     @property
     def n_rejected(self) -> int:
-        return len(self.rejected)
+        return self.rejected_positions.size
+
+    @cached_property
+    def rejected(self) -> frozenset:
+        return frozenset(map(self.ids.__getitem__, self.rejected_positions.tolist()))
+
+    @cached_property
+    def objective_at_candidates(self) -> tuple:
+        return tuple(zip([None] + self.candidates.tolist(), [0.0] + self.objective.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -129,8 +145,8 @@ class LocalFdrCurve:
 
     def to_dict(self) -> dict:
         return {
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "values": [float(x) for x in self.values],
+            "breakpoints": float_list(self.breakpoints),
+            "values": float_list(self.values),
             "pi": self.pi,
             "continuity": "left",
         }
@@ -147,30 +163,26 @@ def _scores(counts_nc, counts_inv, lam, n, m):
     return counts_nc * float(n) - lam * (float(m) * counts_inv)
 
 
-def _scored(statistics, lam, cand_t, c, r):
-    """Scores of the candidates and the (t, objective) pairs, boundary first."""
+def _scored(statistics, lam, c, r):
+    """Scores of the candidates and their objective values."""
     n, m = statistics.n, statistics.m
     scores = _scores(c.astype(float), r.astype(float), lam, n, m)
-    objective = tuple(
-        [(None, 0.0)] + [(float(t), float(s) / (n * m)) for t, s in zip(cand_t, scores)]
-    )
-    return scores, objective
+    return scores, scores / (n * m)
 
 
 def _result_at(statistics, lam, cand_t, objective, k, q=None, pi=None):
     """The result with threshold at candidate k, counted from 1; 0 rejects nothing."""
-    tau, rejected = None, frozenset()
+    tau, rejected = None, np.empty(0, dtype=np.intp)
     if k:
         tau = float(cand_t[k - 1])
-        keep = statistics.investigation <= tau
-        rejected = frozenset(
-            statistics.investigation_ids[j] for j in np.nonzero(keep)[0]
-        )
+        rejected = np.flatnonzero(statistics.investigation <= tau)
     return LocalFdrResult(
         tau_hat=tau,
         lam=lam,
-        rejected=rejected,
-        objective_at_candidates=objective,
+        ids=statistics.investigation_ids,
+        rejected_positions=rejected,
+        candidates=cand_t,
+        objective=objective,
         argmin_index=k,
         q=q,
         pi=pi,
@@ -178,7 +190,7 @@ def _result_at(statistics, lam, cand_t, objective, k, q=None, pi=None):
 
 
 def _result_from_candidates(statistics, lam, cand_t, c, r, q, pi):
-    scores, objective = _scored(statistics, lam, cand_t, c, r)
+    scores, objective = _scored(statistics, lam, c, r)
     # first minimum: ties go to the smallest t
     k = int(np.argmin(np.concatenate([[0.0], scores])))
     return _result_at(statistics, lam, cand_t, objective, k, q, pi)
@@ -277,16 +289,31 @@ def neighborhood_threshold(statistics: StatisticSet, lam: float, h: float) -> li
     if not (h > 0):
         raise DataError("h must be positive")
     cand_t, c, r = ecdf_counts(statistics)
-    scores, objective = _scored(statistics, lam, cand_t, c, r)
-    lo = np.searchsorted(cand_t, cand_t - h, side="left")
-    hi = np.searchsorted(cand_t, cand_t + h, side="right")
+    scores, objective = _scored(statistics, lam, c, r)
     # minima can only sit at investigation statistics, where r steps up
-    at_test = np.nonzero(np.diff(r, prepend=0) > 0)[0]
-    return [
-        _result_at(statistics, lam, cand_t, objective, int(k) + 1)
-        for k in at_test
-        if scores[k] <= scores[lo[k] : hi[k]].min()
-    ]
+    at_test = np.flatnonzero(np.diff(r, prepend=0) > 0)
+    lo = np.searchsorted(cand_t, cand_t[at_test] - h, side="left")
+    hi = np.searchsorted(cand_t, cand_t[at_test] + h, side="right")
+    minima = at_test[scores[at_test] <= _range_min(scores, lo, hi)]
+    return [_result_at(statistics, lam, cand_t, objective, int(k) + 1) for k in minima]
+
+
+def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(values[lo[k]:hi[k]]) for every k; each range must be nonempty.
+
+    Row j of a sparse table holds the minima of the windows of length
+    2**j, so each range is covered by two windows of one row.
+    """
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(length))
+    n = values.size
+    table = np.full((int(level.max()) + 1, n), np.inf)
+    table[0] = values
+    for j in range(1, table.shape[0]):
+        half = 1 << (j - 1)
+        table[j, : n - 2 * half + 1] = np.minimum(
+            table[j - 1, : n - 2 * half + 1], table[j - 1, half : n - half + 1]
+        )
+    return np.minimum(table[level, lo], table[level, hi - (1 << level)])
 
 
 def bayes_risk_curves(source, q: float, pi: float, grid=None):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import float_list
 from .data import StatisticSet
 from .errors import DataError
 from .procedures import bh
@@ -109,7 +110,7 @@ class FalsificationReport:
     def to_dict(self):
         return {
             "subgroups": list(self.subgroups),
-            "pvalues": [[float(v) for v in row] for row in self.pvalues],
+            "pvalues": float_list(self.pvalues),
         }
 
 

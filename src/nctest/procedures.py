@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._util import rep_rng
+from ._util import float_list, rep_rng
 from .data import StatisticSet
 from .errors import DataError
 from .ranc import PValueVector
@@ -50,37 +51,57 @@ def _sorted_order(values: np.ndarray, ids):
     return np.lexsort((np.asarray(ids, dtype=object), values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RejectionResult:
     """Outcome of an individual-testing procedure.
 
-    rejected is always a prefix of the p-values sorted ascending;
-    threshold is the largest rejected p-value (None when nothing is
-    rejected).  audit holds the sorted p-values, the boundary vector
-    the procedure compared against, and the id order used.
+    order lists positions into ids in rejection order, ascending in
+    (p, id), and the first n_rejected of them are rejected.  threshold
+    is the largest rejected p-value (None when nothing is rejected).
+    rejected and audit present the arrays as ids and Python floats:
+    audit holds the sorted p-values, the boundary vector the procedure
+    compared against, and the id order used.
     """
 
-    rejected: frozenset
-    threshold: float | None
+    ids: tuple = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    sorted_pvalues: np.ndarray = field(repr=False)
+    boundaries: np.ndarray = field(repr=False)
+    n_rejected: int
     procedure: str
     parameters: dict
-    audit: dict = field(default_factory=dict, repr=False)
 
     @property
-    def n_rejected(self) -> int:
-        return len(self.rejected)
+    def threshold(self) -> float | None:
+        return float(self.sorted_pvalues[self.n_rejected - 1]) if self.n_rejected else None
+
+    def _ordered_ids(self, stop=None) -> list:
+        return list(map(self.ids.__getitem__, self.order[:stop].tolist()))
+
+    @cached_property
+    def rejected(self) -> frozenset:
+        return frozenset(self._ordered_ids(self.n_rejected))
+
+    @cached_property
+    def audit(self) -> dict:
+        return {
+            "sorted_pvalues": tuple(self.sorted_pvalues.tolist()),
+            "boundaries": tuple(self.boundaries.tolist()),
+            "order": tuple(self._ordered_ids()),
+        }
 
     def to_dict(self) -> dict:
+        order = self._ordered_ids()
         return {
             "procedure": self.procedure,
             "parameters": dict(self.parameters),
             "n_rejected": self.n_rejected,
             "threshold": self.threshold,
-            "rejected_ids": list(self.audit.get("order", ()))[: self.n_rejected],
+            "rejected_ids": order[: self.n_rejected],
             "audit": {
-                "sorted_pvalues": [float(x) for x in self.audit.get("sorted_pvalues", ())],
-                "boundaries": [float(x) for x in self.audit.get("boundaries", ())],
-                "order": list(self.audit.get("order", ())),
+                "sorted_pvalues": float_list(self.sorted_pvalues),
+                "boundaries": float_list(self.boundaries),
+                "order": order,
             },
         }
 
@@ -102,20 +123,14 @@ def _step_prefix(sorted_p: np.ndarray, boundaries, step_up: bool):
 def _prefix_result(name, params, values, ids, boundaries, step_up) -> RejectionResult:
     order = _sorted_order(values, ids)
     sorted_p = values[order]
-    k = int(_step_prefix(sorted_p, boundaries, step_up))
-    ordered_ids = tuple(ids[j] for j in order)
-    rejected = frozenset(ordered_ids[:k])
-    threshold = float(sorted_p[k - 1]) if k > 0 else None
     return RejectionResult(
-        rejected=rejected,
-        threshold=threshold,
+        ids=ids,
+        order=order,
+        sorted_pvalues=sorted_p,
+        boundaries=np.asarray(boundaries, dtype=float),
+        n_rejected=int(_step_prefix(sorted_p, boundaries, step_up)),
         procedure=name,
         parameters=params,
-        audit={
-            "sorted_pvalues": tuple(float(x) for x in sorted_p),
-            "boundaries": tuple(float(b) for b in boundaries),
-            "order": ordered_ids,
-        },
     )
 
 

@@ -21,9 +21,11 @@ applied to the modified rank based p-values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._util import float_list
 from .data import StatisticSet
 from .errors import DataError
 from .procedures import _step_prefix, bh
@@ -77,25 +79,28 @@ class StepCurve:
 
     def to_dict(self) -> dict:
         return {
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "values": [float(x) for x in self.values],
+            "breakpoints": float_list(self.breakpoints),
+            "values": float_list(self.values),
             "left_value": float(self.left_value),
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FdrStepupResult:
     """Threshold, rejections and diagnostics of the FDR step-up rule.
 
     tau is the rank-scale threshold (a p-value cutoff in (0,1], None if
     nothing is rejected); tau_statistic is the corresponding raw
-    statistic cutoff on the internal scale.  fdr_curve is the estimated
-    FDR as a function of the raw statistic threshold.
+    statistic cutoff on the internal scale.  rejected_positions index
+    ids, the investigation ids; rejected presents them as ids.
+    fdr_curve is the estimated FDR as a function of the raw statistic
+    threshold.
     """
 
     tau: float | None
     tau_statistic: float | None
-    rejected: frozenset
+    ids: tuple = field(repr=False)
+    rejected_positions: np.ndarray = field(repr=False)
     pi_hat: float
     lam: float
     q: float
@@ -104,7 +109,11 @@ class FdrStepupResult:
 
     @property
     def n_rejected(self) -> int:
-        return len(self.rejected)
+        return self.rejected_positions.size
+
+    @cached_property
+    def rejected(self) -> frozenset:
+        return frozenset(map(self.ids.__getitem__, self.rejected_positions.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -121,13 +130,17 @@ class FdrStepupResult:
 
 
 def _rank_scale(statistics: StatisticSet):
-    """Counts and rank-scale positions of investigation and control values."""
+    """Counts and rank-scale positions of investigation and control values.
+
+    One sort of the controls serves both: counted against themselves in
+    sorted order, the control positions w come out sorted.
+    """
     m = statistics.m
-    counts = counts_at_or_below(statistics.negative_controls, statistics.investigation)
+    nc_sorted = np.sort(statistics.negative_controls)
+    counts = np.searchsorted(nc_sorted, statistics.investigation, side="right")
     u = (1.0 + counts) / (1.0 + m)
-    nc_counts = counts_at_or_below(statistics.negative_controls, statistics.negative_controls)
-    w = (1.0 + nc_counts) / (1.0 + m)
-    return counts, u, np.sort(w)
+    w = (1.0 + np.searchsorted(nc_sorted, nc_sorted, side="right")) / (1.0 + m)
+    return counts, u, w
 
 
 def _check_lambda(lam: float):
@@ -202,18 +215,15 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
 
     cand_counts = np.unique(counts[u <= lam])
     tau = tau_stat = None
-    rejected = frozenset()
+    rejected = np.empty(0, dtype=np.intp)
     if cand_counts.size and np.isfinite(pi):
         cand_u = (1.0 + cand_counts) / (1.0 + m)
         r_at = counts_at_or_below(u, cand_u)
         k = _step_prefix(_fdr_hat(pi, n, m, cand_counts, r_at), q, step_up=True)
         if k:
             tau = float(cand_u[k - 1])
-            keep = u <= tau
-            rejected = frozenset(
-                statistics.investigation_ids[i] for i in np.nonzero(keep)[0]
-            )
-            tau_stat = float(np.max(statistics.investigation[keep]))
+            rejected = np.flatnonzero(u <= tau)
+            tau_stat = float(np.max(statistics.investigation[rejected]))
     if tau is None and not diagnostics:
         diagnostics.append("no threshold with estimated FDR <= q; nothing rejected")
 
@@ -226,7 +236,8 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
     return FdrStepupResult(
         tau=tau,
         tau_statistic=tau_stat,
-        rejected=rejected,
+        ids=statistics.investigation_ids,
+        rejected_positions=rejected,
         pi_hat=pi,
         lam=lam,
         q=q,

@@ -56,15 +56,17 @@ class _Frame:
             HEIGHT - MARGIN["bottom"],
         )
 
-    def x(self, v: float) -> float:
+    def x(self, v):
+        """Canvas x of a number, or of each element of an array."""
         left, _, right, _ = self.box
         x0, x1 = self.xlim
-        return left + (float(v) - x0) / (x1 - x0) * (right - left)
+        return left + (v - x0) / (x1 - x0) * (right - left)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
+        """Canvas y of a number, or of each element of an array."""
         _, top, _, bottom = self.box
         y0, y1 = self.ylim
-        return bottom - (float(v) - y0) / (y1 - y0) * (bottom - top)
+        return bottom - (v - y0) / (y1 - y0) * (bottom - top)
 
     def _ticks(self, lo: float, hi: float, count: int = 5):
         return np.linspace(lo, hi, count)
@@ -203,15 +205,13 @@ def step_curve_svg(breakpoints, values, left_value=None, thresholds=(),
     ys = list(vals) + ([left_value] if left_value is not None else [])
     frame = _Frame((xlo, xhi), (min(ys), max(ys)))
     parts = frame.axes(title, xlabel, ylabel)
-    points = []
+    # the staircase visits each x and each y twice, so each is formatted once
+    px = [_fmt(v) for v in frame.x(np.append(bp, xhi)).tolist()]
+    py = [_fmt(v) for v in frame.y(vals).tolist()]
     if left_value is not None:
-        points.append((xlo, float(left_value)))
-        points.append((bp[0], float(left_value)))
-    for k in range(bp.size):
-        points.append((bp[k], vals[k]))
-        right = bp[k + 1] if k + 1 < bp.size else xhi
-        points.append((right, vals[k]))
-    path = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in points)
+        px.insert(0, _fmt(frame.x(xlo)))
+        py.insert(0, _fmt(frame.y(float(left_value))))
+    path = " ".join([f"{a},{y} {b},{y}" for a, b, y in zip(px, px[1:], py)])
     parts.append(
         f'<polyline points="{path}" fill="none" stroke="{LINE_COLOR}" stroke-width="1.5"/>'
     )

@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -69,6 +70,84 @@ def rich_csv(tmp_path):
     path = tmp_path / "rich.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def tied_csv(tmp_path):
+    # one-decimal values tie within and across roles; -0.0 and 0.0 both occur
+    rng = np.random.default_rng(17)
+    tests = np.round(rng.normal(size=40), 1)
+    tests[:8] -= 3.0
+    controls = np.round(rng.normal(size=60), 1)
+    lines = ["id,value,role"]
+    lines += [f"t{k},{v!r},test" for k, v in enumerate(tests.tolist())]
+    lines += ["t40,-0.0,test", "t41,0.0,test"]
+    lines += [f"c{k},{v!r},nc" for k, v in enumerate(controls.tolist())]
+    lines += ["c60,0.0,nc", "c61,-0.0,nc"]
+    path = tmp_path / "tied.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# sha256 of the CSV body after the manifest line and of the SVG without its
+# <desc>, pinned from the per-row writer these outputs must keep matching
+PINNED = {
+    "analyze": (
+        ["analyze", "--procedure", "bh", "--q", "0.2"],
+        "4df36871d12e9bcb329c135f772208950fab78f2800d3d94da3ee9aaf99ec2c5",
+        "6da47403e57564db3100ccb1a8306869d85878c9a9aa4b9b21c6c014039f0bc3",
+    ),
+    "stepup": (
+        ["stepup", "--lambda", "0.5", "--q", "0.2"],
+        "724d9483c2c40228aaedcd8d3e9e3a868ab26f62b0eb12c5cc5d86a5c58f9d29",
+        "ec0c5a4935891db5d333f1b7e939239a77d717f01eb30c8a65d048c375a913c4",
+    ),
+    "localfdr": (
+        ["localfdr", "--q", "0.2", "--pi", "0.8"],
+        "a1fa476fdb7e5d57419719989eeb70f9d1c62ebe51c7ec56a0e6b8ebf3e014a2",
+        "9abc7765422ec644b6e103a6c85e6aef19cb4200acddc650ec60b1a465a9f4fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundle_bytes_pinned(capsys, tied_csv, tmp_path, name):
+    args, csv_digest, svg_digest = PINNED[name]
+    out = tmp_path / name
+    code, _, err = _run(capsys, args + ["--in", tied_csv, "--plots", "svg", "--out", str(out)])
+    assert code == 0, err
+    body = (out / "result.csv").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == csv_digest
+    plot = re.sub(rb"<desc>.*</desc>\n", b"", (out / "plot.svg").read_bytes())
+    assert hashlib.sha256(plot).hexdigest() == svg_digest
+    text = (out / "result.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    jsonschema.validate(json.loads(text), _schema(name))
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def test_json_text_writes_non_finite_as_null():
+    finite = np.linspace(-1.0, 1.0, 100_001)
+    holes = finite.copy()
+    holes[[3, 70_000]] = [np.nan, -np.inf]
+    payload = {
+        "finite": finite, "holes": holes, "scalar": float("inf"),
+        "nested": [{"x": np.float64("nan")}], "count": np.int64(3), "flag": np.bool_(True),
+    }
+    text = cli._json_text(payload)
+    assert "\n" not in text
+    parsed = json.loads(text, parse_constant=_refuse_constant)
+    assert parsed["finite"] == [float(x) for x in finite]
+    assert parsed["holes"][3] is None and parsed["holes"][70_000] is None
+    kept = [k for k in range(finite.size) if k not in (3, 70_000)]
+    assert [parsed["holes"][k] for k in kept] == [parsed["finite"][k] for k in kept]
+    assert parsed["scalar"] is None
+    assert parsed["nested"] == [{"x": None}]
+    assert parsed["count"] == 3 and parsed["flag"] is True
+    assert json.loads(cli._json_text({"finite": finite})) == {"finite": parsed["finite"]}
 
 
 def test_analyze_bh_matches_library(capsys, toy_csv):

@@ -13,8 +13,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
+from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import _step_prefix  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
+from nctest.stepup import _rank_scale  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -170,3 +172,42 @@ def test_rank_only_routines_are_monotone_invariant(tests, controls, transform, q
     curve, mapped = localfdr_curve(s, pi), localfdr_curve(g, pi)
     assert curve.values.tobytes() == mapped.values.tobytes()
     assert transform(curve.breakpoints).tobytes() == mapped.breakpoints.tobytes()
+
+
+def _brute_neighborhood(s, lam, h):
+    """Minimizers by one slice of the h-window per investigation value."""
+    cand_t, c, r = ecdf_counts(s)
+    scores = c * float(s.n) - lam * (float(s.m) * r)
+    at_test = np.flatnonzero(np.diff(r, prepend=0) > 0)
+    return [
+        float(cand_t[k]) for k in at_test
+        if scores[k] <= scores[(cand_t >= cand_t[k] - h) & (cand_t <= cand_t[k] + h)].min()
+    ]
+
+
+_half_steps = st.lists(st.integers(-8, 8).map(lambda v: v / 2), min_size=1, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tests=_half_steps, controls=_half_steps, lam=st.sampled_from([0.3, 0.6, 1.0, 1.7]))
+def test_neighborhood_threshold_matches_window_loop(tests, controls, lam):
+    # values on a half-step grid tie within and across roles
+    s = make_statistic_set(np.array(tests), np.array(controls))
+    for h in (0.25, 0.5, 1.0, 2.5, 20.0):
+        found = neighborhood_threshold(s, lam, h)
+        assert [res.tau_hat for res in found] == _brute_neighborhood(s, lam, h)
+        for res in found:
+            below = {i for i, v in zip(s.investigation_ids, tests) if v <= res.tau_hat}
+            assert res.rejected == below
+
+
+@settings(max_examples=150, deadline=None)
+@given(tests=_tied_values, controls=_tied_values)
+def test_rank_scale_matches_separate_counts(tests, controls):
+    s = make_statistic_set(np.array(tests), np.array(controls))
+    counts, u, w = _rank_scale(s)
+    m = s.m
+    assert counts.tobytes() == counts_at_or_below(s.negative_controls, s.investigation).tobytes()
+    assert u.tobytes() == ((1.0 + counts) / (1.0 + m)).tobytes()
+    own = counts_at_or_below(s.negative_controls, s.negative_controls)
+    assert w.tobytes() == np.sort((1.0 + own) / (1.0 + m)).tobytes()
