@@ -286,7 +286,7 @@ def cmd_localfdr(ns, manifest) -> Report:
     if ns.lam is not None:
         lam = ns.lam
     elif ns.q is not None and ns.pi is not None:
-        lam = ns.q / ns.pi
+        lam = ns.q / ns.pi if ns.pi else math.inf  # cdf_threshold rejects pi = 0
     else:
         raise UsageError("localfdr needs --lambda, or --q together with --pi")
     result = cdf_threshold(statistics, lam, q=ns.q, pi=ns.pi)

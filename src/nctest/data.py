@@ -156,7 +156,7 @@ def make_statistic_set(
 _CANONICAL_COLUMNS = ("id", "value", "role", "subgroup", "treatment", "control", "truth")
 
 
-def load_csv(source, orientation: str = "small_is_significant", columns=None) -> StatisticSet:
+def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
     """Read a statistic set from CSV.
 
     Parameters
@@ -167,22 +167,16 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
         (truth is "null" or "nonnull").
     orientation : str
         Which tail of the input values carries evidence.
-    columns : dict, optional
-        Maps canonical column names to the actual header names.
 
     Row order is preserved within each role.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_csv(fh, orientation=orientation, columns=columns)
+            return load_csv(fh, orientation=orientation)
     if isinstance(source, io.BufferedIOBase) or (
         hasattr(source, "read") and isinstance(getattr(source, "mode", ""), str) and "b" in getattr(source, "mode", "")
     ):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-
-    colmap = {name: name for name in _CANONICAL_COLUMNS}
-    if columns:
-        colmap.update(columns)
 
     reader = csv.reader(source)
     header = next(reader, None)
@@ -191,9 +185,9 @@ def load_csv(source, orientation: str = "small_is_significant", columns=None) ->
     # a repeated header name means its last column, as with csv.DictReader
     index = {name: k for k, name in enumerate(header)}
     for required in ("id", "value", "role"):
-        if colmap[required] not in index:
-            raise DataError(f"missing required column {colmap[required]!r}")
-    col = {name: index.get(colmap[name]) for name in _CANONICAL_COLUMNS}
+        if required not in index:
+            raise DataError(f"missing required column {required!r}")
+    col = {name: index.get(name) for name in _CANONICAL_COLUMNS}
     i_id, i_value, i_role = col["id"], col["value"], col["role"]
     i_subgroup, i_treatment, i_control, i_truth = (
         col[name] for name in ("subgroup", "treatment", "control", "truth")

@@ -157,6 +157,14 @@ def _check_lam(lam: float):
         raise DataError("lambda must be finite and nonnegative")
 
 
+def _check_levels(q: float | None = None, pi: float | None = None):
+    """Reject q outside (0, 1) and pi outside (0, 1]; None is not checked."""
+    if q is not None and not 0 < q < 1:
+        raise DataError("q must lie strictly between 0 and 1")
+    if pi is not None and not 0 < pi <= 1:
+        raise DataError("pi must lie in (0, 1]")
+
+
 def _scores(counts_nc, counts_inv, lam, n, m):
     # shared scoring kernel: n*m times the objective; one product with
     # lam and one subtraction so both threshold routes round identically
@@ -202,8 +210,11 @@ def cdf_threshold(statistics: StatisticSet, lam: float, q: float | None = None, 
     Candidates are the pooled observed values of both roles plus the
     below-everything boundary; ties break toward the smallest t, so the
     reported threshold is the most conservative minimizer.  lam = 0 is
-    allowed and always yields the empty rejection.
+    allowed and always yields the empty rejection.  q and pi, when
+    given, are recorded in the result and must lie in (0, 1) and
+    (0, 1].
     """
+    _check_levels(q, pi)
     _check_lam(lam)
     cand_t, c, r = ecdf_counts(statistics)
     return _result_from_candidates(statistics, lam, cand_t, c, r, q, pi)
@@ -217,6 +228,7 @@ def cdf_threshold_orderstat(statistics: StatisticSet, lam: float, q: float | Non
     (m+1)*p_(i) - 1, and the candidate score is compared through the
     same kernel as cdf_threshold, so the rejected sets always agree.
     """
+    _check_levels(q, pi)
     _check_lam(lam)
     m = statistics.m
     pvals = ranc_values(statistics.investigation, statistics.negative_controls)
@@ -240,8 +252,7 @@ def localfdr_curve(statistics: StatisticSet, pi: float) -> LocalFdrCurve:
     lines, so the curve's switch points are exact line crossings; no
     grid is involved.
     """
-    if not (0 < pi <= 1):
-        raise DataError("pi must lie in (0, 1]")
+    _check_levels(pi=pi)
     n, m = statistics.n, statistics.m
     cand_t, c, r = ecdf_counts(statistics, np.unique(statistics.investigation))
     # lines score_k(lam) = a_k - b_k*lam; the boundary is the zero line
@@ -327,10 +338,7 @@ def bayes_risk_curves(source, q: float, pi: float, grid=None):
     out of the mixture ECDF) or a pair (F0, F1) of vectorized CDF
     callables, in which case grid is required.
     """
-    if not (0 < q < 1):
-        raise DataError("q must lie strictly between 0 and 1")
-    if not (0 < pi <= 1):
-        raise DataError("pi must lie in (0, 1]")
+    _check_levels(q, pi)
     if isinstance(source, StatisticSet):
         grid, c, r = ecdf_counts(source, grid)
         f0 = c / source.m
@@ -354,19 +362,14 @@ def bayes_risk_curves(source, q: float, pi: float, grid=None):
     )
 
 
-def pdf_localfdr_baseline(
-    statistics: StatisticSet,
-    pi: float,
-    bandwidth="silverman",
-    grid_size: int = 512,
-) -> StepCurve:
+def pdf_localfdr_baseline(statistics: StatisticSet, pi: float) -> StepCurve:
     """Density-ratio local-FDR baseline pi * f0_hat(t) / f_hat(t).
 
-    Gaussian kernel density estimates on a uniform grid spanning the
-    pooled data.  Unlike the CDF threshold this is not invariant to
-    monotone transforms of the data; it exists as the comparison
-    baseline.  Grid points where the mixture density estimate vanishes
-    are clipped to a large sentinel.
+    Gaussian kernel density estimates with Silverman's bandwidth, on a
+    uniform grid of 512 points spanning the pooled data.  Unlike the
+    CDF threshold this is not invariant to monotone transforms of the
+    data; it exists as the comparison baseline.  Grid points where the
+    mixture density estimate vanishes are clipped to a large sentinel.
     """
     if not (0 <= pi <= 1):
         raise DataError("pi must lie in [0, 1]")
@@ -374,10 +377,10 @@ def pdf_localfdr_baseline(
         raise DataError("kernel density estimation needs at least two points per role")
     from scipy.stats import gaussian_kde
 
-    f0_hat = gaussian_kde(statistics.negative_controls, bw_method=bandwidth)
-    f_hat = gaussian_kde(statistics.investigation, bw_method=bandwidth)
+    f0_hat = gaussian_kde(statistics.negative_controls, bw_method="silverman")
+    f_hat = gaussian_kde(statistics.investigation, bw_method="silverman")
     pooled = np.concatenate([statistics.investigation, statistics.negative_controls])
-    grid = np.linspace(pooled.min(), pooled.max(), grid_size)
+    grid = np.linspace(pooled.min(), pooled.max(), 512)
     dens0 = f0_hat(grid)
     dens = f_hat(grid)
     sentinel = 1e6

@@ -348,11 +348,12 @@ def uniformity_tests(p, window=(0.5, 0.99)) -> UniformityReport:
     )
 
 
-def falsify_subgroups(statistics: StatisticSet, min_size: int = 5) -> FalsificationReport:
+def falsify_subgroups(statistics: StatisticSet) -> FalsificationReport:
     """Compare negative-control subgroups pairwise.
 
     Exchangeability of the control pool implies every subgroup shares
-    the same distribution; small KS p-values falsify that.
+    the same distribution; small KS p-values falsify that.  Every
+    labelled subgroup needs at least five controls.
     """
     groups = {}
     for rid, value in zip(statistics.nc_ids, statistics.negative_controls):
@@ -363,10 +364,9 @@ def falsify_subgroups(statistics: StatisticSet, min_size: int = 5) -> Falsificat
     if len(labels) < 2:
         raise DataError("need at least two labelled negative-control subgroups")
     for label in labels:
-        if len(groups[label]) < min_size:
+        if len(groups[label]) < 5:
             raise DataError(
-                f"subgroup {label!r} has {len(groups[label])} controls; "
-                f"need at least {min_size}"
+                f"subgroup {label!r} has {len(groups[label])} controls; need at least 5"
             )
     from scipy.stats import ks_2samp
 
@@ -404,13 +404,13 @@ def null_diagnostics_table(
     methods=("mad1", "mad2", "efron", "ecdf"),
     bins: int = 60,
     degree: int = 4,
-    window=(0.5, 0.99),
 ):
     """Fit every (source, method) cell and summarize the resulting p-values.
 
-    Each row reports the fitted null, the window uniformity checks and
-    the BH rejection count at level q.  Cells whose fit fails carry the
-    error message instead of being dropped.
+    Each row reports the fitted null, the uniformity checks on
+    uniformity_tests' default window (0.5, 0.99) and the BH rejection
+    count at level q.  Cells whose fit fails carry the error message
+    instead of being dropped.
     """
     rows = []
     for source in sources:
@@ -426,7 +426,7 @@ def null_diagnostics_table(
                 else:
                     model = _FITTERS[method](statistics, source)
                 p = pvalues_from_null(statistics, model)
-                report = uniformity_tests(p, window=window)
+                report = uniformity_tests(p)
                 row.update(
                     mu=None if model.mu is None else float(model.mu),
                     sigma=None if model.sigma is None else float(model.sigma),

@@ -311,21 +311,21 @@ class PermutationResult(tuple):
 
 def permutation_global(
     statistics: StatisticSet,
-    statistic="simes_min_ratio",
+    statistic: str = "simes_min_ratio",
     B: int = 999,
     seed: int = 0,
-    direction: str | None = None,
     max_enumeration: int = 1_000_000,
 ):
     """Permutation test of the global null that the investigation
     statistics are exchangeable with the negative controls.
 
-    The chosen statistic is computed from the rank based p-values of
-    each relabeled sample, in pooled order (a custom callable gets one
-    such vector per call).  Monte-Carlo relabeling b is drawn from
-    rep_rng(seed, b), with the add-one correction p = (1 + #extreme) /
-    (1 + B); when C(n+m, n) does not exceed max_enumeration the
-    distribution is enumerated exactly instead and p = #extreme / total.
+    The statistic, "simes_min_ratio" (small values are extreme) or
+    "fisher" (large values are extreme), is computed from the rank based
+    p-values of each relabeled sample, in pooled order.  Monte-Carlo
+    relabeling b is drawn from rep_rng(seed, b), with the add-one
+    correction p = (1 + #extreme) / (1 + B); when C(n+m, n) does not
+    exceed max_enumeration the distribution is enumerated exactly
+    instead and p = #extreme / total.
     The observed statistic is the identity relabeling evaluated by the
     same code, so input row order cannot change it.  Blocks of 2**16
     mask elements bound working memory beyond the pool and samples to
@@ -334,19 +334,10 @@ def permutation_global(
     """
     if B < 1:
         raise DataError("B must be at least 1")
-    if callable(statistic):
-        if direction not in ("small", "large"):
-            raise DataError("custom statistic requires direction 'small' or 'large'")
-
-        def stat_rows(p):
-            return np.array([float(statistic(row)) for row in p])
-    else:
-        try:
-            stat_rows, stat_direction = _STATISTICS[statistic]
-        except KeyError:
-            raise DataError(f"unknown statistic {statistic!r}") from None
-        if direction is None:
-            direction = stat_direction
+    try:
+        stat_rows, direction = _STATISTICS[statistic]
+    except KeyError:
+        raise DataError(f"unknown statistic {statistic!r}") from None
 
     n, m = statistics.n, statistics.m
     values = np.concatenate([statistics.investigation, statistics.negative_controls])
@@ -367,8 +358,6 @@ def permutation_global(
     computed = np.concatenate(
         [stat_rows(_mask_pvalues(masks, tie_end)) for masks in _mask_blocks(subsets, n + m, n)]
     )
-    if not np.all(np.isfinite(computed)):
-        raise DataError("statistic undefined on the observed or a permuted sample")
     observed, samples = float(computed[0]), computed[1:]
     extreme = _count_extreme(samples, observed, direction)
     p_value = extreme / total if exact else (1 + extreme) / (1 + B)

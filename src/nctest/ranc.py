@@ -31,7 +31,6 @@ class PValueVector:
     values: np.ndarray
     ids: tuple
     kind: str
-    m: int | None = None
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -116,7 +115,6 @@ def _pvalue_vector(statistics: StatisticSet, kind: str, shift: float) -> PValueV
         values=_rank_pvalues(below, statistics.m, shift),
         ids=statistics.investigation_ids,
         kind=kind,
-        m=statistics.m,
         warnings=warnings,
     )
 

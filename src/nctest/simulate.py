@@ -228,37 +228,18 @@ def simulate_cell(config: SimConfig) -> SimReport:
     return SimReport(config=config, reps=config.reps, methods=methods)
 
 
-def table1_grid(
-    n0: int = 100,
-    n1: int = 10,
-    m: int = 200,
-    q: float = 0.2,
-    reps: int = 10_000,
-    seed: int = 0,
-) -> dict:
-    grid = {}
-    for dependence in DEPENDENCE_KINDS:
-        rho = 0.5 if dependence == "exchangeable" else 0.0
-        for label, mu_null in NULL_SETTINGS.items():
-            grid[f"{dependence}/{label}"] = SimConfig(
-                n0=n0,
-                n1=n1,
-                m=m,
-                rho=rho,
-                mu_null=mu_null,
-                q=q,
-                reps=reps,
-                seed=seed,
-                dependence=dependence,
-            )
-    return grid
-
-
-def run_table1(reps: int = 10_000, seed: int = 0, **grid_kwargs) -> dict:
+def run_table1(reps: int = 10_000, seed: int = 0) -> dict:
     """The six-cell dependence-by-null-setting comparison."""
     return {
-        cell: simulate_cell(config)
-        for cell, config in table1_grid(reps=reps, seed=seed, **grid_kwargs).items()
+        f"{dependence}/{label}": simulate_cell(SimConfig(
+            rho=0.5 if dependence == "exchangeable" else 0.0,
+            mu_null=mu_null,
+            reps=reps,
+            seed=seed,
+            dependence=dependence,
+        ))
+        for dependence in DEPENDENCE_KINDS
+        for label, mu_null in NULL_SETTINGS.items()
     }
 
 
@@ -294,7 +275,9 @@ def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int
     Two independent uniform investigation statistics share two
     Beta(1,2) controls; returns (P(p2=1 | p1=1/3), P(p2=1 | p1=2/3)).
     The first exceeds the second, so a larger p1 can make the extreme
-    p2 value less likely.
+    p2 value less likely.  method "mc" estimates both from `draws`
+    Monte-Carlo draws and raises DataError when a conditioning event
+    (p1 = 1/3 or p1 = 2/3) has no draws.
     """
     if method == "exact":
         from scipy import integrate
@@ -325,6 +308,8 @@ def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int
     p2_top = count2 == 2
     low = count1 == 0
     mid = count1 == 1
+    if not (low.any() and mid.any()):
+        raise DataError(f"{draws} draws leave a conditioning event empty; use more draws")
     return (
         float(p2_top[low].mean()),
         float(p2_top[mid].mean()),

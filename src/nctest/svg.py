@@ -151,6 +151,11 @@ def _document(elements, desc: str) -> str:
     )
 
 
+def _marks(thresholds) -> list:
+    """Threshold lines as (x, label) pairs of a float and a string."""
+    return [(float(t), str(label)) for t, label in thresholds]
+
+
 def histogram_svg(values, bins: int = 40, thresholds=(), title: str = "",
                   xlabel: str = "value", desc: str = "") -> str:
     """Histogram with optional red threshold lines, as (x, label) pairs."""
@@ -162,8 +167,7 @@ def histogram_svg(values, bins: int = 40, thresholds=(), title: str = "",
     if bins < 1:
         raise DataError("bins must be positive")
     counts, edges = np.histogram(data, bins=int(bins))
-    marks = [(float(t), str(lab)) for t, lab in
-             ((pair if isinstance(pair, (tuple, list)) else (pair, "")) for pair in thresholds)]
+    marks = _marks(thresholds)
     xlo = min([edges[0]] + [t for t, _ in marks])
     xhi = max([edges[-1]] + [t for t, _ in marks])
     frame = _Frame((xlo, xhi), (0, max(1, counts.max())))
@@ -196,8 +200,7 @@ def step_curve_svg(breakpoints, values, left_value=None, thresholds=(),
         raise DataError("step curve needs equal, nonempty breakpoints and values")
     if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
         raise DataError("step curve points must be finite")
-    marks = [(float(t), str(lab)) for t, lab in
-             ((pair if isinstance(pair, (tuple, list)) else (pair, "")) for pair in thresholds)]
+    marks = _marks(thresholds)
     span = bp[-1] - bp[0] if bp.size > 1 else 1.0
     pad = 0.05 * span
     xlo = min([bp[0] - pad] + [t for t, _ in marks])

@@ -107,6 +107,11 @@ PINNED = {
         "a1fa476fdb7e5d57419719989eeb70f9d1c62ebe51c7ec56a0e6b8ebf3e014a2",
         "9abc7765422ec644b6e103a6c85e6aef19cb4200acddc650ec60b1a465a9f4fc",
     ),
+    "permtest": (
+        ["permtest", "--statistic", "fisher"],
+        "7ba63bee71fe1cb7e53b086f21b62cd7f59e53646bc5ace4cb87f188244056ad",
+        "1c2c173d7782668669876817dc26bf435cbfa40162e259f5a262c389d2708513",
+    ),
 }
 
 
@@ -245,6 +250,18 @@ def test_localfdr_requires_parameters(capsys, toy_csv):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--lambda", "0.5", "--q", "nan"], "q must lie"),
+    (["--lambda", "0.5", "--q", "-5"], "q must lie"),
+    (["--q", "inf", "--pi", "0.5"], "q must lie"),
+    (["--q", "0.2", "--pi", "0"], "pi must lie"),
+])
+def test_localfdr_rejects_bad_levels(capsys, toy_csv, args, message):
+    code, out, err = _run(capsys, ["localfdr", "--in", toy_csv] + args)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_localfdr_matches_library(capsys, toy_csv):
     payload = _payload(
         capsys, ["localfdr", "--in", toy_csv, "--lambda", "1.0"], schema="localfdr"
@@ -324,6 +341,10 @@ def test_simulate_table1_byte_identical(capsys, tmp_path):
     assert code == 0
     assert other.read_bytes() == first
     assert b"created_utc" not in first
+    body = first.split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "9defa7bd035a11c27216b19a013cb2ad6d7c8ba18de87fb7687df46e804059c3"
+    )
     assert (tmp_path / "report.json").exists()
     payload = json.loads((tmp_path / "report.json").read_text())
     jsonschema.validate(payload, _schema("simulate"))
@@ -336,7 +357,7 @@ def test_simulate_b1(capsys):
     )
     assert payload["exact"]["p_a"] == pytest.approx(4 / 9, abs=1e-9)
     assert payload["exact"]["p_b"] == pytest.approx(5 / 12, abs=1e-9)
-    assert payload["monte_carlo"]["p_a"] > payload["monte_carlo"]["p_b"]
+    assert payload["monte_carlo"] == {"p_a": 0.42842817748809225, "p_b": 0.40336912254720475}
 
 
 def test_simulate_simes_perm(capsys):
@@ -377,6 +398,8 @@ def test_exit_codes():
         ([], 1),
         (["simulate", "--preset", "bogus"], 1),
         (["simulate", "--preset", "table1", "--reps", "0"], 1),
+        # one draw leaves a conditioning event of the b1 fixture empty
+        (["simulate", "--preset", "b1", "--reps", "1"], 2),
         (["analyze", "--in", "/nonexistent/x.csv"], 2),
     ]
     for args, want in cases:

@@ -88,15 +88,6 @@ def test_truth_label_validated():
         make_statistic_set([0.1], [0.2], truth={"t1": "maybe"})
 
 
-def test_column_mapping():
-    csv_text = "name,stat,kind\na,0.1,test\nn,0.3,nc\n"
-    s = load_csv(
-        io.StringIO(csv_text),
-        columns={"id": "name", "value": "stat", "role": "kind"},
-    )
-    assert s.n == 1 and s.m == 1
-
-
 def test_load_csv_blank_short_and_long_rows():
     # blank lines are skipped; missing trailing fields read as empty;
     # fields beyond the header are ignored
@@ -120,18 +111,6 @@ def test_load_csv_duplicate_header_uses_last_column():
     s = load_csv(io.StringIO(csv_text))
     np.testing.assert_array_equal(s.investigation, [0.1])
     np.testing.assert_array_equal(s.negative_controls, [0.3])
-
-
-def test_load_csv_column_mapping_of_optional_columns():
-    csv_text = "name,stat,kind,grp,t,c,label\na,0.1,test,g,1.5,1.2,nonnull\nn,0.3,nc,g,,,\n"
-    s = load_csv(
-        io.StringIO(csv_text),
-        columns={"id": "name", "value": "stat", "role": "kind", "subgroup": "grp",
-                 "treatment": "t", "control": "c", "truth": "label"},
-    )
-    assert s.subgroup == {"a": "g", "n": "g"}
-    assert s.paired_raw == {"a": (1.5, 1.2)}
-    assert s.truth == {"a": "nonnull"}
 
 
 def test_load_csv_byte_stream_and_path(tmp_path):

@@ -197,14 +197,6 @@ def test_permutation_enumeration_exact():
     )
 
 
-def test_permutation_constant_statistic():
-    s = make_statistic_set([1.0, 2.0], [3.0, 4.0])
-    p, _ = permutation_global(
-        s, statistic=lambda pv: 1.0, direction="small", B=7, seed=0, max_enumeration=0
-    )
-    assert p == 1.0
-
-
 def test_permutation_b1_counting():
     s = make_statistic_set([1.0], [2.0, 3.0])
     p, samples = permutation_global(

@@ -26,7 +26,6 @@ def test_ranc_worked_values():
     p = ranc_pvalues(s)
     np.testing.assert_array_equal(p.values, [0.75, 0.25])
     assert p.kind == "ranc"
-    assert p.m == 3
     assert p.ids == ("t1", "t2")
     assert p.warnings == ()
 

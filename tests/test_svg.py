@@ -38,7 +38,7 @@ def test_histogram_bars_and_threshold():
 
 
 def test_histogram_bare_threshold_and_degenerate_data():
-    doc = svg.histogram_svg([2.0, 2.0, 2.0], bins=5, thresholds=[2.0])
+    doc = svg.histogram_svg([2.0, 2.0, 2.0], bins=5, thresholds=[(2.0, "")])
     root = _parse(doc)
     assert any(l.get("stroke") == svg.THRESHOLD_COLOR for l in root.iter(f"{NS}line"))
 
