@@ -351,6 +351,25 @@ def test_simulate_table1_byte_identical(capsys, tmp_path):
     assert len(payload["cells"]) == 6
 
 
+# sha256 of the CSV body after the manifest line at --reps 20 --seed 0
+POWER_PINS = {
+    "power-vs-m": "acdeab55c093259435db3a720bd2b9def2b8f24bc459c7af36628eaa5d48c106",
+    "power-vs-m-weak": "c25fb12d5fa1c15cc9ddf33f40231e201f128458bf28a93a4f9a5d37402837a6",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(POWER_PINS))
+def test_simulate_power_presets_byte_identical(capsys, tmp_path, preset):
+    out = tmp_path / "power.csv"
+    code, _, err = _run(
+        capsys,
+        ["simulate", "--preset", preset, "--reps", "20", "--seed", "0", "--out", str(out)],
+    )
+    assert code == 0, err
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == POWER_PINS[preset]
+
+
 def test_simulate_b1(capsys):
     payload = _payload(
         capsys, ["simulate", "--preset", "b1", "--reps", "20000"], schema="simulate"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -62,6 +63,17 @@ def test_generate_shapes_and_truth():
         generate_emn(cfg, 0).investigation, s.investigation
     )
     assert not np.array_equal(generate_emn(cfg, 1).investigation, s.investigation)
+
+
+@pytest.mark.parametrize("dependence, rho, digest", [
+    ("independent", 0.0, "c52fd806989744b0de1834d32b4fe7da14b29b0c55f20b4ced2ccdd15e5a54ff"),
+    ("exchangeable", 0.5, "41a61da6922f3106abd4436b0df41d2dd601992461a3ac3b5f13dd6d2fed3a53"),
+])
+def test_generate_emn_pinned(dependence, rho, digest):
+    cfg = SimConfig(n0=30, n1=5, m=40, rho=rho, mu_null=0.5, dependence=dependence, seed=11)
+    s = generate_emn(cfg, 7)
+    values = np.concatenate([s.investigation, s.negative_controls])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_generate_null_statistics_uniform():
