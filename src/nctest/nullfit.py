@@ -272,14 +272,18 @@ def fit_nc_ecdf(statistics: StatisticSet) -> NullModel:
 
 
 def pvalues_from_null(statistics: StatisticSet, model: NullModel) -> PValueVector:
-    """One-sided p-values for the investigation statistics under a fitted null."""
+    """One-sided p-values for the investigation statistics under a fitted null.
+
+    A statistic so far in the lower tail that its p-value underflows to
+    0 gets the smallest positive float instead.
+    """
     if model.kind == "nc_ecdf":
         return ranc_pvalues(statistics)
     from scipy.special import ndtr
 
     z = (statistics.investigation - model.mu) / model.sigma
     return PValueVector(
-        values=ndtr(z),
+        values=np.clip(ndtr(z), np.finfo(float).tiny, 1.0),
         ids=statistics.investigation_ids,
         kind="parametric_null",
     )
@@ -409,9 +413,11 @@ def null_diagnostics_table(
 
     Each row reports the fitted null, the uniformity checks on
     uniformity_tests' default window (0.5, 0.99) and the BH rejection
-    count at level q.  Cells whose fit fails carry the error message
-    instead of being dropped.
+    count at level q, which must lie in (0, 1).  Cells whose fit fails
+    carry the error message instead of being dropped.
     """
+    if not 0 < q < 1:
+        raise DataError("q must lie strictly between 0 and 1")
     rows = []
     for source in sources:
         for method in methods:

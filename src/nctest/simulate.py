@@ -10,8 +10,10 @@ non-PRDS construction and the miscalibration of Fisher's combination
 test); and a permutation diagnostic for the Simes statistic.
 
 Every replication uses its own counter-derived RNG stream, so results
-depend only on the seed.  The Fisher demonstration, the one study run on
-worker threads, gives the same numbers for any thread count.
+depend only on the seed.  A study draws each stream's normals once, and
+every cell of the study (or point of a power curve) reads a prefix of
+them.  The Fisher demonstration, the one study run on worker threads,
+gives the same numbers for any thread count.
 """
 
 import math
@@ -146,19 +148,43 @@ def _mu_vector(config: SimConfig) -> np.ndarray:
     )
 
 
-def _z_draws(config: SimConfig, rng) -> np.ndarray:
+def _normals(seed: int, reps: int, width: int) -> np.ndarray:
+    """Row r holds the first `width` standard normals of stream (seed, r).
+
+    The first k draws of a stream do not depend on how many follow, so
+    one draw at the widest cell serves every narrower cell of a study.
+    """
+    out = np.empty((reps, width))
+    for rep in range(reps):
+        out[rep] = rep_rng(seed, rep).normal(size=width)
+    return out
+
+
+def _uniforms(config: SimConfig, normals: np.ndarray) -> np.ndarray:
+    """The cell's statistics ndtr(mu + sqrt(rho) Z + sqrt(1-rho) X).
+
+    `normals` holds one stream per row (or is one stream).  Independent
+    cells read columns [0, n+m) as X; exchangeable cells read column 0
+    as the shared Z and columns [1, n+m+1) as X, in the order the stream
+    draws them.
+    """
+    from scipy.special import ndtr
+
     size = config.n + config.m
-    shared = rng.normal() if config.dependence == "exchangeable" else 0.0
-    noise = rng.normal(size=size)
-    return math.sqrt(config.rho) * shared + math.sqrt(1.0 - config.rho) * noise
+    if config.dependence == "exchangeable":
+        shared, noise = normals[..., :1], normals[..., 1:size + 1]
+    else:
+        shared, noise = 0.0, normals[..., :size]
+    z = math.sqrt(1.0 - config.rho) * noise
+    z += math.sqrt(config.rho) * shared
+    z += _mu_vector(config)
+    return ndtr(z, out=z)
 
 
 def generate_emn(config: SimConfig, rep_seed: int):
     """One replication of the equicorrelated normal model."""
-    from scipy.special import ndtr
-
-    rng = rep_rng(config.seed, rep_seed)
-    t = ndtr(_mu_vector(config) + _z_draws(config, rng))
+    normals = rep_rng(config.seed, rep_seed).normal(size=config.n + config.m + 1)
+    t = _uniforms(config, normals)
     n = config.n
     ids = [f"t{i}" for i in range(1, n + 1)]
     truth = {
@@ -203,11 +229,15 @@ def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
 
 def simulate_cell(config: SimConfig) -> SimReport:
     """FDP and TPR of the three BH variants over config.reps replications."""
+    normals = _normals(config.seed, config.reps, config.n + config.m + 1)
+    return _simulate_cell(config, normals)
+
+
+def _simulate_cell(config: SimConfig, normals: np.ndarray) -> SimReport:
     from scipy.special import ndtr, ndtri
 
     n = config.n
-    draws = np.array([_z_draws(config, rep_rng(config.seed, rep)) for rep in range(config.reps)])
-    t = ndtr(_mu_vector(config) + draws)
+    t = _uniforms(config, normals)
     inv, nc = t[:, :n], t[:, n:]
     null_mask = np.arange(n) < config.n0
 
@@ -230,14 +260,15 @@ def simulate_cell(config: SimConfig) -> SimReport:
 
 def run_table1(reps: int = 10_000, seed: int = 0) -> dict:
     """The six-cell dependence-by-null-setting comparison."""
+    base = SimConfig(reps=reps, seed=seed)
+    normals = _normals(seed, reps, base.n + base.m + 1)
     return {
-        f"{dependence}/{label}": simulate_cell(SimConfig(
+        f"{dependence}/{label}": _simulate_cell(replace(
+            base,
             rho=0.5 if dependence == "exchangeable" else 0.0,
             mu_null=mu_null,
-            reps=reps,
-            seed=seed,
             dependence=dependence,
-        ))
+        ), normals)
         for dependence in DEPENDENCE_KINDS
         for label, mu_null in NULL_SETTINGS.items()
     }
@@ -248,11 +279,12 @@ def power_vs_m(config: SimConfig, m_grid) -> dict:
     m_grid = [int(v) for v in m_grid]
     if any(v < 1 for v in m_grid):
         raise DataError("control-pool sizes must be positive")
+    normals = _normals(config.seed, config.reps, config.n + max(m_grid, default=0) + 1)
     out = {"m": m_grid}
     for name in METHODS:
         out[name] = []
     for m in m_grid:
-        report = simulate_cell(replace(config, m=m))
+        report = _simulate_cell(replace(config, m=m), normals)
         for name in METHODS:
             out[name].append(report.methods[name]["power"])
     return out

@@ -305,6 +305,13 @@ def test_null_fit_source_aliases(capsys, rich_csv):
     assert code == 1 and "bogus" in err
 
 
+@pytest.mark.parametrize("q", ["0", "1", "5", "nan"])
+def test_null_fit_rejects_bad_level(capsys, rich_csv, q):
+    code, out, err = _run(capsys, ["null-fit", "--in", rich_csv, "--q", q])
+    assert code == 2 and out == ""
+    assert "q must lie" in err
+
+
 def test_falsify_output(capsys, rich_csv, tmp_path):
     out = tmp_path / "fal"
     code, _, err = _run(

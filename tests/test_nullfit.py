@@ -136,12 +136,14 @@ def test_null_model_validation():
 
 
 def test_pvalues_from_gaussian_null():
-    s = make_statistic_set([0.0, -1.6449], [1.0])
+    s = make_statistic_set([0.0, -1.6449, -50.0], [1.0])
     model = NullModel(kind="gaussian", method="mad2", source="all", mu=0.0, sigma=1.0)
     p = pvalues_from_null(s, model)
     assert p.kind == "parametric_null"
     assert p.values[0] == pytest.approx(0.5)
     assert p.values[1] == pytest.approx(0.05, abs=1e-4)
+    # far in the tail ndtr underflows to 0; the p-value stays positive
+    assert p.values[2] == np.finfo(float).tiny
 
 
 def test_pvalues_pit_exactly_uniform():
@@ -325,6 +327,14 @@ def test_diagnostics_table_keeps_failed_cells():
     assert cell[("negative_controls", "efron")]["error"] is not None
     assert cell[("investigation", "efron")]["error"] is None
     assert cell[("negative_controls", "ecdf")]["error"] is None
+
+
+def test_diagnostics_table_fits_far_tail_statistic():
+    rng = np.random.default_rng(22)
+    s = make_statistic_set(np.append(rng.normal(size=60), -50.0), rng.normal(size=40))
+    (row,) = null_diagnostics_table(s, sources=("all",), methods=("mad2",))
+    assert row["error"] is None
+    assert row["kind"] == "gaussian" and row["bh_rejections"] >= 1
 
 
 def test_falsification_report_serializes():

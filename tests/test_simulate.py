@@ -76,6 +76,35 @@ def test_generate_emn_pinned(dependence, rho, digest):
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
+def test_stream_prefix_facts():
+    # a study draws each stream once at its widest cell: an exchangeable
+    # cell's shared draw then noise is the wide draw, and a narrow cell's
+    # draw is its prefix
+    for seed, rep, k in itertools.product((0, 7, 9001), (0, 3, 250), (1, 9, 310)):
+        rng = rep_rng(seed, rep)
+        shared, noise = rng.normal(), rng.normal(size=k)
+        wide = rep_rng(seed, rep).normal(size=k + 1)
+        assert wide[0] == shared
+        np.testing.assert_array_equal(wide[1:], noise)
+        np.testing.assert_array_equal(rep_rng(seed, rep).normal(size=k), wide[:k])
+
+
+def test_simulate_cell_matches_study_cells():
+    # a cell run alone draws its own streams; the studies share theirs
+    reports = run_table1(reps=30, seed=21)
+    for dependence, rho in (("independent", 0.0), ("exchangeable", 0.5)):
+        for label, mu_null in (("anti-conservative", -0.5), ("conservative", 0.5)):
+            alone = simulate_cell(SimConfig(
+                rho=rho, mu_null=mu_null, reps=30, seed=21, dependence=dependence
+            ))
+            assert alone.to_dict() == reports[f"{dependence}/{label}"].to_dict()
+    curves = power_vs_m(SimConfig(reps=30, seed=21), [5, 40])
+    for k, m in enumerate(curves["m"]):
+        alone = simulate_cell(SimConfig(m=m, reps=30, seed=21))
+        for name, cell in alone.methods.items():
+            assert curves[name][k] == cell["power"]
+
+
 def test_generate_null_statistics_uniform():
     cfg = SimConfig(n0=200, n1=0, m=100, seed=2)
     pooled = np.concatenate(
