@@ -1,0 +1,8 @@
+"""`python -m nctest`: the same entry point as the `nctest` script."""
+
+import sys
+
+from .cli import run
+
+if __name__ == "__main__":
+    sys.exit(run())

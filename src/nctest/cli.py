@@ -593,6 +593,8 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (see --help)")
         if getattr(ns, "reps", None) is not None and ns.reps < 1:
             raise UsageError("--reps must be positive")
+        if ns.seed < 0:
+            raise UsageError("--seed must be non-negative")
         if getattr(ns, "plots", "none") == "svg" and getattr(ns, "out", None) is None:
             raise UsageError("--plots svg requires --out")
         manifest = build_manifest(ns.subcommand, ns)

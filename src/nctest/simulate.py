@@ -83,6 +83,8 @@ class SimConfig:
             raise DataError("need at least one negative control")
         if self.reps < 1:
             raise DataError("need at least one replication")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
         for name in ("rho", "mu_null", "mu_alt"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite")
@@ -125,10 +127,12 @@ class SimReport:
     def __post_init__(self):
         for name, cell in self.methods.items():
             for key in ("fdr", "power"):
+                if key == "power" and self.config.n1 == 0 and math.isnan(cell[key]):
+                    continue  # no non-nulls: the TPR is undefined, the FDR is not
                 if not -1e-12 <= cell[key] <= 1 + 1e-12:
                     raise DataError(f"{name}.{key} outside [0, 1]")
-                if cell[f"{key}_sd"] < 0:
-                    raise DataError(f"{name}.{key}_sd negative")
+                if not cell[f"{key}_sd"] >= 0:
+                    raise DataError(f"{name}.{key}_sd negative or NaN")
 
     def to_dict(self):
         return {
@@ -212,15 +216,18 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
 
 
 def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
-    """Row-wise BH: false discovery proportion and true positive rate per row."""
+    """Row-wise BH: false discovery proportion and true positive rate per row.
+
+    The step-up count k never splits a run of tied p-values: if
+    p_(k+1) = p_(k) <= qk/n <= q(k+1)/n, position k+1 passes too.  So BH
+    rejects {i: p_i <= p_(k)} for any order of the ties, and the sorted
+    values alone give k and the cut; no sort order is needed.
+    """
     n = p.shape[1]
-    order = np.argsort(p, axis=1, kind="stable")
-    psort = np.take_along_axis(p, order, axis=1)
+    psort = np.sort(p, axis=1)
     k = _step_prefix(psort, q * np.arange(1, n + 1) / n, step_up=True)
-    null_sorted = null_mask[order]
-    vcum = np.cumsum(null_sorted, axis=1)
-    rows = np.arange(p.shape[0])
-    v = np.where(k > 0, vcum[rows, np.maximum(k, 1) - 1], 0)
+    cut = np.where(k > 0, psort[np.arange(p.shape[0]), np.maximum(k, 1) - 1], -np.inf)
+    v = np.count_nonzero((p <= cut[:, None]) & null_mask, axis=1)
     n1 = int((~null_mask).sum())
     fdp = v / np.maximum(k, 1)
     tpr = (k - v) / n1 if n1 > 0 else np.full(p.shape[0], np.nan)

@@ -358,6 +358,26 @@ def test_simulate_table1_byte_identical(capsys, tmp_path):
     assert len(payload["cells"]) == 6
 
 
+def test_simulate_table1_benchmark_setting_pinned(tmp_path):
+    # the setting of the simulate-table1 benchmark workload
+    out = tmp_path / "table1.csv"
+    args = ["simulate", "--preset", "table1", "--reps", "2500", "--seed", "9001"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "7827cf2740d74472732681fdaea3299bfab81b299ef0b179f8bd27a254274540"
+    )
+
+
+def test_negative_seed_is_a_usage_error(capsys, toy_csv):
+    for args in (["simulate", "--preset", "table1", "--seed", "-1"],
+                 ["permtest", "--in", toy_csv, "--reps", "50", "--seed", "-3"]):
+        code, out, err = _run(capsys, args)
+        assert (code, out) == (1, ""), err
+        assert "usage error: --seed must be non-negative" in err
+        assert "Traceback" not in err
+
+
 # sha256 of the CSV body after the manifest line at --reps 20 --seed 0
 POWER_PINS = {
     "power-vs-m": "acdeab55c093259435db3a720bd2b9def2b8f24bc459c7af36628eaa5d48c106",
@@ -424,6 +444,8 @@ def test_exit_codes():
         ([], 1),
         (["simulate", "--preset", "bogus"], 1),
         (["simulate", "--preset", "table1", "--reps", "0"], 1),
+        (["simulate", "--preset", "table1", "--seed", "-1"], 1),
+        (["permtest", "--in", "/nonexistent/x.csv", "--reps", "50", "--seed", "-3"], 1),
         # one draw leaves a conditioning event of the b1 fixture empty
         (["simulate", "--preset", "b1", "--reps", "1"], 2),
         (["analyze", "--in", "/nonexistent/x.csv"], 2),
@@ -460,6 +482,16 @@ def test_console_script_runs():
         capture_output=True, text=True,
     )
     assert result.returncode == 0
+    assert "nctest 0.1.0" in result.stdout
+
+
+def test_python_m_nctest_runs():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "nctest", "--version"], capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
     assert "nctest 0.1.0" in result.stdout
 
 

@@ -16,6 +16,7 @@ from nctest import localfdr_curve, ranc_pvalues, ranc_values, stepup_threshold  
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import _step_prefix  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
+from nctest.simulate import _fdp_tpr_rows  # noqa: E402
 from nctest.stepup import _rank_scale  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
@@ -211,3 +212,44 @@ def test_rank_scale_matches_separate_counts(tests, controls):
     assert u.tobytes() == ((1.0 + counts) / (1.0 + m)).tobytes()
     own = counts_at_or_below(s.negative_controls, s.negative_controls)
     assert w.tobytes() == np.sort((1.0 + own) / (1.0 + m)).tobytes()
+
+
+def _argsort_fdp_tpr(p, q, null_mask):
+    """Row-wise BH through a stable argsort and a cumulative null count."""
+    n = p.shape[1]
+    order = np.argsort(p, axis=1, kind="stable")
+    psort = np.take_along_axis(p, order, axis=1)
+    k = _step_prefix(psort, q * np.arange(1, n + 1) / n, step_up=True)
+    vcum = np.cumsum(null_mask[order], axis=1)
+    v = np.where(k > 0, vcum[np.arange(p.shape[0]), np.maximum(k, 1) - 1], 0)
+    n1 = int((~null_mask).sum())
+    fdp = v / np.maximum(k, 1)
+    tpr = (k - v) / n1 if n1 > 0 else np.full(p.shape[0], np.nan)
+    return fdp, tpr
+
+
+@st.composite
+def _tied_pvalue_rows(draw):
+    """p-values on a coarse grid (1..levels)/levels and a null mask."""
+    rows, n, levels = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    p = (1.0 + _grid_matrix(draw, rows, n, levels - 1)) / levels
+    null_mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return p, null_mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_tied_pvalue_rows(), q=st.sampled_from([0.05, 0.2, 0.25, 0.5, 0.75, 0.9]))
+# a null and a non-null tie at the cut, in both orders
+@example(data=(np.array([[0.25, 0.5, 0.5, 1.0], [0.5, 0.25, 1.0, 0.5]]),
+               np.array([True, False, True, False])), q=0.5)
+# nothing passes, everything passes, and one tie group exactly on the last boundary
+@example(data=(np.array([[1.0, 1.0, 1.0], [0.125, 0.125, 0.125], [0.5, 0.5, 0.5]]),
+               np.array([True, False, False])), q=0.5)
+# every statistic null, so the TPR is NaN
+@example(data=(np.array([[0.25, 0.25, 0.75]]), np.array([True, True, True])), q=0.5)
+def test_order_free_bh_equals_argsort_reference(data, q):
+    p, null_mask = data
+    fdp, tpr = _fdp_tpr_rows(p, q, null_mask)
+    want_fdp, want_tpr = _argsort_fdp_tpr(p, q, null_mask)
+    assert fdp.tobytes() == want_fdp.tobytes()
+    assert tpr.tobytes() == want_tpr.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import special, stats
 
 from nctest import DataError, make_statistic_set, ranc_values
+from nctest.cli import _json_text
 from nctest._util import rep_rng, thread_count
 from nctest.procedures import (
     bh,
@@ -18,6 +20,7 @@ from nctest.procedures import (
 from nctest.ranc import PValueVector
 from nctest.simulate import (
     SimConfig,
+    SimReport,
     fisher_miscalibration_demo,
     generate_emn,
     oracle_pvalues,
@@ -42,6 +45,8 @@ def test_config_validation():
         SimConfig(dependence="clustered")
     with pytest.raises(DataError, match="rho"):
         SimConfig(rho=1.0, dependence="exchangeable")
+    with pytest.raises(DataError, match="seed"):
+        SimConfig(seed=-1)
 
 
 def test_config_rejects_non_finite():
@@ -198,8 +203,27 @@ def test_vectorized_bh_matches_reference():
         )
         vec = PValueVector(values=p[r], ids=ids, kind="external")
         counts = confusion_counts(bh(vec, 0.3), s)
-        assert counts["fdp"] == pytest.approx(fdp[r])
-        assert counts["tpr"] == pytest.approx(tpr[r])
+        assert counts["fdp"] == fdp[r]
+        assert counts["tpr"] == tpr[r]
+
+
+def test_global_null_cell_reports_nan_power():
+    # with no non-nulls the TPR is undefined but the FDR is not
+    report = simulate_cell(SimConfig(n0=20, n1=0, m=30, reps=50, seed=4))
+    for cell in report.methods.values():
+        assert 0 <= cell["fdr"] <= 1 and cell["fdr_sd"] >= 0
+        assert math.isnan(cell["power"]) and math.isnan(cell["power_sd"])
+    out = report.to_dict()["methods"]["bh_raw"]
+    assert math.isnan(out["power"])
+    assert json.loads(_json_text(report.to_dict()))["methods"]["bh_raw"]["power"] is None
+
+    cell = {"fdr": 0.1, "fdr_sd": 0.0, "power": math.nan, "power_sd": math.nan}
+    with pytest.raises(DataError, match="power"):
+        SimReport(config=SimConfig(), reps=1, methods={"bh_raw": cell})
+    for key in ("fdr", "fdr_sd"):
+        with pytest.raises(DataError, match=key):
+            SimReport(config=SimConfig(n1=0), reps=1,
+                      methods={"bh_raw": dict(cell, **{key: math.nan})})
 
 
 def test_simulate_cell_published_values():
