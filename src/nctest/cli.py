@@ -49,6 +49,8 @@ from .simulate import (
 )
 from .stepup import stepup_threshold
 
+# layout version of every JSON payload, pinned by the schemas in nctest/schemas
+SCHEMA_VERSION = 2
 PRESETS = ("table1", "power-vs-m", "power-vs-m-weak", "b1", "b2", "simes-perm")
 _ORIENTATION = {"small": "small_is_significant", "large": "large_is_significant"}
 _SOURCE_ALIASES = {
@@ -155,8 +157,7 @@ class Report:
 
 
 def _emit(report: Report, manifest: dict, ns: argparse.Namespace) -> None:
-    payload = dict(report.payload)
-    payload["manifest"] = manifest
+    payload = {"schema_version": SCHEMA_VERSION, **report.payload, "manifest": manifest}
     text = _json_text(payload) + "\n"
     out = getattr(ns, "out", None)
     if out is None:
@@ -290,13 +291,13 @@ def cmd_localfdr(ns, manifest) -> Report:
     else:
         raise UsageError("localfdr needs --lambda, or --q together with --pi")
     result = cdf_threshold(statistics, lam, q=ns.q, pi=ns.pi)
-    payload = {"n": statistics.n, "m": statistics.m, "threshold": result.to_dict()}
-    curve = None
+    threshold = result.to_dict()
+    payload = {"n": statistics.n, "m": statistics.m, "threshold": threshold}
     if ns.pi is not None:
-        curve = localfdr_curve(statistics, ns.pi)
-        payload["curve"] = curve.to_dict()
+        payload["curve"] = localfdr_curve(statistics, ns.pi).to_dict()
     header = ("t", "objective")
-    rows = result.objective_at_candidates
+    columns = threshold["objective_at_candidates"]
+    rows = zip(columns["t"], columns["objective"])
     svg_text = None
     if _want_svg(ns):
         marks = [] if result.tau_hat is None else [(result.tau_hat, "tau")]

@@ -59,7 +59,8 @@ class LocalFdrResult:
     boundary as 0, so a threshold is candidates[argmin_index - 1].
     rejected_positions index ids, the investigation ids.  rejected and
     objective_at_candidates present these as ids and (t, objective)
-    pairs, with (None, 0.0) for the boundary first.
+    pairs, with (None, 0.0) for the boundary first; to_dict gives the
+    same pairs as two equal-length columns, "t" and "objective".
     """
 
     tau_hat: float | None
@@ -93,9 +94,10 @@ class LocalFdrResult:
             "n_rejected": self.n_rejected,
             "rejected_ids": sorted(self.rejected),
             "argmin_index": self.argmin_index,
-            "objective_at_candidates": [
-                {"t": t, "objective": v} for t, v in self.objective_at_candidates
-            ],
+            "objective_at_candidates": {
+                "t": [None] + self.candidates.tolist(),
+                "objective": [0.0] + self.objective.tolist(),
+            },
         }
 
 

@@ -2,8 +2,10 @@
 
 All step-up and step-down procedures here sort the p-values once
 (stable in (p, id) so ties are deterministic) and reject a prefix of
-that order.  Each returns a RejectionResult carrying an audit trail of
-the sorted p-values and the comparison boundary actually used.
+that order.  Each returns a RejectionResult whose audit view holds the
+sorted p-values, the comparison boundary actually used and the id
+order.  The audit is a library view only: the CLI's JSON leaves it
+out, since the p-values by id and the parameters determine it.
 
 The Fisher combination statistic is provided only to demonstrate its
 miscalibration on rank based p-values; it assumes independent uniform
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import float_list, rep_rng
+from ._util import rep_rng
 from .data import StatisticSet
 from .errors import DataError
 from .ranc import PValueVector
@@ -60,7 +62,9 @@ class RejectionResult:
     is the largest rejected p-value (None when nothing is rejected).
     rejected and audit present the arrays as ids and Python floats:
     audit holds the sorted p-values, the boundary vector the procedure
-    compared against, and the id order used.
+    compared against, and the id order used.  to_dict, the JSON form,
+    leaves the audit out: it is the p-values sorted by (p, id), and the
+    boundaries follow from the parameters.
     """
 
     ids: tuple = field(repr=False)
@@ -91,18 +95,12 @@ class RejectionResult:
         }
 
     def to_dict(self) -> dict:
-        order = self._ordered_ids()
         return {
             "procedure": self.procedure,
             "parameters": dict(self.parameters),
             "n_rejected": self.n_rejected,
             "threshold": self.threshold,
-            "rejected_ids": order[: self.n_rejected],
-            "audit": {
-                "sorted_pvalues": float_list(self.sorted_pvalues),
-                "boundaries": float_list(self.boundaries),
-                "order": order,
-            },
+            "rejected_ids": self._ordered_ids(self.n_rejected),
         }
 
 

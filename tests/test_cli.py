@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.resources
 import json
@@ -166,6 +167,68 @@ def test_analyze_bh_matches_library(capsys, toy_csv):
     assert sorted(payload["result"]["rejected_ids"]) == sorted(expected.rejected)
     assert payload["result"]["n_rejected"] == expected.n_rejected
     assert payload["pvalue_kind"] == "ranc"
+
+
+def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
+    # schema v2 leaves the audit out: the pvalues map and q determine it
+    payload = _payload(
+        capsys, ["analyze", "--in", tied_csv, "--procedure", "bh", "--q", "0.2"], schema="analyze"
+    )
+    assert payload["schema_version"] == 2
+    result = payload["result"]
+    assert "audit" not in result
+    pvalues, q = payload["pvalues"], result["parameters"]["q"]
+    order = sorted(pvalues, key=lambda i: (pvalues[i], i))
+    n = len(order)
+    rebuilt = {
+        "sorted_pvalues": tuple(pvalues[i] for i in order),
+        "boundaries": tuple(q * i / n for i in range(1, n + 1)),
+        "order": tuple(order),
+    }
+    expected = bh(ranc_pvalues(load_csv(tied_csv)), 0.2)
+    assert rebuilt == expected.audit
+    assert result["n_rejected"] == expected.n_rejected > 0
+    assert result["rejected_ids"] == order[: result["n_rejected"]]
+
+
+def test_localfdr_json_columns_are_the_csv_rows(capsys, tied_csv, tmp_path):
+    out = tmp_path / "localfdr"
+    code, _, err = _run(
+        capsys, ["localfdr", "--in", tied_csv, "--q", "0.2", "--pi", "0.8", "--out", str(out)]
+    )
+    assert code == 0, err
+    threshold = json.loads((out / "result.json").read_text())["threshold"]
+    columns = threshold["objective_at_candidates"]
+    assert len(columns["t"]) == len(columns["objective"]) > 1
+    assert (columns["t"][0], columns["objective"][0]) == (None, 0.0)
+    assert columns["t"][threshold["argmin_index"]] == threshold["tau_hat"]
+    with open(out / "result.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]  # manifest line, header
+    # csv writes None empty and floats by repr, which keeps the sign of -0.0
+    zipped = [["" if t is None else repr(t), repr(v)]
+              for t, v in zip(columns["t"], columns["objective"])]
+    assert zipped == rows
+
+
+def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
+    analyze = _payload(capsys, ["analyze", "--in", tied_csv, "--procedure", "bh"], "analyze")
+    localfdr = _payload(capsys, ["localfdr", "--in", tied_csv, "--lambda", "1.0"], "localfdr")
+    columns = localfdr["threshold"]["objective_at_candidates"]
+    per_candidate = [{"t": t, "objective": v} for t, v in zip(columns["t"], columns["objective"])]
+    unversioned = {k: v for k, v in analyze.items() if k != "schema_version"}
+    for name, payload in [
+        ("analyze", {**analyze, "result": {**analyze["result"], "audit": {"order": []}}}),
+        ("analyze", {**analyze, "schema_version": 1}),
+        ("analyze", unversioned),
+        ("localfdr", {**localfdr, "threshold": {**localfdr["threshold"],
+                                                "objective_at_candidates": per_candidate}}),
+    ]:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, _schema(name))
+    for name in ("analyze", "falsify", "localfdr", "null-fit", "permtest", "simulate", "stepup"):
+        schema = _schema(name)
+        assert "schema_version" in schema["required"]
+        assert schema["properties"]["schema_version"] == {"const": 2}
 
 
 def test_analyze_manifest_traces_invocation(capsys, toy_csv):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import string
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
-from nctest.procedures import _step_prefix  # noqa: E402
+from nctest.procedures import _step_prefix, permutation_global  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows  # noqa: E402
 from nctest.stepup import _rank_scale  # noqa: E402
@@ -253,3 +254,27 @@ def test_order_free_bh_equals_argsort_reference(data, q):
     want_fdp, want_tpr = _argsort_fdp_tpr(p, q, null_mask)
     assert fdp.tobytes() == want_fdp.tobytes()
     assert tpr.tobytes() == want_tpr.tobytes()
+
+
+_MC_DRAWS = 3000
+
+
+# Each example runs one Monte-Carlo test of _MC_DRAWS relabelings (about 0.1 s).
+# A 3-SE check fails by chance now and then, so the examples are derandomized:
+# the same pools every run, and a failure is reproducible.
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    tests=st.lists(st.integers(-3, 3), min_size=2, max_size=5),
+    controls=st.lists(st.integers(-3, 3), min_size=3, max_size=9),
+    statistic=st.sampled_from(["simes_min_ratio", "fisher"]),
+)
+def test_permutation_exact_agrees_with_monte_carlo(tests, controls, statistic):
+    # integer statistics tie within and across roles
+    s = make_statistic_set(np.array(tests, dtype=float), np.array(controls, dtype=float))
+    exact, samples = permutation_global(s, statistic)
+    assert samples.size == math.comb(s.n + s.m, s.n)
+    mc, _ = permutation_global(s, statistic, B=_MC_DRAWS, seed=0, max_enumeration=0)
+    # (1 + #extreme) / (1 + B), #extreme ~ Binomial(B, exact)
+    mean = (1 + _MC_DRAWS * exact) / (1 + _MC_DRAWS)
+    se = math.sqrt(_MC_DRAWS * exact * (1 - exact)) / (1 + _MC_DRAWS)
+    assert abs(mc - mean) <= 3 * se, (exact, mc, se)
