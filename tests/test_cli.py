@@ -131,6 +131,24 @@ def test_bundle_bytes_pinned(capsys, tied_csv, tmp_path, name):
     jsonschema.validate(json.loads(text), _schema(name))
 
 
+_TIED_REJECTED = ["t0", "t1", "t10", "t12", "t2", "t26", "t28", "t29", "t3", "t4", "t5", "t6", "t7"]
+_NOTHING = "no threshold with estimated FDR <= q; nothing rejected"
+
+
+# the threshold fields of the stepup JSON, pinned like the bundle bytes above
+@pytest.mark.parametrize("lam, q, expected", [
+    ("0.5", "0.2", (0.031746031746031744, -1.9, 0.8823529411764706, _TIED_REJECTED, [])),
+    ("1", "0.2", (0.031746031746031744, -1.9, 1.0, _TIED_REJECTED, [])),
+    ("0.5", "0.05", (None, None, 0.8823529411764706, [], [_NOTHING])),
+])
+def test_stepup_threshold_json_pinned(capsys, tied_csv, lam, q, expected):
+    result = _payload(
+        capsys, ["stepup", "--in", tied_csv, "--lambda", lam, "--q", q], schema="stepup"
+    )["result"]
+    keys = ("tau", "tau_statistic", "pi_hat", "rejected_ids", "diagnostics")
+    assert tuple(result[k] for k in keys) == expected
+
+
 def _refuse_constant(token):
     raise AssertionError(f"non-standard JSON constant {token}")
 
