@@ -33,6 +33,7 @@ import numpy as np
 from ._util import float_list
 from .data import StatisticSet
 from .errors import DataError
+from .procedures import _check_level
 from .ranc import ecdf_counts, ranc_values
 from .stepup import StepCurve
 
@@ -161,22 +162,18 @@ def _check_lam(lam: float):
 
 def _check_levels(q: float | None = None, pi: float | None = None):
     """Reject q outside (0, 1) and pi outside (0, 1]; None is not checked."""
-    if q is not None and not 0 < q < 1:
-        raise DataError("q must lie strictly between 0 and 1")
+    if q is not None:
+        _check_level(q, "q")
     if pi is not None and not 0 < pi <= 1:
         raise DataError("pi must lie in (0, 1]")
-
-
-def _scores(counts_nc, counts_inv, lam, n, m):
-    # shared scoring kernel: n*m times the objective; one product with
-    # lam and one subtraction so both threshold routes round identically
-    return counts_nc * float(n) - lam * (float(m) * counts_inv)
 
 
 def _scored(statistics, lam, c, r):
     """Scores of the candidates and their objective values."""
     n, m = statistics.n, statistics.m
-    scores = _scores(c.astype(float), r.astype(float), lam, n, m)
+    # scores are n*m times the objective; one product with lam and one
+    # subtraction so both threshold routes round identically
+    scores = c.astype(float) * float(n) - lam * (float(m) * r.astype(float))
     return scores, scores / (n * m)
 
 

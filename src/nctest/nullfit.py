@@ -19,7 +19,7 @@ import numpy as np
 from ._util import float_list
 from .data import StatisticSet
 from .errors import DataError
-from .procedures import bh
+from .procedures import _check_level, bh
 from .ranc import PValueVector, ranc_pvalues
 
 __all__ = [
@@ -416,8 +416,7 @@ def null_diagnostics_table(
     count at level q, which must lie in (0, 1).  Cells whose fit fails
     carry the error message instead of being dropped.
     """
-    if not 0 < q < 1:
-        raise DataError("q must lie strictly between 0 and 1")
+    _check_level(q, "q")
     rows = []
     for source in sources:
         for method in methods:

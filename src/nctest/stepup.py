@@ -16,6 +16,11 @@ statistic is replaced by its value under the negative-control ECDF, so
 the procedure is invariant under monotone transformations of the data.
 With lambda = 1 the procedure coincides exactly with Benjamini-Hochberg
 applied to the modified rank based p-values.
+
+The threshold, pi_hat and the FDR curve are all read from one
+ranc.ecdf_counts table (t, c, r): a row's rank is (1 + c) / (1 + m),
+the candidates are the counts c at which a test sits, and R at a
+candidate is r at the last row with that count.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 from ._util import float_list
 from .data import StatisticSet
 from .errors import DataError
-from .procedures import _step_prefix, bh
-from .ranc import counts_at_or_below, ecdf_counts, modified_ranc_pvalues
+from .procedures import _check_level, _step_prefix, bh
+from .ranc import ecdf_counts, modified_ranc_pvalues
 
 __all__ = [
     "StepCurve",
@@ -129,31 +134,27 @@ class FdrStepupResult:
         }
 
 
-def _rank_scale(statistics: StatisticSet):
-    """Counts and rank-scale positions of investigation and control values.
-
-    One sort of the controls serves both: counted against themselves in
-    sorted order, the control positions w come out sorted.
-    """
-    m = statistics.m
-    nc_sorted = np.sort(statistics.negative_controls)
-    counts = np.searchsorted(nc_sorted, statistics.investigation, side="right")
-    u = (1.0 + counts) / (1.0 + m)
-    w = (1.0 + np.searchsorted(nc_sorted, nc_sorted, side="right")) / (1.0 + m)
-    return counts, u, w
-
-
 def _check_lambda(lam: float):
     if not (0 < lam <= 1):
         raise DataError("lambda must lie in (0, 1]")
 
 
-def _pi_hat(n, m, u, w, lam):
-    # u: rank-scale test values; w: sorted rank-scale control values
+def _rank_table(statistics: StatisticSet):
+    """ecdf_counts with the rank (1 + c) / (1 + m) of each row.
+
+    A statistic's rank is the rank of its row, and the rank grows with
+    c, so the rows at or below any lambda form a prefix of the table.
+    """
+    t, c, r = ecdf_counts(statistics)
+    return t, c, r, (1.0 + c) / (1.0 + statistics.m)
+
+
+def _pi_hat(n, m, c, r, rank, lam):
     if lam == 1.0:
         return 1.0
-    r_lam = int(np.sum(u <= lam))
-    v_lam = int(np.searchsorted(w, lam, side="right"))
+    # the last row of the prefix with rank <= lam counts R and V_nc there
+    k = int(np.searchsorted(rank, lam, side="right"))
+    r_lam, v_lam = (int(r[k - 1]), int(c[k - 1])) if k else (0, 0)
     if v_lam >= m:
         return float("inf")
     return (n + 1 - r_lam) / n * (m + 1) / (m - v_lam)
@@ -169,10 +170,8 @@ def pi_hat(statistics: StatisticSet, lam: float) -> float:
     a guard for degenerate inputs.
     """
     _check_lambda(lam)
-    if lam == 1.0:
-        return 1.0
-    _, u, w = _rank_scale(statistics)
-    return _pi_hat(statistics.n, statistics.m, u, w, lam)
+    _, c, r, rank = _rank_table(statistics)
+    return _pi_hat(statistics.n, statistics.m, c, r, rank, lam)
 
 
 def _fdr_hat(pi, n, m, v, r):
@@ -202,36 +201,35 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
     q due to discreteness; at the reported tau it never does.
     """
     _check_lambda(lam)
-    if not (0 < q < 1):
-        raise DataError("q must lie strictly between 0 and 1")
+    _check_level(q, "q")
     n, m = statistics.n, statistics.m
-    counts, u, w = _rank_scale(statistics)
-    pi = _pi_hat(n, m, u, w, lam)
+    t, c, r, rank = _rank_table(statistics)
+    pi = _pi_hat(n, m, c, r, rank, lam)
     diagnostics = []
     if not np.isfinite(pi):
         diagnostics.append(
             "estimated null proportion is infinite; nothing can be rejected"
         )
 
-    cand_counts = np.unique(counts[u <= lam])
+    # the last row of each run of equal c holds R at that rank; a run
+    # whose R grows holds a test, so its c is a candidate count
+    ends = np.flatnonzero(np.diff(c, append=m + 1))
+    ends = ends[(np.diff(r[ends], prepend=0) > 0) & (rank[ends] <= lam)]
     tau = tau_stat = None
     rejected = np.empty(0, dtype=np.intp)
-    if cand_counts.size and np.isfinite(pi):
-        cand_u = (1.0 + cand_counts) / (1.0 + m)
-        r_at = counts_at_or_below(u, cand_u)
-        k = _step_prefix(_fdr_hat(pi, n, m, cand_counts, r_at), q, step_up=True)
+    if ends.size and np.isfinite(pi):
+        k = _step_prefix(_fdr_hat(pi, n, m, c[ends], r[ends]), q, step_up=True)
         if k:
-            tau = float(cand_u[k - 1])
-            rejected = np.flatnonzero(u <= tau)
+            tau = float(rank[ends[k - 1]])
+            rejected = np.flatnonzero(statistics.investigation <= t[ends[k - 1]])
             tau_stat = float(np.max(statistics.investigation[rejected]))
     if tau is None and not diagnostics:
         diagnostics.append("no threshold with estimated FDR <= q; nothing rejected")
 
     curve = None
     if np.isfinite(pi):
-        pooled, v_t, r_t = ecdf_counts(statistics)
         left = float(_fdr_hat(pi, n, m, 0, 0))
-        curve = StepCurve(pooled, _fdr_hat(pi, n, m, v_t, r_t), left)
+        curve = StepCurve(t, _fdr_hat(pi, n, m, c, r), left)
 
     return FdrStepupResult(
         tau=tau,

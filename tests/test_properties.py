@@ -18,7 +18,7 @@ from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import _step_prefix, permutation_global  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows  # noqa: E402
-from nctest.stepup import _rank_scale  # noqa: E402
+from nctest.stepup import pi_hat  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -203,16 +203,43 @@ def test_neighborhood_threshold_matches_window_loop(tests, controls, lam):
             assert res.rejected == below
 
 
-@settings(max_examples=150, deadline=None)
-@given(tests=_tied_values, controls=_tied_values)
-def test_rank_scale_matches_separate_counts(tests, controls):
+def _brute_stepup(tests, controls, lam, q):
+    """tau, tau_statistic, pi_hat and rejected positions by direct comparison."""
+    n, m = len(tests), len(controls)
+    below = [sum(c <= x for c in controls) for x in tests]  # V_nc at each test
+    u = [(1.0 + v) / (1.0 + m) for v in below]
+    pi = 1.0
+    if lam != 1.0:
+        r_lam = sum(x <= lam for x in u)
+        v_lam = sum((1.0 + sum(d <= c for d in controls)) / (1.0 + m) <= lam for c in controls)
+        pi = math.inf if v_lam >= m else (n + 1 - r_lam) / n * (m + 1) / (m - v_lam)
+    passing = [
+        u[i] for i in range(n)
+        if u[i] <= lam and math.isfinite(pi)
+        and pi * n * (below[i] + 2.0) / ((m + 1.0) * max(sum(x <= u[i] for x in u), 1)) <= q
+    ]
+    if not passing:
+        return None, None, pi, []
+    tau = max(passing)
+    rejected = [i for i in range(n) if u[i] <= tau]
+    return tau, max(tests[i] for i in rejected), pi, rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(tests=_tied_values, controls=_tied_values, shift=st.sampled_from([0.0, 3.0]),
+       lam=st.sampled_from([1.0, 0.5]) | st.floats(0.0, 1.0, exclude_min=True),
+       q=st.floats(0.01, 0.99))
+# no control lies between -1.5 and -1.0, so they share a rank and R counts both
+@example(tests=[-1.5, -1.0] * 6, controls=[2.0] * 12, shift=0.0, lam=1.0, q=0.2)
+def test_stepup_matches_brute_force_formula(tests, controls, shift, lam, q):
+    # shifted controls sit above most tests, so something is rejected
+    controls = [c + shift for c in controls]
     s = make_statistic_set(np.array(tests), np.array(controls))
-    counts, u, w = _rank_scale(s)
-    m = s.m
-    assert counts.tobytes() == counts_at_or_below(s.negative_controls, s.investigation).tobytes()
-    assert u.tobytes() == ((1.0 + counts) / (1.0 + m)).tobytes()
-    own = counts_at_or_below(s.negative_controls, s.negative_controls)
-    assert w.tobytes() == np.sort((1.0 + own) / (1.0 + m)).tobytes()
+    res = stepup_threshold(s, lam, q)
+    tau, tau_statistic, pi, rejected = _brute_stepup(tests, controls, lam, q)
+    assert (res.tau, res.tau_statistic, res.pi_hat) == (tau, tau_statistic, pi)
+    assert res.rejected_positions.tolist() == rejected
+    assert pi_hat(s, lam) == pi
 
 
 def _argsort_fdp_tpr(p, q, null_mask):
