@@ -13,12 +13,11 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
-from nctest import localfdr_curve, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
+from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import _step_prefix, permutation_global  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows  # noqa: E402
-from nctest.stepup import pi_hat  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
