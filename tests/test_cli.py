@@ -495,6 +495,25 @@ def test_simulate_simes_perm(capsys):
     assert set(payload["reject_rates"]) == {"25", "500"}
 
 
+def test_simulate_simes_perm_pinned(tmp_path):
+    out = tmp_path / "simes.csv"
+    args = ["simulate", "--preset", "simes-perm", "--reps", "2000", "--seed", "0"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "a0f99b323c5a525de9e38d0b60da1951f002e3b52d6352caa0f6774a3ae182a8"
+    )
+
+
+@pytest.mark.parametrize("reps, seed, rate", [(40, 9001, 0.05), (200, 0, 0.085)])
+def test_simulate_b2_chi2_rate_pinned(capsys, reps, seed, rate):
+    # the chi-square rate reads only the observed pools, not the permutation null
+    payload = _payload(
+        capsys, ["simulate", "--preset", "b2", "--reps", str(reps), "--seed", str(seed)]
+    )
+    assert payload["chi2_reject_rate"] == rate
+
+
 def test_simulate_b2(capsys):
     payload = _payload(
         capsys, ["simulate", "--preset", "b2", "--reps", "20"], schema="simulate"
