@@ -1,17 +1,17 @@
-"""Small shared helpers: RNG streams, thread budget, JSON float lists."""
+"""Small shared helpers: RNG streams, JSON float lists, the NCTEST_THREADS setting."""
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 
 def thread_count() -> int:
-    """Worker threads for embarrassingly parallel sweeps.
+    """The thread count that the NCTEST_THREADS environment variable names.
 
-    Controlled by the NCTEST_THREADS environment variable: unset means
-    one thread per available CPU; a set value must be an integer of at
-    least 1, otherwise ValueError is raised.
+    Nothing in nctest runs threads of its own; bench/run.py records this
+    value with its environment.  Unset means one per available CPU; a
+    set value must be an integer of at least 1, otherwise ValueError is
+    raised.
     """
     raw = os.environ.get("NCTEST_THREADS")
     if raw is None:
@@ -24,20 +24,9 @@ def thread_count() -> int:
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent generator for replication `rep` of a run seeded by `seed`.
 
-    Streams depend only on (seed, rep), never on scheduling, so results
-    are identical for any thread count.
+    Streams depend only on (seed, rep).
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
-def map_reps(worker, n_reps: int) -> list:
-    """Run worker(rep) for rep in range(n_reps) on thread_count() threads,
-    results ordered by rep."""
-    threads = thread_count()
-    if threads <= 1 or n_reps <= 1:
-        return [worker(r) for r in range(n_reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_reps)))
 
 
 def float_list(values) -> list:

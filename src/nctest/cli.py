@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, svg
-from ._util import float_list, thread_count
+from ._util import float_list
 from .data import load_csv
 from .errors import DataError
 from .localfdr import cdf_threshold, localfdr_curve
@@ -412,10 +412,6 @@ def _power_rows(curves: dict):
 
 
 def cmd_simulate(ns, manifest) -> Report:
-    try:
-        thread_count()  # the b2 preset's worker pool reads NCTEST_THREADS
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     preset = ns.preset
     seed = ns.seed
     if preset == "table1":

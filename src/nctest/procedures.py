@@ -248,29 +248,42 @@ def _subset_masks(rng, b: int, size: int, n_test: int) -> np.ndarray:
     """b random n_test-subsets of the sorted pool positions, as masks.
 
     Row r holds the positions of the n_test smallest of `size` uniform
-    keys.  The keys are drawn in blocks of rows; consecutive rng.random
-    calls continue one stream, so the masks do not depend on the block.
+    keys drawn by one rng.random call.
     """
+    cut = np.argpartition(rng.random((b, size)), n_test - 1, axis=1)[:, :n_test]
     masks = np.zeros((b, size), dtype=bool)
-    rows = max(1, _BLOCK_ELEMENTS // size)
-    for start in range(0, b, rows):
-        keys = rng.random((min(rows, b - start), size))
-        cut = np.argpartition(keys, n_test - 1, axis=1)[:, :n_test]
-        np.put_along_axis(masks[start:start + len(keys)], cut, True, axis=1)
+    np.put_along_axis(masks, cut, True, axis=1)
     return masks
 
 
-def _count_extreme(samples: np.ndarray, observed: float, direction: str) -> int:
-    """Samples at least as extreme as observed in `direction`.
+def _random_null(rng, b: int, size: int, n_test: int, stat_rows) -> np.ndarray:
+    """stat_rows of b random relabelings of a pool of `size` without ties.
+
+    Draws _subset_masks block by block.  Consecutive rng.random calls
+    continue one stream, so the samples equal those of one (b, size)
+    draw, while working memory stays at one block.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // size)
+    return np.concatenate([
+        stat_rows(_mask_pvalues(_subset_masks(rng, min(rows, b - start), size, n_test)))
+        for start in range(0, b, rows)
+    ])
+
+
+def _count_extreme(samples: np.ndarray, observed, direction: str):
+    """Samples at least as extreme as each observed value in `direction`.
 
     Values within a relative 1e-12 of observed count as ties, hence as
     extreme: statistics equal in exact arithmetic (Fisher's sum of logs
-    of equal products, say) can differ in the last bits.
+    of equal products, say) can differ in the last bits.  The samples
+    are sorted once, and each count is one searchsorted.
     """
-    tol = 1e-12 * abs(observed)
+    observed = np.asarray(observed, dtype=float)
+    tol = 1e-12 * np.abs(observed)
+    ordered = np.sort(samples)
     if direction == "small":
-        return int(np.sum(samples <= observed + tol))
-    return int(np.sum(samples >= observed - tol))
+        return np.searchsorted(ordered, observed + tol, side="right")
+    return ordered.size - np.searchsorted(ordered, observed - tol, side="left")
 
 
 def _mask_pvalues(masks: np.ndarray, tie_end: np.ndarray | None = None) -> np.ndarray:
@@ -357,6 +370,6 @@ def permutation_global(
         [stat_rows(_mask_pvalues(masks, tie_end)) for masks in _mask_blocks(subsets, n + m, n)]
     )
     observed, samples = float(computed[0]), computed[1:]
-    extreme = _count_extreme(samples, observed, direction)
+    extreme = int(_count_extreme(samples, observed, direction))
     p_value = extreme / total if exact else (1 + extreme) / (1 + B)
     return PermutationResult(p_value, samples, observed)

@@ -12,8 +12,7 @@ test); and a permutation diagnostic for the Simes statistic.
 Every replication uses its own counter-derived RNG stream, so results
 depend only on the seed.  A study draws each stream's normals once, and
 every cell of the study (or point of a power curve) reads a prefix of
-them.  The Fisher demonstration, the one study run on worker threads,
-gives the same numbers for any thread count.
+them.
 """
 
 import math
@@ -21,14 +20,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import map_reps, rep_rng
+from ._util import rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
 from .errors import DataError
 from .procedures import (
+    _check_level,
     _count_extreme,
     _mask_pvalues,
+    _random_null,
     _step_prefix,
-    _subset_masks,
     fisher_global_statistic,
     simes_statistic,
 )
@@ -359,31 +359,37 @@ def fisher_miscalibration_demo(
     n: int = 400,
     m: int = 400,
     reps: int = 1000,
-    b: int = 1000,
     seed: int = 0,
     alpha: float = 0.05,
 ):
     """Global-null rejection rates of Fisher's combination statistic.
 
-    The chi-square reference treats the rank-based p-values as
-    independent uniforms, which they are not; the permutation
-    calibration stays at the nominal level.
+    Replication r pools n tests and m controls, the normals of stream
+    (seed, r), and returns (chi2 rate, permutation rate).  The
+    chi-square reference treats the rank-based p-values as independent
+    uniforms, which they are not, so its rate is liberal.
+
+    The pools have no ties, so the statistic depends only on which
+    pooled positions hold tests, and its permutation null is the same
+    for every replication.  One sample of b = 20 * reps random
+    relabelings from stream (seed, reps) serves them all; replication r
+    has p = (1 + #{null >= observed_r}) / (b + 1).  Each such p-value
+    is valid, because the observed relabeling is exchangeable with the
+    null draws.  Sharing the null adds about alpha(1-alpha)/b to the
+    rate's Monte-Carlo variance; b = 20 * reps makes that term 5% of
+    the alpha(1-alpha)/reps of independent replications.
     """
+    if min(n, m, reps) < 1:
+        raise DataError("need n, m and reps of at least 1")
+    _check_level(alpha, "alpha")
     from scipy.special import chdtrc
 
-    def one_rep(rep):
-        rng = rep_rng(seed, rep)
-        pool = rng.normal(size=n + m)
-        order = np.argsort(pool, kind="stable")
-        obs_mask = (order < n)[None, :]
-        obs = fisher_global_statistic(_mask_pvalues(obs_mask))[0]
-        chi2_reject = chdtrc(2 * n, obs) < alpha
-        perm = fisher_global_statistic(_mask_pvalues(_subset_masks(rng, b, n + m, n)))
-        p_perm = (1.0 + _count_extreme(perm, obs, "large")) / (b + 1.0)
-        return chi2_reject, p_perm <= alpha
-
-    flags = np.asarray(map_reps(one_rep, reps), dtype=float)
-    return float(flags[:, 0].mean()), float(flags[:, 1].mean())
+    masks = np.argsort(_normals(seed, reps, n + m), axis=1, kind="stable") < n
+    observed = fisher_global_statistic(_mask_pvalues(masks))
+    b = 20 * reps
+    null = _random_null(rep_rng(seed, reps), b, n + m, n, fisher_global_statistic)
+    p_perm = (1.0 + _count_extreme(null, observed, "large")) / (b + 1.0)
+    return float(np.mean(chdtrc(2 * n, observed) < alpha)), float(np.mean(p_perm <= alpha))
 
 
 def simes_permutation_diagnostic(
@@ -397,9 +403,12 @@ def simes_permutation_diagnostic(
     subset masks sample it directly.  Small control pools make the
     statistic too coarse for the uniform approximation to hold.
     """
+    m_values = [int(m) for m in m_values]
+    if min(n, b, *m_values) < 1:
+        raise DataError("need n, b and every m of at least 1")
+    _check_level(alpha, "alpha")
     rates = {}
     for m in m_values:
-        rng = rep_rng(seed, int(m))
-        samples = simes_statistic(_mask_pvalues(_subset_masks(rng, b, n + int(m), n)))
-        rates[int(m)] = float(np.mean(samples <= alpha))
+        samples = _random_null(rep_rng(seed, m), b, n + m, n, simes_statistic)
+        rates[m] = float(np.mean(samples <= alpha))
     return rates

@@ -514,6 +514,17 @@ def test_simulate_b2_chi2_rate_pinned(capsys, reps, seed, rate):
     assert payload["chi2_reject_rate"] == rate
 
 
+def test_simulate_b2_benchmark_setting_pinned(tmp_path):
+    # the b2 setting of the permutation benchmark workload
+    out = tmp_path / "b2.csv"
+    args = ["simulate", "--preset", "b2", "--reps", "40", "--seed", "9001"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "2d7124825bf8718c13833425e9ac68c2eae4beaad4ed6f407fd014959f5965b7"
+    )
+
+
 def test_simulate_b2(capsys):
     payload = _payload(
         capsys, ["simulate", "--preset", "b2", "--reps", "20"], schema="simulate"
@@ -566,13 +577,6 @@ def test_missing_controls_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["analyze", "--in", str(path)])
     assert code == 2
     assert "negative controls" in err
-
-
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("NCTEST_THREADS", "zero")
-    code, _, err = _run(capsys, ["simulate", "--preset", "simes-perm", "--reps", "50"])
-    assert code == 1
-    assert "NCTEST_THREADS" in err
 
 
 def test_console_script_runs():

@@ -6,6 +6,9 @@ import pytest
 
 from nctest import DataError, make_statistic_set
 from nctest.procedures import (
+    _BLOCK_ELEMENTS,
+    _mask_pvalues,
+    _random_null,
     _subset_masks,
     bh,
     bonferroni_global,
@@ -259,14 +262,25 @@ def test_permutation_fisher_counts_equal_products_as_ties():
 
 
 def test_subset_masks_match_full_argsort():
-    # the blocked argpartition draws the same keys and picks the same
-    # subsets as one argsort of the whole (b, size) key matrix
+    # the argpartition picks the same subsets as one argsort of the
+    # whole (b, size) key matrix
     for b, size, n_test in ((1000, 300, 7), (5, 40, 40), (3, 70_000, 1)):
         keys = np.random.default_rng(8).random((b, size))
         want = np.zeros((b, size), dtype=bool)
         np.put_along_axis(want, np.argsort(keys, axis=1)[:, :n_test], True, axis=1)
         got = _subset_masks(np.random.default_rng(8), b, size, n_test)
         np.testing.assert_array_equal(got, want)
+
+
+def test_random_null_matches_one_shot_sample():
+    # block-wise draws continue one stream, so the statistics equal those
+    # of the masks of one (b, size) draw
+    for b, size, n_test in ((1000, 300, 7), (50, 2000, 40), (3, 70_000, 2)):
+        assert b > _BLOCK_ELEMENTS // size  # more than one block
+        for stat_rows in (fisher_global_statistic, simes_statistic):
+            masks = _subset_masks(np.random.default_rng(8), b, size, n_test)
+            got = _random_null(np.random.default_rng(8), b, size, n_test, stat_rows)
+            np.testing.assert_array_equal(got, stat_rows(_mask_pvalues(masks)))
 
 
 def test_permutation_exact_matches_monte_carlo():

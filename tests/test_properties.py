@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
-from nctest.procedures import _step_prefix, permutation_global  # noqa: E402
+from nctest.procedures import _count_extreme, _step_prefix, permutation_global  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows  # noqa: E402
 
@@ -304,3 +304,40 @@ def test_permutation_exact_agrees_with_monte_carlo(tests, controls, statistic):
     mean = (1 + _MC_DRAWS * exact) / (1 + _MC_DRAWS)
     se = math.sqrt(_MC_DRAWS * exact * (1 - exact)) / (1 + _MC_DRAWS)
     assert abs(mc - mean) <= 3 * se, (exact, mc, se)
+
+
+# a few repeated values make exact ties between samples and observed values
+_statistic_values = st.one_of(
+    st.sampled_from([0.0, 1.0, -2.5, 7.25]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def _samples_and_observed(draw):
+    samples = np.array(draw(st.lists(_statistic_values, min_size=1, max_size=40)))
+    # a sample itself, moved by a relative offset inside or outside the 1e-12 tolerance
+    picks = draw(st.lists(st.tuples(
+        st.integers(0, samples.size - 1),
+        st.sampled_from([0.0, 5e-13, -5e-13, 2e-12, -2e-12]),
+    ), max_size=10))
+    free = draw(st.lists(_statistic_values, max_size=5))
+    observed = [samples[i] * (1.0 + offset) for i, offset in picks] + free
+    return samples, np.array(observed or [0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_samples_and_observed())
+@example(data=(np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0 + 5e-13, 1.0 - 5e-13, 2.0])))
+def test_count_extreme_matches_brute_force(data):
+    samples, observed = data
+    for direction in ("small", "large"):
+        got = _count_extreme(samples, observed, direction)
+        for k, obs in enumerate(observed):
+            tol = 1e-12 * abs(obs)
+            if direction == "small":
+                want = np.sum(samples <= obs + tol)
+            else:
+                want = np.sum(samples >= obs - tol)
+            assert got[k] == want
+            assert _count_extreme(samples, obs, direction) == want

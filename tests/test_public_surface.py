@@ -51,7 +51,7 @@ PUBLIC_PARAMETERS = {
     "falsify_subgroups": "statistics",
     "fdr_hat": "statistics lam t",
     "fisher_global_statistic": "p",
-    "fisher_miscalibration_demo": "n m reps b seed alpha",
+    "fisher_miscalibration_demo": "n m reps seed alpha",
     "fit_efron": "statistics source bins degree",
     "fit_mad1": "statistics source",
     "fit_mad2": "statistics source",

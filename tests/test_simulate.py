@@ -261,15 +261,6 @@ def test_rank_method_controls_fdr_all_cells():
         assert rep.methods["bh_ranc"]["fdr"] <= 0.2 + 3 * se
 
 
-def test_determinism_across_thread_counts(monkeypatch):
-    # fisher_miscalibration_demo is the one study that runs on a worker pool
-    rates = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("NCTEST_THREADS", threads)
-        rates.append(fisher_miscalibration_demo(n=30, m=30, reps=12, b=50, seed=14))
-    assert rates[0] == rates[1]
-
-
 def test_thread_count_setting(monkeypatch):
     monkeypatch.delenv("NCTEST_THREADS", raising=False)
     assert thread_count() >= 1
@@ -373,12 +364,20 @@ def test_fisher_miscalibration_direction():
     # the statistic is rank-only, so the true chi-square rejection rate
     # at n=m=400 is a constant (about 0.09, measured at 1e5 samples);
     # assert significant liberality rather than a point value
-    chi2_rate, perm_rate = fisher_miscalibration_demo(
-        n=400, m=400, reps=1200, b=150, seed=19
-    )
+    chi2_rate, perm_rate = fisher_miscalibration_demo(n=400, m=400, reps=1200, seed=19)
     se = np.sqrt(0.05 * 0.95 / 1200)
     assert chi2_rate >= 0.05 + 3 * se
     assert abs(perm_rate - 0.05) <= 3 * se
+
+
+def test_permutation_studies_reject_bad_sizes():
+    for kwargs in ({"reps": 0}, {"n": 0}, {"m": 0}, {"alpha": 1.5}, {"alpha": -1}):
+        with pytest.raises(DataError):
+            fisher_miscalibration_demo(**kwargs)
+    for kwargs in ({"b": 0}, {"n": 0}, {"m_values": (0,)}, {"m_values": (25, 0)},
+                   {"alpha": 1.5}, {"alpha": -1}):
+        with pytest.raises(DataError):
+            simes_permutation_diagnostic(**kwargs)
 
 
 def test_simes_permutation_diagnostic_levels():
