@@ -1,8 +1,10 @@
-"""Small shared helpers: RNG streams, JSON float lists, the NCTEST_THREADS setting."""
+"""Small shared helpers: RNG streams and their seeds, JSON float lists, the NCTEST_THREADS setting."""
 
 import os
 
 import numpy as np
+
+from .errors import DataError
 
 
 def thread_count() -> int:
@@ -19,6 +21,12 @@ def thread_count() -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"NCTEST_THREADS must be an integer of at least 1, got {raw!r}")
     return int(raw)
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise DataError for a negative seed, which numpy's SeedSequence refuses."""
+    if seed < 0:
+        raise DataError(f"{name} must be non-negative")
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:

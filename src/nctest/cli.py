@@ -4,7 +4,8 @@ Subcommands run analyses on user CSVs (analyze, stepup, localfdr,
 null-fit, falsify, permtest) or canned simulation studies (simulate).
 Results go to stdout as JSON, or into --out as a bundle of JSON, CSV
 and optional SVG.  Every output embeds or references a run manifest so
-a report can be traced back to the exact invocation.
+a report can be traced back to the exact invocation.  Every JSON payload
+lists, under "warnings", the messages the library raised while computing it.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .simulate import (
 from .stepup import stepup_threshold
 
 # layout version of every JSON payload, pinned by the schemas in nctest/schemas
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 PRESETS = ("table1", "power-vs-m", "power-vs-m-weak", "b1", "b2", "simes-perm")
 _ORIENTATION = {"small": "small_is_significant", "large": "large_is_significant"}
 _SOURCE_ALIASES = {
@@ -235,7 +237,6 @@ def cmd_analyze(ns, manifest) -> Report:
         "pvalue_kind": p.kind,
         "pvalues": dict(zip(p.ids, pvalues)),
         "result": outcome,
-        "warnings": list(p.warnings),
     }
     header = ("id", "statistic", "pvalue", "rejected")
     # p follows the investigation rows, so the columns line up by position
@@ -595,7 +596,12 @@ def main(argv=None) -> int:
         if getattr(ns, "plots", "none") == "svg" and getattr(ns, "out", None) is None:
             raise UsageError("--plots svg requires --out")
         manifest = build_manifest(ns.subcommand, ns)
-        report = ns.func(ns, manifest)
+        # the library reports problems only as warnings; recording them is process-global,
+        # which is safe because nctest runs on one thread
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = ns.func(ns, manifest)
+        report.payload["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
         _emit(report, manifest, ns)
         return 0
     except UsageError as exc:

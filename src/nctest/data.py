@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import check_seed
 from .errors import DataError
 
 ORIENTATIONS = ("small_is_significant", "large_is_significant")
@@ -271,6 +272,7 @@ def with_jitter(statistics: StatisticSet, seed: int) -> StatisticSet:
     pooled values, so the relative order of distinct values cannot
     change while exact ties split uniformly at random.
     """
+    check_seed(seed)
     values = np.concatenate([statistics.investigation, statistics.negative_controls])
     distinct = np.unique(values)
     if distinct.size > 1:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import rep_rng
+from ._util import check_seed, rep_rng
 from .data import StatisticSet
 from .errors import DataError
 from .ranc import PValueVector
@@ -345,6 +345,7 @@ def permutation_global(
     """
     if B < 1:
         raise DataError("B must be at least 1")
+    check_seed(seed)
     try:
         stat_rows, direction = _STATISTICS[statistic]
     except KeyError:

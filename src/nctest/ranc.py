@@ -14,6 +14,7 @@ package implicitly uses.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ class PValueVector:
     values: np.ndarray
     ids: tuple
     kind: str
-    warnings: tuple = ()
 
     def __post_init__(self):
         if self.kind not in PVALUE_KINDS:
@@ -105,17 +105,16 @@ def _pvalue_vector(statistics: StatisticSet, kind: str, shift: float) -> PValueV
     below = np.searchsorted(nc_sorted, statistics.investigation, side="right")
     strictly = np.searchsorted(nc_sorted, statistics.investigation, side="left")
     tied = int(np.count_nonzero(below > strictly))
-    warnings = ()
     if tied:
-        warnings = (
+        warnings.warn(
             f"{tied} investigation value(s) exactly tie a negative control; "
             "ties counted as below-or-equal (use with_jitter for a random break)",
+            RuntimeWarning, stacklevel=3,  # points at the caller of ranc_pvalues
         )
     return PValueVector(
         values=_rank_pvalues(below, statistics.m, shift),
         ids=statistics.investigation_ids,
         kind=kind,
-        warnings=warnings,
     )
 
 
@@ -124,7 +123,7 @@ def ranc_pvalues(statistics: StatisticSet) -> PValueVector:
 
     Order preserving: T_i <= T_k implies p_i <= p_k.  Each value lies on
     the grid {1/(m+1), ..., 1}.  Exact cross ties are counted as
-    below-or-equal and flagged in the result's warnings.
+    below-or-equal, and a RuntimeWarning gives their number.
     """
     return _pvalue_vector(statistics, "ranc", 1.0)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import rep_rng
+from ._util import check_seed, rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
 from .errors import DataError
 from .procedures import (
@@ -83,8 +83,7 @@ class SimConfig:
             raise DataError("need at least one negative control")
         if self.reps < 1:
             raise DataError("need at least one replication")
-        if self.seed < 0:
-            raise DataError("seed must be non-negative")
+        check_seed(self.seed)
         for name in ("rho", "mu_null", "mu_alt"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite")
@@ -187,6 +186,7 @@ def _uniforms(config: SimConfig, normals: np.ndarray) -> np.ndarray:
 
 def generate_emn(config: SimConfig, rep_seed: int):
     """One replication of the equicorrelated normal model."""
+    check_seed(rep_seed, "rep_seed")
     normals = rep_rng(config.seed, rep_seed).normal(size=config.n + config.m + 1)
     t = _uniforms(config, normals)
     n = config.n
@@ -299,46 +299,32 @@ def power_vs_m(config: SimConfig, m_grid) -> dict:
 
 def rule_of_thumb_m(n: int, n1: int, q: float, factor: float = 2.0) -> int:
     """Smallest recommended control-pool size for a target power gap."""
-    if n < 1 or n1 < 1 or not 0 < q < 1 or factor <= 0:
+    if n < 1 or n1 < 1 or not 0 < q < 1 or not factor > 0:
         raise DataError("need n >= 1, 1 <= n1, 0 < q < 1, factor > 0")
     return int(math.ceil(factor * n / (q * n1)))
-
-
-def _beta12_cdf(t):
-    return 1.0 - (1.0 - t) ** 2
 
 
 def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int = 0):
     """Conditional probabilities showing rank-based p-values are not PRDS.
 
-    Two independent uniform investigation statistics share two
-    Beta(1,2) controls; returns (P(p2=1 | p1=1/3), P(p2=1 | p1=2/3)).
-    The first exceeds the second, so a larger p1 can make the extreme
-    p2 value less likely.  method "mc" estimates both from `draws`
-    Monte-Carlo draws and raises DataError when a conditioning event
-    (p1 = 1/3 or p1 = 2/3) has no draws.
+    Two independent uniform investigation statistics share two Beta(1,2)
+    controls, CDF F(t) = 1 - (1-t)^2; returns (P(p2=1 | p1=1/3),
+    P(p2=1 | p1=2/3)).  The first exceeds the second, so a larger p1 can
+    make the extreme p2 value less likely.
+
+    method "exact" returns the closed form.  p1 = 1/3 (2/3) says two
+    (one) controls exceed T1 and p2 = 1 that none exceeds T2, so T1 < T2:
+    P(p1=1/3) = int (1-F)^2 = 1/5, P(p1=2/3) = int 2F(1-F) = 4/15, and
+    over t1 < t2, P(p1=1/3, p2=1) = int (F(t2)-F(t1))^2 = 4/45 and
+    P(p1=2/3, p2=1) = int 2F(t1)(F(t2)-F(t1)) = 1/9; the ratios are 4/9
+    and 5/12.  method "mc" estimates both from `draws` Monte-Carlo draws
+    and raises DataError when a conditioning event has no draws.
     """
     if method == "exact":
-        from scipy import integrate
-
-        cdf = _beta12_cdf
-        joint_low, _ = integrate.dblquad(
-            lambda t2, t1: (cdf(t2) - cdf(t1)) ** 2, 0.0, 1.0, lambda t1: t1, 1.0
-        )
-        marg_low, _ = integrate.quad(lambda t: (1.0 - cdf(t)) ** 2, 0.0, 1.0)
-        joint_mid, _ = integrate.dblquad(
-            lambda t2, t1: 2.0 * cdf(t1) * (cdf(t2) - cdf(t1)),
-            0.0,
-            1.0,
-            lambda t1: t1,
-            1.0,
-        )
-        marg_mid, _ = integrate.quad(
-            lambda t: 2.0 * cdf(t) * (1.0 - cdf(t)), 0.0, 1.0
-        )
-        return joint_low / marg_low, joint_mid / marg_mid
+        return 4 / 9, 5 / 12
     if method != "mc":
         raise DataError(f"unknown method {method!r}")
+    check_seed(seed)
     rng = rep_rng(seed, 0)
     t1, t2 = rng.uniform(size=(2, draws))
     c1, c2 = rng.beta(1.0, 2.0, size=(2, draws))
@@ -382,6 +368,7 @@ def fisher_miscalibration_demo(
     if min(n, m, reps) < 1:
         raise DataError("need n, m and reps of at least 1")
     _check_level(alpha, "alpha")
+    check_seed(seed)
     from scipy.special import chdtrc
 
     masks = np.argsort(_normals(seed, reps, n + m), axis=1, kind="stable") < n
@@ -407,6 +394,7 @@ def simes_permutation_diagnostic(
     if min(n, b, *m_values) < 1:
         raise DataError("need n, b and every m of at least 1")
     _check_level(alpha, "alpha")
+    check_seed(seed)
     rates = {}
     for m in m_values:
         samples = _random_null(rep_rng(seed, m), b, n + m, n, simes_statistic)

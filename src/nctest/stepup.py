@@ -92,7 +92,7 @@ class StepCurve:
 
 @dataclass(frozen=True, eq=False)
 class FdrStepupResult:
-    """Threshold, rejections and diagnostics of the FDR step-up rule.
+    """Threshold and rejections of the FDR step-up rule.
 
     tau is the rank-scale threshold (a p-value cutoff in (0,1], None if
     nothing is rejected); tau_statistic is the corresponding raw
@@ -110,7 +110,6 @@ class FdrStepupResult:
     lam: float
     q: float
     fdr_curve: StepCurve | None
-    diagnostics: tuple = ()
 
     @property
     def n_rejected(self) -> int:
@@ -129,7 +128,6 @@ class FdrStepupResult:
             "q": self.q,
             "n_rejected": self.n_rejected,
             "rejected_ids": sorted(self.rejected),
-            "diagnostics": list(self.diagnostics),
             "fdr_curve": self.fdr_curve.to_dict() if self.fdr_curve else None,
         }
 
@@ -183,9 +181,11 @@ def _fdr_hat(pi, n, m, v, r):
 def fdr_hat(statistics: StatisticSet, lam: float, t: float) -> float:
     """Estimated FDR of the rule "reject every T_i <= t".
 
-    t is on the internal statistic scale; lam on the rank scale.
-    May exceed 1; propagates an infinite pi_hat.
+    t is on the internal statistic scale (NaN refused); lam on the rank
+    scale.  May exceed 1; propagates an infinite pi_hat.
     """
+    if np.isnan(t):
+        raise DataError("t must not be NaN")
     _, v_t, r_t = ecdf_counts(statistics, [t])
     return float(_fdr_hat(pi_hat(statistics, lam), statistics.n, statistics.m, v_t, r_t)[0])
 
@@ -205,11 +205,6 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
     n, m = statistics.n, statistics.m
     t, c, r, rank = _rank_table(statistics)
     pi = _pi_hat(n, m, c, r, rank, lam)
-    diagnostics = []
-    if not np.isfinite(pi):
-        diagnostics.append(
-            "estimated null proportion is infinite; nothing can be rejected"
-        )
 
     # the last row of each run of equal c holds R at that rank; a run
     # whose R grows holds a test, so its c is a candidate count
@@ -223,8 +218,6 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
             tau = float(rank[ends[k - 1]])
             rejected = np.flatnonzero(statistics.investigation <= t[ends[k - 1]])
             tau_stat = float(np.max(statistics.investigation[rejected]))
-    if tau is None and not diagnostics:
-        diagnostics.append("no threshold with estimated FDR <= q; nothing rejected")
 
     curve = None
     if np.isfinite(pi):
@@ -240,7 +233,6 @@ def stepup_threshold(statistics: StatisticSet, lam: float = 1.0, q: float = 0.1)
         lam=lam,
         q=q,
         fdr_curve=curve,
-        diagnostics=tuple(diagnostics),
     )
 
 

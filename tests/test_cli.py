@@ -132,21 +132,23 @@ def test_bundle_bytes_pinned(capsys, tied_csv, tmp_path, name):
 
 
 _TIED_REJECTED = ["t0", "t1", "t10", "t12", "t2", "t26", "t28", "t29", "t3", "t4", "t5", "t6", "t7"]
-_NOTHING = "no threshold with estimated FDR <= q; nothing rejected"
 
 
-# the threshold fields of the stepup JSON, pinned like the bundle bytes above
+# the threshold fields of the stepup JSON, pinned like the bundle bytes above;
+# "nothing rejected" is tau null with n_rejected 0, not a warning
 @pytest.mark.parametrize("lam, q, expected", [
     ("0.5", "0.2", (0.031746031746031744, -1.9, 0.8823529411764706, _TIED_REJECTED, [])),
     ("1", "0.2", (0.031746031746031744, -1.9, 1.0, _TIED_REJECTED, [])),
-    ("0.5", "0.05", (None, None, 0.8823529411764706, [], [_NOTHING])),
+    ("0.5", "0.05", (None, None, 0.8823529411764706, [], [])),
 ])
 def test_stepup_threshold_json_pinned(capsys, tied_csv, lam, q, expected):
-    result = _payload(
+    payload = _payload(
         capsys, ["stepup", "--in", tied_csv, "--lambda", lam, "--q", q], schema="stepup"
-    )["result"]
-    keys = ("tau", "tau_statistic", "pi_hat", "rejected_ids", "diagnostics")
-    assert tuple(result[k] for k in keys) == expected
+    )
+    result = payload["result"]
+    keys = ("tau", "tau_statistic", "pi_hat", "rejected_ids")
+    assert (*(result[k] for k in keys), payload["warnings"]) == expected
+    assert result["n_rejected"] == len(expected[3])
 
 
 def _refuse_constant(token):
@@ -188,11 +190,11 @@ def test_analyze_bh_matches_library(capsys, toy_csv):
 
 
 def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
-    # schema v2 leaves the audit out: the pvalues map and q determine it
+    # schema v2 left the audit out: the pvalues map and q determine it
     payload = _payload(
         capsys, ["analyze", "--in", tied_csv, "--procedure", "bh", "--q", "0.2"], schema="analyze"
     )
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     result = payload["result"]
     assert "audit" not in result
     pvalues, q = payload["pvalues"], result["parameters"]["q"]
@@ -231,22 +233,75 @@ def test_localfdr_json_columns_are_the_csv_rows(capsys, tied_csv, tmp_path):
 def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
     analyze = _payload(capsys, ["analyze", "--in", tied_csv, "--procedure", "bh"], "analyze")
     localfdr = _payload(capsys, ["localfdr", "--in", tied_csv, "--lambda", "1.0"], "localfdr")
+    stepup = _payload(capsys, ["stepup", "--in", tied_csv], "stepup")
     columns = localfdr["threshold"]["objective_at_candidates"]
     per_candidate = [{"t": t, "objective": v} for t, v in zip(columns["t"], columns["objective"])]
     unversioned = {k: v for k, v in analyze.items() if k != "schema_version"}
+    unwarned = {k: v for k, v in stepup.items() if k != "warnings"}
     for name, payload in [
         ("analyze", {**analyze, "result": {**analyze["result"], "audit": {"order": []}}}),
         ("analyze", {**analyze, "schema_version": 1}),
+        ("analyze", {**analyze, "schema_version": 2}),
         ("analyze", unversioned),
         ("localfdr", {**localfdr, "threshold": {**localfdr["threshold"],
                                                 "objective_at_candidates": per_candidate}}),
+        ("stepup", {**stepup, "result": {**stepup["result"], "diagnostics": []}}),
+        ("stepup", unwarned),
     ]:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, _schema(name))
     for name in ("analyze", "falsify", "localfdr", "null-fit", "permtest", "simulate", "stepup"):
         schema = _schema(name)
-        assert "schema_version" in schema["required"]
-        assert schema["properties"]["schema_version"] == {"const": 2}
+        assert {"schema_version", "warnings"} <= set(schema["required"])
+        assert schema["properties"]["schema_version"] == {"const": 3}
+        assert schema["properties"]["warnings"] == {"type": "array", "items": {"type": "string"}}
+
+
+_TIE_WARNING = ("{} investigation value(s) exactly tie a negative control; "
+                "ties counted as below-or-equal (use with_jitter for a random break)")
+
+
+@pytest.mark.parametrize("args", [
+    "analyze --in {toy} --procedure bh", "analyze --in {toy} --procedure stepup",
+    "stepup --in {toy}", "localfdr --in {toy} --q 0.2 --pi 0.8", "null-fit --in {toy}",
+    "permtest --in {toy} --reps 50", "falsify --in {rich}",
+    "simulate --preset table1 --reps 20", "simulate --preset power-vs-m --reps 20",
+    "simulate --preset b1 --reps 20000", "simulate --preset b2 --reps 20",
+    "simulate --preset simes-perm --reps 200",
+])
+def test_clean_runs_have_no_warnings(capsys, toy_csv, rich_csv, args):
+    # a stray numpy or scipy warning would show up here
+    payload = _payload(capsys, args.format(toy=toy_csv, rich=rich_csv).split())
+    assert payload["warnings"] == []
+
+
+def test_analyze_reports_ties_in_warnings(capsys, tied_csv):
+    code, out, err = _run(capsys, ["analyze", "--in", tied_csv, "--procedure", "bh"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["warnings"] == [_TIE_WARNING.format(21)]
+
+
+@pytest.fixture
+def zero_mad_csv(tmp_path):
+    # seven of ten differences in each role are exactly zero, so every MAD is zero
+    # and seven tests tie a control
+    lines = ["id,value,role,treatment,control"]
+    for role, prefix, step in (("test", "t", 0.5), ("nc", "c", 0.3)):
+        for k in range(10):
+            t = 1.0 if k < 7 else 1.0 + step * k
+            lines.append(f"{prefix}{k},{t - 1.0!r},{role},{t!r},1.0")
+    path = tmp_path / "zero_mad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_null_fit_warnings_reach_the_json_once_each(capsys, zero_mad_csv):
+    # every cell warns again; the payload keeps each message once, in first-seen order
+    code, out, err = _run(capsys, ["null-fit", "--in", zero_mad_csv])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("null-fit"))
+    assert payload["warnings"] == ["degenerate sample: MAD scale is zero", _TIE_WARNING.format(7)]
 
 
 def test_analyze_manifest_traces_invocation(capsys, toy_csv):
@@ -482,9 +537,18 @@ def test_simulate_b1(capsys):
     payload = _payload(
         capsys, ["simulate", "--preset", "b1", "--reps", "20000"], schema="simulate"
     )
-    assert payload["exact"]["p_a"] == pytest.approx(4 / 9, abs=1e-9)
-    assert payload["exact"]["p_b"] == pytest.approx(5 / 12, abs=1e-9)
+    assert payload["exact"] == {"p_a": 4 / 9, "p_b": 5 / 12}
     assert payload["monte_carlo"] == {"p_a": 0.42842817748809225, "p_b": 0.40336912254720475}
+
+
+def test_simulate_b1_pinned(tmp_path):
+    out = tmp_path / "b1.csv"
+    args = ["simulate", "--preset", "b1", "--reps", "20000", "--seed", "0"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "60b7bb9462f653545c800aa77b5e60903a8f8464130bb0119b10b5b35e57a75d"
+    )
 
 
 def test_simulate_simes_perm(capsys):
@@ -620,7 +684,8 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script, "--version",
          f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'} --plots svg",
-         f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg"],
+         f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
+         "simulate --preset b1 --reps 2000"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr

@@ -26,12 +26,12 @@ PUBLIC_PARAMETERS = {
     "FalsificationReport": "subgroups pvalues qq",
     "FdrStepupResult": (
         "tau tau_statistic ids rejected_positions "
-        "pi_hat lam q fdr_curve diagnostics"
+        "pi_hat lam q fdr_curve"
     ),
     "LocalFdrCurve": "breakpoints values pi",
     "LocalFdrResult": "tau_hat lam ids rejected_positions candidates objective argmin_index q pi",
     "NullModel": "kind method source mu sigma nc_values details",
-    "PValueVector": "values ids kind warnings",
+    "PValueVector": "values ids kind",
     "RejectionResult": "ids order sorted_pvalues boundaries n_rejected procedure parameters",
     "SimConfig": "n0 n1 m rho mu_null mu_alt q reps seed dependence",
     "SimReport": "config reps methods",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -23,11 +25,12 @@ def test_pvalue_vector_rejects_invalid():
 
 def test_ranc_worked_values():
     s = make_statistic_set([0.25, 0.05], NC)
-    p = ranc_pvalues(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no tie, so no warning
+        p = ranc_pvalues(s)
     np.testing.assert_array_equal(p.values, [0.75, 0.25])
     assert p.kind == "ranc"
     assert p.ids == ("t1", "t2")
-    assert p.warnings == ()
 
 
 def test_modified_ranc_worked_values():
@@ -75,9 +78,12 @@ def test_monotone_invariance_exact():
 
 def test_cross_tie_warning():
     s = make_statistic_set([0.2, 0.9], NC)
-    p = ranc_pvalues(s)
-    assert len(p.warnings) == 1
-    assert "tie" in p.warnings[0]
+    with pytest.warns(RuntimeWarning, match="tie") as record:
+        p = ranc_pvalues(s)
+    assert len(record) == 1
+    assert str(record[0].message).startswith("1 investigation value(s) exactly tie")
+    # the warning points at the caller of ranc_pvalues
+    assert record[0].filename == __file__
     # the tied control counts as below-or-equal: the step sits at 0.2
     np.testing.assert_array_equal(p.values, [0.75, 1.0])
     assert ranc_values(np.nextafter(0.2, -np.inf), NC) == 0.5

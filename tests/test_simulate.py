@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from nctest import DataError, make_statistic_set, ranc_values
+from nctest import DataError, make_statistic_set, ranc_values, with_jitter
 from nctest.cli import _json_text
 from nctest._util import rep_rng, thread_count
 from nctest.procedures import (
@@ -47,6 +47,26 @@ def test_config_validation():
         SimConfig(rho=1.0, dependence="exchangeable")
     with pytest.raises(DataError, match="seed"):
         SimConfig(seed=-1)
+
+
+_SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
+
+
+# every library entry point that takes a seed refuses a negative one before
+# numpy's SeedSequence does; the first case is an exact enumeration, which draws nothing
+@pytest.mark.parametrize("call", [
+    lambda: permutation_global(_SMALL, seed=-1),
+    lambda: permutation_global(_SMALL, B=5, seed=-1, max_enumeration=1),
+    lambda: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=-1),
+    lambda: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=-1),
+    lambda: prds_counterexample(method="mc", draws=100, seed=-1),
+    lambda: with_jitter(_SMALL, seed=-1),
+    lambda: generate_emn(SimConfig(reps=1), rep_seed=-1),
+], ids=["permutation-exact", "permutation-mc", "fisher-demo", "simes-perm", "prds-mc",
+        "with-jitter", "generate-emn"])
+def test_negative_seed_is_a_data_error(call):
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        call()
 
 
 def test_config_rejects_non_finite():
@@ -295,6 +315,11 @@ def test_rule_of_thumb():
         rule_of_thumb_m(100, 10, 1.5)
 
 
+def test_rule_of_thumb_rejects_nan_factor():
+    with pytest.raises(DataError, match="factor > 0"):
+        rule_of_thumb_m(100, 10, 0.2, factor=math.nan)
+
+
 def test_rule_of_thumb_closes_power_gap():
     # 100 investigations with 20 strong non-nulls: 50 controls suffice
     m = rule_of_thumb_m(100, 20, 0.2)
@@ -307,8 +332,7 @@ def test_rule_of_thumb_closes_power_gap():
 
 def test_prds_exact_conditionals():
     p_a, p_b = prds_counterexample(method="exact")
-    assert p_a == pytest.approx(4 / 9, abs=1e-6)
-    assert p_b == pytest.approx(5 / 12, abs=1e-6)
+    assert (p_a, p_b) == (4 / 9, 5 / 12)
     assert p_a > p_b
 
 
