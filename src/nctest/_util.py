@@ -1,5 +1,6 @@
 """Small shared helpers: RNG streams and their seeds, JSON float lists, the NCTEST_THREADS setting."""
 
+import numbers
 import os
 
 import numpy as np
@@ -24,7 +25,12 @@ def thread_count() -> int:
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise DataError for a negative seed, which numpy's SeedSequence refuses."""
+    """Raise DataError for a seed that numpy's SeedSequence refuses.
+
+    That is anything but a non-negative integer; numpy integers pass.
+    """
+    if not isinstance(seed, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {seed!r}")
     if seed < 0:
         raise DataError(f"{name} must be non-negative")
 

@@ -685,7 +685,10 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
         [sys.executable, "-c", script, "--version",
          f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'} --plots svg",
          f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
-         "simulate --preset b1 --reps 2000"],
+         f"permtest --in {toy_csv} --reps 200",
+         "simulate --preset b1 --reps 2000",
+         "simulate --preset simes-perm --reps 200",
+         "simulate --preset b2 --reps 20"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr

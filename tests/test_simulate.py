@@ -31,7 +31,7 @@ from nctest.simulate import (
     simes_permutation_diagnostic,
     simulate_cell,
 )
-from nctest.simulate import _fdp_tpr_rows
+from nctest.simulate import _chi2_sf_even, _fdp_tpr_rows
 
 
 def test_config_validation():
@@ -67,6 +67,25 @@ _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
 def test_negative_seed_is_a_data_error(call):
     with pytest.raises(DataError, match="seed must be non-negative"):
         call()
+
+
+# a seed that is not an integer is refused before numpy's SeedSequence sees it, also on
+# the exact path of permutation_global and in SimConfig, which draw nothing at that point
+@pytest.mark.parametrize("call", [
+    lambda seed: SimConfig(seed=seed),
+    lambda seed: permutation_global(_SMALL, seed=seed),
+    lambda seed: permutation_global(_SMALL, B=5, seed=seed, max_enumeration=1),
+    lambda seed: with_jitter(_SMALL, seed=seed),
+    lambda seed: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=seed),
+    lambda seed: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=seed),
+], ids=["sim-config", "permutation-exact", "permutation-mc", "with-jitter", "simes-perm",
+        "fisher-demo"])
+def test_non_integer_seed_is_a_data_error(call):
+    for bad in (1.5, 2.0, "3", None):
+        with pytest.raises(DataError, match="seed must be an integer"):
+            call(bad)
+    call(np.int64(3))
+    call(np.uint32(3))
 
 
 def test_config_rejects_non_finite():
@@ -392,6 +411,22 @@ def test_fisher_miscalibration_direction():
     se = np.sqrt(0.05 * 0.95 / 1200)
     assert chi2_rate >= 0.05 + 3 * se
     assert abs(perm_rate - 0.05) <= 3 * se
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 25, 400, 1000])
+def test_chi2_tail_closed_form_matches_scipy(n):
+    # the Poisson-sum tail of the b2 chi-square reference against scipy's chdtrc
+    levels = np.logspace(-6, 0, 61)[:-1]
+    # quantiles from 1e-6 to 1 - 1e-6, and deep-tail points down to a tail of 1e-299
+    levels = np.concatenate([levels, 1.0 - levels, [1e-20, 1e-100, 1e-250, 1e-299]])
+    x = stats.chi2.isf(levels, 2 * n)
+    want = special.chdtrc(2 * n, x)
+    assert np.all(want >= 1e-300)
+    np.testing.assert_allclose(_chi2_sf_even(x, n), want, rtol=1e-10, atol=0)
+    # every test outranks every control: the statistic is 0 and the tail is 1
+    assert _chi2_sf_even(np.zeros(3), n).tolist() == [1.0, 1.0, 1.0]
+    far = np.array([2000.0 + 4.0 * n, 1e5, 1e300])
+    assert np.all(_chi2_sf_even(far, n) <= 1e-300)
 
 
 def test_permutation_studies_reject_bad_sizes():
