@@ -148,6 +148,24 @@ def test_ecdf_counts_are_the_counts_of_each_role(tests, controls, queries):
     assert r.tobytes() == counts_at_or_below(s.investigation, t).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(tests=_tied_values, controls=_tied_values, modified=st.booleans())
+def test_sorted_query_pvalues_equal_the_two_pass_form(tests, controls, modified):
+    # the two searchsorted passes over the tests in input order, which the
+    # sorted-query search with its scatter back must reproduce
+    s = make_statistic_set(np.array(tests), np.array(controls))
+    nc_sorted = np.sort(s.negative_controls)
+    below = np.searchsorted(nc_sorted, s.investigation, side="right")
+    tied = int(np.count_nonzero(below > np.searchsorted(nc_sorted, s.investigation, side="left")))
+    shift = 2.0 if modified else 1.0
+    expected = np.minimum((shift + below) / (1.0 + s.m), 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = (modified_ranc_pvalues if modified else ranc_pvalues)(s)
+    assert p.values.tobytes() == expected.tobytes()
+    assert [str(w.message).split(" ", 1)[0] for w in caught] == ([str(tied)] if tied else [])
+
+
 def _ranc_and_warnings(statistics):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
