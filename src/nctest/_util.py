@@ -28,8 +28,10 @@ def check_seed(seed: int, name: str = "seed") -> None:
     """Raise DataError for a seed that numpy's SeedSequence refuses.
 
     That is anything but a non-negative integer; numpy integers pass.
+    A bool is refused although Python counts it as an integer: a
+    record of the seed would say true where seed 1's streams ran.
     """
-    if not isinstance(seed, numbers.Integral):
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise DataError(f"{name} must be an integer, got {seed!r}")
     if seed < 0:
         raise DataError(f"{name} must be non-negative")

@@ -88,6 +88,15 @@ def test_non_integer_seed_is_a_data_error(call):
     call(np.uint32(3))
 
 
+def test_bool_seed_is_a_data_error():
+    # bool is an Integral, but True would be recorded as true and run seed 1
+    for bad in (True, False):
+        with pytest.raises(DataError, match="seed must be an integer, got"):
+            SimConfig(seed=bad)
+        with pytest.raises(DataError, match="seed must be an integer, got"):
+            permutation_global(_SMALL, seed=bad)
+
+
 def test_config_rejects_non_finite():
     for name in ("rho", "mu_null", "mu_alt"):
         for bad in (math.nan, math.inf, -math.inf):
