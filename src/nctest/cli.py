@@ -13,14 +13,19 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -97,17 +102,62 @@ def _jsonify(obj):
     return obj
 
 
-def _json_text(payload) -> str:
-    """Compact strict JSON, with NaN and inf written as null.
+class Spliced:
+    """Placeholder in a payload for report columns that the JSON carries.
 
-    The C encoder walks the payload, converting numpy values through
-    _json_default.  It refuses a NaN or inf float, and only then does
-    the payload take the element-by-element walk of _jsonify.
+    values is the index of a column in Report.columns, written as a JSON
+    array; with keys, the index of a column of strings, the two columns
+    are written as one JSON object from key to value.
+    """
+
+    def __init__(self, values: int, keys: int | None = None):
+        self.values = values
+        self.keys = keys
+
+
+def _cut_json(payload):
+    # a placeholder is a JSON string that the payload may hold as data too,
+    # so a new marker is tried until each placeholder occurs exactly once
+    for attempt in itertools.count():
+        splices = []
+
+        def placeholder(obj):
+            if isinstance(obj, Spliced):
+                splices.append(obj)
+                return f"@nctest-column-{attempt}-{len(splices) - 1}"
+            return _json_default(obj)
+
+        text = json.dumps(payload, default=placeholder, separators=(",", ":"), allow_nan=False)
+        marks = [f'"@nctest-column-{attempt}-{k}"' for k in range(len(splices))]
+        if all(text.count(mark) == 1 for mark in marks):
+            break
+    pieces = []
+    for mark in marks:
+        head, text = text.split(mark)
+        pieces.append(head)
+    return pieces + [text], splices
+
+
+def _json_pieces(payload):
+    """Compact strict JSON of payload, cut where its Spliced placeholders go.
+
+    Returns the text pieces and the placeholders in text order: the
+    JSON is pieces[0], the first placeholder's text, pieces[1], and so
+    on.  The C encoder walks the payload, converting numpy values
+    through _json_default.  It refuses a NaN or inf float, and only then
+    does the payload take the element-by-element walk of _jsonify,
+    which writes them as null.
     """
     try:
-        return json.dumps(payload, default=_json_default, separators=(",", ":"), allow_nan=False)
+        return _cut_json(payload)
     except ValueError:
-        return _json_text(_jsonify(payload))
+        return _cut_json(_jsonify(payload))
+
+
+def _json_text(payload) -> str:
+    """Compact strict JSON, with NaN and inf written as null."""
+    (text,), _ = _json_pieces(payload)
+    return text
 
 
 def _sha256(path: str) -> str:
@@ -147,45 +197,164 @@ def _stable_manifest_line(manifest: dict) -> str:
 class Report:
     """One subcommand's results: JSON payload plus tabular/plot forms.
 
-    rows is any iterable of CSV rows, read once when the CSV is written;
-    None fields are written empty.
+    columns are the CSV's per-row columns, aligned with header: numpy
+    arrays (a masked entry is a missing value) or sequences of Python
+    values.  Missing values and None are written empty in the CSV and
+    null in the JSON; floats are written by repr in the CSV, and NaN and
+    inf as null in the JSON.  The payload holds Spliced placeholders for
+    the columns that the JSON carries too.
     """
 
-    def __init__(self, payload, header, rows, svg_text=None):
+    def __init__(self, payload, header, columns, svg_text=None):
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("report columns differ in length")
         self.payload = payload
         self.header = header
-        self.rows = rows
+        self.columns = columns
         self.svg_text = svg_text
+
+
+# rows formatted at a time: each value is formatted once per chunk and the
+# strings serve the CSV line and the JSON fragment, so only the chunk's
+# strings and the joined fragments the JSON still needs are held
+_CHUNK = 4096
+# fields csv.writer writes as they are; any other string is quoted by it
+_PLAIN = re.compile(r"[\w.+\-:/@]*", re.ASCII)
+
+
+def _csv_quoted(text: str) -> str:
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((text, ""))
+    return line.getvalue()[:-2]  # the empty second field and the line end
+
+
+def _csv_text(value) -> str:
+    """The field csv.writer writes for one value of a row of several fields."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value if _PLAIN.fullmatch(value) else _csv_quoted(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return str(value)
+
+
+def _json_value(value) -> str:
+    return encode_basestring_ascii(value) if isinstance(value, str) else _json_text(value)
+
+
+def _cell_texts(chunk):
+    """CSV and JSON texts of a chunk of one column."""
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
+        data = np.ma.getdata(chunk)
+        texts = list(map(float.__repr__, data.tolist()))
+        missing = np.ma.getmaskarray(chunk)
+        null = np.flatnonzero(missing | ~np.isfinite(data)).tolist()
+        if not null:
+            return texts, texts
+        json_texts = texts.copy()
+        for k in null:
+            json_texts[k] = "null"
+        for k in np.flatnonzero(missing).tolist():
+            texts[k] = ""
+        return texts, json_texts
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
+        texts = list(map(str, chunk.tolist()))
+        return texts, texts
+    values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+    return list(map(_csv_text, values)), list(map(_json_value, values))
+
+
+def _format_rows(report: Report, splices: list, write=None) -> list:
+    """Format the report's rows once, chunk by chunk.
+
+    The CSV lines go to write, if given.  Returns, for each placeholder
+    in splices, the JSON fragments of its columns, one per chunk.
+    """
+    columns = report.columns
+    spliced = {k for splice in splices for k in (splice.values, splice.keys) if k is not None}
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    fragments = [[] for _ in splices]
+    rows = len(columns[0]) if columns else 0
+    for lo in range(0, rows, _CHUNK):
+        texts = {k: _cell_texts(column[lo:lo + _CHUNK])
+                 for k, column in enumerate(columns) if write is not None or k in spliced}
+        if write is not None:
+            write("".join(map(line.format, *(texts[k][0] for k in range(len(columns))))))
+        for splice, parts in zip(splices, fragments):
+            values = texts[splice.values][1]
+            if splice.keys is not None:
+                values = map("{}:{}".format, texts[splice.keys][1], values)
+            parts.append(",".join(values))
+    return fragments
+
+
+def _write_json(pieces: list, splices: list, fragments: list, write) -> None:
+    write(pieces[0])
+    for piece, splice, parts in zip(pieces[1:], splices, fragments):
+        write("[" if splice.keys is None else "{")
+        for k, part in enumerate(parts):
+            write("," + part if k else part)
+        write("]" if splice.keys is None else "}")
+        write(piece)
+    write("\n")
+
+
+@contextlib.contextmanager
+def _replacing(paths):
+    """Temporary siblings of paths, each moved over its path once all are written.
+
+    A failure before then leaves every path as it was and removes the
+    temporary files.
+    """
+    temps = {path: os.path.join(os.path.dirname(path),
+                                f".{os.path.basename(path)}.{os.getpid()}.tmp")
+             for path in paths}
+    try:
+        yield temps
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _emit(report: Report, manifest: dict, ns: argparse.Namespace) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **report.payload, "manifest": manifest}
-    text = _json_text(payload) + "\n"
+    pieces, splices = _json_pieces(payload)
     out = getattr(ns, "out", None)
     if out is None:
-        sys.stdout.write(text)
+        # everything is formatted before the first write
+        fragments = _format_rows(report, splices)
+        _write_json(pieces, splices, fragments, sys.stdout.write)
         return
     if out.endswith(".csv"):
         stem = out[: -len(".csv")]
-        csv_path = out
-        files = {stem + ".json": text, stem + ".svg": report.svg_text}
+        csv_path, json_path = out, stem + ".json"
+        extra = {stem + ".svg": report.svg_text}
     else:
         csv_path = os.path.join(out, "result.csv")
-        files = {
-            os.path.join(out, "result.json"): text,
-            os.path.join(out, "manifest.json"): _json_text(manifest) + "\n",
-            os.path.join(out, "plot.svg"): report.svg_text,
-        }
+        json_path = os.path.join(out, "result.json")
+        extra = {os.path.join(out, "manifest.json"): _json_text(manifest) + "\n",
+                 os.path.join(out, "plot.svg"): report.svg_text}
+    extra = {path: text for path, text in extra.items() if text is not None}
     os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_stable_manifest_line(manifest) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.header)
-        writer.writerows(report.rows)
-    for path, content in files.items():
-        if content is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
+    with _replacing([csv_path, json_path, *extra]) as temps:
+        with open(temps[csv_path], "w", encoding="utf-8", newline="") as fh:
+            fh.write(_stable_manifest_line(manifest) + "\n")
+            fh.write(",".join(map(_csv_text, report.header)) + "\n")
+            fragments = _format_rows(report, splices, fh.write)
+        with open(temps[json_path], "w", encoding="utf-8") as fh:
+            _write_json(pieces, splices, fragments, fh.write)
+        for path, text in extra.items():
+            with open(temps[path], "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+
+def _columns(rows: list, width: int) -> list:
+    """The columns of a list of rows of width fields."""
+    return [[row[k] for row in rows] for k in range(width)]
 
 
 def _load(ns: argparse.Namespace):
@@ -229,18 +398,17 @@ def cmd_analyze(ns, manifest) -> Report:
                    "reject_global": result}
         # a global test makes no per-hypothesis claims
         threshold = None
-    pvalues = float_list(p.values)
     payload = {
         "procedure": ns.procedure,
         "n": statistics.n,
         "m": statistics.m,
         "pvalue_kind": p.kind,
-        "pvalues": dict(zip(p.ids, pvalues)),
+        "pvalues": Spliced(2, keys=0),
         "result": outcome,
     }
     header = ("id", "statistic", "pvalue", "rejected")
     # p follows the investigation rows, so the columns line up by position
-    rows = zip(p.ids, statistics.investigation.tolist(), pvalues, rejected.tolist())
+    columns = (p.ids, statistics.investigation, p.values, rejected)
     svg_text = None
     if _want_svg(ns):
         marks = [] if threshold is None else [(threshold, "p cutoff")]
@@ -249,7 +417,7 @@ def cmd_analyze(ns, manifest) -> Report:
             title=f"{ns.procedure}: {int(rejected.sum())} rejections",
             xlabel="rank-based p-value", desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, columns, svg_text)
 
 
 # ----------------------------------------------------------------- stepup
@@ -262,9 +430,10 @@ def _stepup_report(ns, manifest, statistics) -> Report:
     payload = {"n": statistics.n, "m": statistics.m, "result": result.to_dict()}
     header = ("threshold", "fdr_hat")
     curve = result.fdr_curve
-    rows = []
+    columns = ((), ())
     if curve is not None:
-        rows = zip(curve.breakpoints.tolist(), curve.values.tolist())
+        columns = (curve.breakpoints, curve.values)
+        payload["result"]["fdr_curve"].update(breakpoints=Spliced(0), values=Spliced(1))
     svg_text = None
     if _want_svg(ns):
         marks = [] if result.tau_statistic is None else [(result.tau_statistic, "tau")]
@@ -273,7 +442,7 @@ def _stepup_report(ns, manifest, statistics) -> Report:
             thresholds=marks, title=f"step-up at q={q:g}: {result.n_rejected} rejections",
             xlabel="statistic", desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, columns, svg_text)
 
 
 def cmd_stepup(ns, manifest) -> Report:
@@ -297,8 +466,10 @@ def cmd_localfdr(ns, manifest) -> Report:
     if ns.pi is not None:
         payload["curve"] = localfdr_curve(statistics, ns.pi).to_dict()
     header = ("t", "objective")
-    columns = threshold["objective_at_candidates"]
-    rows = zip(columns["t"], columns["objective"])
+    # the boundary row that rejects nothing comes first: no t, objective 0
+    columns = (np.ma.concatenate([np.ma.masked_all(1), result.candidates]),
+               np.concatenate([[0.0], result.objective]))
+    threshold["objective_at_candidates"] = {"t": Spliced(0), "objective": Spliced(1)}
     svg_text = None
     if _want_svg(ns):
         marks = [] if result.tau_hat is None else [(result.tau_hat, "tau")]
@@ -307,7 +478,7 @@ def cmd_localfdr(ns, manifest) -> Report:
             thresholds=marks, title=f"objective at lambda={lam:g}",
             xlabel="candidate threshold", ylabel="objective", desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, columns, svg_text)
 
 
 # ---------------------------------------------------------------- null-fit
@@ -341,14 +512,14 @@ def cmd_null_fit(ns, manifest) -> Report:
     payload = {"n": statistics.n, "m": statistics.m, "q": q, "table": table}
     header = ("source", "method", "mu", "sigma", "kind",
               "ks_pvalue", "ad_pvalue", "n_in_window", "bh_rejections", "error")
-    rows = [[row[key] for key in header] for row in table]
+    columns = [[row[key] for row in table] for key in header]
     svg_text = None
     if _want_svg(ns):
         svg_text = svg.histogram_svg(
             statistics.investigation, bins=min(60, max(5, statistics.n // 5)),
             title="investigation statistics", xlabel="statistic", desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, columns, svg_text)
 
 
 # ----------------------------------------------------------------- falsify
@@ -364,16 +535,10 @@ def cmd_falsify(ns, manifest) -> Report:
     payload = dict(report.to_dict())
     payload["qq"] = qq
     header = ("group_a", "group_b", "ks_pvalue")
-    rows = []
-    worst = None
-    for i, a in enumerate(report.subgroups):
-        for j, b in enumerate(report.subgroups):
-            if j <= i:
-                continue
-            pv = float(report.pvalues[i, j])
-            rows.append((a, b, repr(pv)))
-            if worst is None or pv < worst[2]:
-                worst = (a, b, pv)
+    rows = [(a, b, float(report.pvalues[i, j]))
+            for i, a in enumerate(report.subgroups)
+            for j, b in enumerate(report.subgroups) if j > i]
+    worst = min(rows, key=lambda row: row[2], default=None)
     svg_text = None
     if _want_svg(ns) and worst is not None:
         qa, qb = report.qq[(worst[0], worst[1])]
@@ -381,7 +546,7 @@ def cmd_falsify(ns, manifest) -> Report:
             qa, qb, title=f"{worst[0]} vs {worst[1]} (KS p={worst[2]:.3g})",
             xlabel=worst[0], ylabel=worst[1], desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, _columns(rows, len(header)), svg_text)
 
 
 # ---------------------------------------------------------------- simulate
@@ -396,8 +561,8 @@ def _table1_rows(reports: dict):
         for method, stats in report.methods.items():
             rows.append((
                 cell, dependence, setting, method,
-                repr(float(stats["fdr"])), repr(float(stats["fdr_sd"])),
-                repr(float(stats["power"])), repr(float(stats["power_sd"])),
+                float(stats["fdr"]), float(stats["fdr_sd"]),
+                float(stats["power"]), float(stats["power_sd"]),
             ))
     return header, rows
 
@@ -408,7 +573,7 @@ def _power_rows(curves: dict):
     methods = [name for name in curves if name != "m"]
     for k, m in enumerate(curves["m"]):
         for method in methods:
-            rows.append((m, method, repr(float(curves[method][k]))))
+            rows.append((m, method, float(curves[method][k])))
     return header, rows
 
 
@@ -438,22 +603,22 @@ def cmd_simulate(ns, manifest) -> Report:
                    "exact": {"p_a": exact[0], "p_b": exact[1]},
                    "monte_carlo": {"p_a": mc[0], "p_b": mc[1]}}
         header = ("quantity", "exact", "monte_carlo")
-        rows = [("p_a", repr(float(exact[0])), repr(float(mc[0]))),
-                ("p_b", repr(float(exact[1])), repr(float(mc[1])))]
+        rows = [("p_a", float(exact[0]), float(mc[0])),
+                ("p_b", float(exact[1]), float(mc[1]))]
     elif preset == "b2":
         reps = 1000 if ns.reps is None else ns.reps
         chi2_rate, perm_rate = fisher_miscalibration_demo(reps=reps, seed=seed)
         payload = {"preset": preset, "reps": reps,
                    "chi2_reject_rate": chi2_rate, "perm_reject_rate": perm_rate}
         header = ("calibration", "reject_rate")
-        rows = [("chi2", repr(float(chi2_rate))), ("permutation", repr(float(perm_rate)))]
+        rows = [("chi2", float(chi2_rate)), ("permutation", float(perm_rate))]
     elif preset == "simes-perm":
         b = 20_000 if ns.reps is None else ns.reps
         rates = simes_permutation_diagnostic(b=b, seed=seed)
         payload = {"preset": preset, "b": b,
                    "reject_rates": {str(m): rate for m, rate in rates.items()}}
         header = ("m", "reject_rate")
-        rows = [(m, repr(float(rate))) for m, rate in sorted(rates.items())]
+        rows = [(m, float(rate)) for m, rate in sorted(rates.items())]
     else:  # argparse choices make this unreachable
         raise UsageError(f"unknown preset {preset!r}")
     svg_text = None
@@ -463,7 +628,7 @@ def cmd_simulate(ns, manifest) -> Report:
             title=f"{preset}: rank-based BH power", xlabel="control pool size",
             ylabel="mean true-positive rate", desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, _columns(rows, len(header)), svg_text)
 
 
 # ---------------------------------------------------------------- permtest
@@ -490,7 +655,7 @@ def cmd_permtest(ns, manifest) -> Report:
         },
     }
     header = ("draw", "statistic")
-    rows = enumerate(samples.tolist())
+    columns = (np.arange(samples.size), samples)
     svg_text = None
     if _want_svg(ns):
         svg_text = svg.histogram_svg(
@@ -499,7 +664,7 @@ def cmd_permtest(ns, manifest) -> Report:
             title=f"{ns.statistic} permutation null (p={p_value:.3g})",
             xlabel="statistic", desc=_desc(manifest),
         )
-    return Report(payload, header, rows, svg_text)
+    return Report(payload, header, columns, svg_text)
 
 
 # ------------------------------------------------------------------ parser

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import os
 import re
@@ -174,6 +176,144 @@ def test_json_text_writes_non_finite_as_null():
     assert parsed["nested"] == [{"x": None}]
     assert parsed["count"] == 3 and parsed["flag"] is True
     assert json.loads(cli._json_text({"finite": finite})) == {"finite": parsed["finite"]}
+
+
+def _per_row_csv(header, rows):
+    # the per-row writer the bundle's CSV must keep matching: csv.writer
+    # writes floats by repr, None empty, and quotes what needs it
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _emit_bundle(report, out):
+    cli._emit(report, {"flags": {}}, argparse.Namespace(out=str(out)))
+    body = (out / "result.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+    return body, (out / "result.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("rows", [4, 5, 6])
+def test_chunk_edges_match_the_per_row_writer(monkeypatch, tmp_path, rows):
+    # one short of a chunk, one chunk and one past it, at a chunk of 5 rows
+    monkeypatch.setattr(cli, "_CHUNK", 5)
+    rng = np.random.default_rng(rows)
+    ids = tuple(f"t{k}" for k in range(rows))
+    x, count = rng.normal(size=rows), np.arange(rows)
+    header = ("id", "x", "count")
+    payload = {"x": cli.Spliced(1), "by_id": cli.Spliced(1, keys=0), "count": cli.Spliced(2)}
+    body, text = _emit_bundle(cli.Report(payload, header, (ids, x, count)), tmp_path / "b")
+    assert body == _per_row_csv(header, zip(ids, x.tolist(), count.tolist()))
+    assert text == cli._json_text({
+        "schema_version": 3, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
+        "count": count.tolist(), "manifest": {"flags": {}},
+    }) + "\n"
+
+
+def test_writer_keeps_non_finite_text_in_the_csv(tmp_path):
+    values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 2.0]
+    column = np.ma.masked_array(values, mask=[False] * 5 + [True])
+    header = ("label", "value")
+    labels = list("abcdef")
+    payload = {"value": cli.Spliced(1), "scalar": float("nan")}
+    body, text = _emit_bundle(cli.Report(payload, header, (labels, column)), tmp_path / "b")
+    assert body == _per_row_csv(header, zip(labels, values[:5] + [None]))
+    assert "nan\n" in body and "-inf\n" in body and "f,\n" in body
+    parsed = json.loads(text, parse_constant=_refuse_constant)
+    assert parsed["value"] == [1.5, None, None, None, -0.0, None]
+    assert parsed["scalar"] is None
+
+
+# the ids that need quoting, escaping or both, one per test row
+_ODD_IDS = ["a,b", 'say "hi"', "multi\nline", "café", "back\\slash", "tab\tx"]
+
+
+def test_ids_keep_their_csv_quoting(capsys, tmp_path):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "value", "role"])
+    writer.writerows([name, repr(-1.0 - k / 10), "test"] for k, name in enumerate(_ODD_IDS))
+    writer.writerows([f"c{k}", repr(k / 10), "nc"] for k in range(12))
+    path = tmp_path / "odd.csv"
+    path.write_text(out.getvalue(), encoding="utf-8")
+    code, _, err = _run(capsys, ["analyze", "--in", str(path), "--out", str(tmp_path / "b")])
+    assert code == 0, err
+    body = (tmp_path / "b" / "result.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+    statistics = load_csv(str(path))
+    p = ranc_pvalues(statistics)
+    rejected = [1 if i in bh(p, 0.1).rejected else 0 for i in p.ids]
+    rows = zip(p.ids, statistics.investigation.tolist(), p.values.tolist(), rejected)
+    assert body == _per_row_csv(("id", "statistic", "pvalue", "rejected"), rows)
+    assert list(p.ids) == _ODD_IDS
+    pvalues = json.loads((tmp_path / "b" / "result.json").read_text(encoding="utf-8"))["pvalues"]
+    assert pvalues == dict(zip(p.ids, p.values.tolist()))
+
+
+def test_placeholder_text_in_ids_and_paths_is_kept(capsys, tmp_path, monkeypatch):
+    # the first two markers _emit tries occur as data: as rejected ids and as the --in path
+    ids = ["@nctest-column-0-0", "@nctest-column-0-1"]
+    lines = ["id,value,role"] + [f"{name},{-5.0 - k},test" for k, name in enumerate(ids)]
+    lines += [f"t{k},{k / 10 + 0.05},test" for k in range(6)]
+    lines += [f"c{k},{k / 7},nc" for k in range(40)]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "@nctest-column-1-0").write_text("\n".join(lines) + "\n")
+    args = ["analyze", "--in", "@nctest-column-1-0", "--q", "0.2"]
+    code, out, err = _run(capsys, args)
+    assert code == 0, err
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema("analyze"))
+    expected = ranc_pvalues(load_csv("@nctest-column-1-0"))
+    assert payload["pvalues"] == dict(zip(expected.ids, expected.values.tolist()))
+    assert set(ids) <= set(payload["result"]["rejected_ids"])
+    assert payload["manifest"]["flags"]["infile"] == "@nctest-column-1-0"
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--procedure", "bh", "--q", "0.2"], ["stepup", "--lambda", "0.5", "--q", "0.2"],
+    ["localfdr", "--q", "0.2", "--pi", "0.8"], ["permtest", "--statistic", "fisher"],
+])
+def test_stdout_json_equals_the_bundle_json(capsys, tied_csv, tmp_path, args):
+    def comparable(payload):
+        flags = {k: v for k, v in payload["manifest"]["flags"].items() if k != "out"}
+        manifest = {k: v for k, v in payload["manifest"].items() if k != "created_utc"}
+        return {**payload, "manifest": {**manifest, "flags": flags}}
+
+    args = args + ["--in", tied_csv]
+    code, out, err = _run(capsys, args)
+    assert code == 0, err
+    for bundle, json_path in ((tmp_path / "b", tmp_path / "b" / "result.json"),
+                              (tmp_path / "x.csv", tmp_path / "x.json")):
+        assert cli.main(args + ["--out", str(bundle)]) == 0
+        bundled = json.loads(json_path.read_text(encoding="utf-8"))
+        assert comparable(bundled) == comparable(json.loads(out))
+
+
+def test_failed_write_leaves_no_partial_file(capsys, tied_csv, tmp_path, monkeypatch):
+    # a chunk of 3 rows; the fifth chunk's formatting fails in the middle of the columns
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    cell_texts, calls = cli._cell_texts, []
+
+    def failing(chunk):
+        calls.append(len(chunk))
+        if len(calls) == 18:
+            raise RuntimeError("formatting failed")
+        return cell_texts(chunk)
+
+    monkeypatch.setattr(cli, "_cell_texts", failing)
+    out = tmp_path / "b"
+    out.mkdir()
+    (out / "result.json").write_text("old\n")
+    args = ["analyze", "--in", tied_csv, "--procedure", "bh"]
+    for extra in (["--plots", "svg", "--out", str(out)],
+                  ["--plots", "svg", "--out", str(tmp_path / "x.csv")], []):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli.main(args + extra)
+        assert capsys.readouterr().out == ""
+    assert sorted(os.listdir(out)) == ["result.json"]
+    assert (out / "result.json").read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["b", "tied.csv"]
 
 
 def test_analyze_bh_matches_library(capsys, toy_csv):
