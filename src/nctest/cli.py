@@ -352,11 +352,6 @@ def _emit(report: Report, manifest: dict, ns: argparse.Namespace) -> None:
                 fh.write(text)
 
 
-def _columns(rows: list, width: int) -> list:
-    """The columns of a list of rows of width fields."""
-    return [[row[k] for row in rows] for k in range(width)]
-
-
 def _load(ns: argparse.Namespace):
     if not getattr(ns, "infile", None):
         raise UsageError("--in is required for this subcommand")
@@ -546,7 +541,7 @@ def cmd_falsify(ns, manifest) -> Report:
             qa, qb, title=f"{worst[0]} vs {worst[1]} (KS p={worst[2]:.3g})",
             xlabel=worst[0], ylabel=worst[1], desc=_desc(manifest),
         )
-    return Report(payload, header, _columns(rows, len(header)), svg_text)
+    return Report(payload, header, list(zip(*rows)), svg_text)
 
 
 # ---------------------------------------------------------------- simulate
@@ -628,7 +623,7 @@ def cmd_simulate(ns, manifest) -> Report:
             title=f"{preset}: rank-based BH power", xlabel="control pool size",
             ylabel="mean true-positive rate", desc=_desc(manifest),
         )
-    return Report(payload, header, _columns(rows, len(header)), svg_text)
+    return Report(payload, header, list(zip(*rows)), svg_text)
 
 
 # ---------------------------------------------------------------- permtest
