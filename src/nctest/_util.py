@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG streams and their seeds, JSON float lists, the NCTEST_THREADS setting."""
+"""Small shared helpers: RNG streams, seed and count checks, JSON float lists, NCTEST_THREADS."""
 
 import numbers
 import os
@@ -24,17 +24,20 @@ def thread_count() -> int:
     return int(raw)
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise DataError for a seed that numpy's SeedSequence refuses.
+def check_integer(value, name: str, minimum: int = 0) -> int:
+    """Return value as a Python int; raise DataError unless it is an integer >= minimum.
 
-    That is anything but a non-negative integer; numpy integers pass.
-    A bool is refused although Python counts it as an integer: a
-    record of the seed would say true where seed 1's streams ran.
+    Seeds (minimum 0, what numpy's SeedSequence accepts) and counts
+    pass through here; numpy integers pass.  A bool is refused although
+    Python counts it as an integer: a record of seed True would say
+    true where seed 1's streams ran.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise DataError(f"{name} must be an integer, got {seed!r}")
-    if seed < 0:
-        raise DataError(f"{name} must be non-negative")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise DataError(f"{name} must be {bound}")
+    return int(value)
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:

@@ -124,11 +124,10 @@ class LocalFdrCurve:
         vals = np.asarray(self.values, dtype=float)
         if bp.size != vals.size:
             raise DataError("breakpoints and values must have equal length")
-        if bp.size:
-            if np.any(np.diff(bp) <= 0):
-                raise DataError("breakpoints must be strictly increasing")
-            if np.any(np.diff(vals) < 0):
-                raise DataError("local-FDR curve must be nondecreasing")
+        if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+            raise DataError("breakpoints must be finite and strictly increasing")
+        if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) >= 0)):
+            raise DataError("local-FDR curve values must be finite and nondecreasing")
         bp.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)

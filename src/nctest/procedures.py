@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_seed, rep_rng
+from ._util import check_integer, rep_rng
 from .data import StatisticSet
 from .errors import DataError
 from .ranc import PValueVector
@@ -244,20 +244,24 @@ _STATISTICS = {
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _index_masks(chosen: np.ndarray, size: int) -> np.ndarray:
+    """Masks of width `size` that mark the positions in each row of chosen."""
+    masks = np.zeros((len(chosen), size), dtype=bool)
+    np.put_along_axis(masks, chosen, True, axis=1)
+    return masks
+
+
 def _subset_masks(rng, b: int, size: int, n_test: int) -> np.ndarray:
     """b random n_test-subsets of the sorted pool positions, as masks.
 
     Row r holds the positions of the n_test smallest of `size` uniform
     keys drawn by one rng.random call.
     """
-    cut = np.argpartition(rng.random((b, size)), n_test - 1, axis=1)[:, :n_test]
-    masks = np.zeros((b, size), dtype=bool)
-    np.put_along_axis(masks, cut, True, axis=1)
-    return masks
+    return _index_masks(np.argpartition(rng.random((b, size)), n_test - 1)[:, :n_test], size)
 
 
-def _random_null(rng, b: int, size: int, n_test: int, stat_rows) -> np.ndarray:
-    """stat_rows of b random relabelings of a pool of `size` without ties.
+def _random_null(rng, b: int, size: int, n_test: int, stat_rows, tie_end=None) -> np.ndarray:
+    """stat_rows of b random relabelings of a pool of `size`, tie_end as in _mask_pvalues.
 
     Draws _subset_masks block by block.  Consecutive rng.random calls
     continue one stream, so the samples equal those of one (b, size)
@@ -265,7 +269,7 @@ def _random_null(rng, b: int, size: int, n_test: int, stat_rows) -> np.ndarray:
     """
     rows = max(1, _BLOCK_ELEMENTS // size)
     return np.concatenate([
-        stat_rows(_mask_pvalues(_subset_masks(rng, min(rows, b - start), size, n_test)))
+        stat_rows(_mask_pvalues(_subset_masks(rng, min(rows, b - start), size, n_test), tie_end))
         for start in range(0, b, rows)
     ])
 
@@ -302,13 +306,12 @@ def _mask_pvalues(masks: np.ndarray, tie_end: np.ndarray | None = None) -> np.nd
     return (1.0 + counts) / (size - positions.shape[1] + 1.0)
 
 
-def _mask_blocks(subsets, size: int, n: int):
-    """Masks of the n-subsets of range(size) from `subsets`, in blocks."""
+def _mask_blocks(size: int, n: int):
+    """Masks of every n-subset of range(size), in lexicographic order, in blocks."""
+    subsets = itertools.combinations(range(size), n)
     rows = max(1, _BLOCK_ELEMENTS // size)
     while len(chosen := np.fromiter(itertools.islice(subsets, rows), np.dtype((np.intp, n)))):
-        masks = np.zeros((len(chosen), size), dtype=bool)
-        np.put_along_axis(masks, chosen, True, axis=1)
-        yield masks
+        yield _index_masks(chosen, size)
 
 
 class PermutationResult(tuple):
@@ -332,9 +335,9 @@ def permutation_global(
 
     The statistic, "simes_min_ratio" (small values are extreme) or
     "fisher" (large values are extreme), is computed from the rank based
-    p-values of each relabeled sample, in pooled order.  Monte-Carlo
-    relabeling b is drawn from rep_rng(seed, b), with the add-one
-    correction p = (1 + #extreme) / (1 + B); when C(n+m, n) does not
+    p-values of each relabeled sample, in pooled order.  Monte Carlo
+    draws B relabelings from the one stream rep_rng(seed, 0), with the
+    add-one correction p = (1 + #extreme) / (1 + B); when C(n+m, n) does not
     exceed max_enumeration the distribution is enumerated exactly
     instead and p = #extreme / total.
     The observed statistic is the identity relabeling evaluated by the
@@ -343,9 +346,8 @@ def permutation_global(
     about 1 MB.  Unpacks as (p_value, null_samples); .observed holds
     the observed statistic.
     """
-    if B < 1:
-        raise DataError("B must be at least 1")
-    check_seed(seed)
+    check_integer(B, "B", 1)
+    check_integer(seed, "seed")
     try:
         stat_rows, direction = _STATISTICS[statistic]
     except KeyError:
@@ -359,18 +361,14 @@ def permutation_global(
     if np.any(pool[1:] == pool[:-1]):
         tie_end = np.searchsorted(pool, pool, side="right") - 1
 
+    observed = float(stat_rows(_mask_pvalues((order < n)[None], tie_end))[0])
     total = math.comb(n + m, n)
     exact = total <= max_enumeration
     if exact:
-        subsets = itertools.combinations(range(n + m), n)
+        samples = np.concatenate([stat_rows(_mask_pvalues(masks, tie_end))
+                                  for masks in _mask_blocks(n + m, n)])
     else:
-        subsets = (rep_rng(seed, b).choice(n + m, size=n, replace=False) for b in range(B))
-    # the identity relabeling first: the observed value is computed as the samples are
-    subsets = itertools.chain([np.flatnonzero(order < n)], subsets)
-    computed = np.concatenate(
-        [stat_rows(_mask_pvalues(masks, tie_end)) for masks in _mask_blocks(subsets, n + m, n)]
-    )
-    observed, samples = float(computed[0]), computed[1:]
+        samples = _random_null(rep_rng(seed, 0), B, n + m, n, stat_rows, tie_end)
     extreme = int(_count_extreme(samples, observed, direction))
     p_value = extreme / total if exact else (1 + extreme) / (1 + B)
     return PermutationResult(p_value, samples, observed)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import check_seed, rep_rng
+from ._util import check_integer, rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
 from .errors import DataError
 from .procedures import (
@@ -77,13 +77,10 @@ class SimConfig:
     dependence: str = "independent"
 
     def __post_init__(self):
-        if self.n0 < 0 or self.n1 < 0 or self.n0 + self.n1 < 1:
+        for name, minimum in (("n0", 0), ("n1", 0), ("m", 1), ("reps", 1), ("seed", 0)):
+            check_integer(getattr(self, name), name, minimum)
+        if self.n0 + self.n1 < 1:
             raise DataError("need at least one investigation statistic")
-        if self.m < 1:
-            raise DataError("need at least one negative control")
-        if self.reps < 1:
-            raise DataError("need at least one replication")
-        check_seed(self.seed)
         for name in ("rho", "mu_null", "mu_alt"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite")
@@ -186,7 +183,7 @@ def _uniforms(config: SimConfig, normals: np.ndarray) -> np.ndarray:
 
 def generate_emn(config: SimConfig, rep_seed: int):
     """One replication of the equicorrelated normal model."""
-    check_seed(rep_seed, "rep_seed")
+    check_integer(rep_seed, "rep_seed")
     normals = rep_rng(config.seed, rep_seed).normal(size=config.n + config.m + 1)
     t = _uniforms(config, normals)
     n = config.n
@@ -283,9 +280,7 @@ def run_table1(reps: int = 10_000, seed: int = 0) -> dict:
 
 def power_vs_m(config: SimConfig, m_grid) -> dict:
     """Mean TPR of each method as the control-pool size varies."""
-    m_grid = [int(v) for v in m_grid]
-    if any(v < 1 for v in m_grid):
-        raise DataError("control-pool sizes must be positive")
+    m_grid = [check_integer(v, "m", 1) for v in m_grid]
     normals = _normals(config.seed, config.reps, config.n + max(m_grid, default=0) + 1)
     out = {"m": m_grid}
     for name in METHODS:
@@ -324,7 +319,8 @@ def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int
         return 4 / 9, 5 / 12
     if method != "mc":
         raise DataError(f"unknown method {method!r}")
-    check_seed(seed)
+    check_integer(draws, "draws", 1)
+    check_integer(seed, "seed")
     rng = rep_rng(seed, 0)
     t1, t2 = rng.uniform(size=(2, draws))
     c1, c2 = rng.beta(1.0, 2.0, size=(2, draws))
@@ -387,10 +383,10 @@ def fisher_miscalibration_demo(
     rate's Monte-Carlo variance; b = 20 * reps makes that term 5% of
     the alpha(1-alpha)/reps of independent replications.
     """
-    if min(n, m, reps) < 1:
-        raise DataError("need n, m and reps of at least 1")
+    for name, count in (("n", n), ("m", m), ("reps", reps)):
+        check_integer(count, name, 1)
     _check_level(alpha, "alpha")
-    check_seed(seed)
+    check_integer(seed, "seed")
     masks = np.argsort(_normals(seed, reps, n + m), axis=1, kind="stable") < n
     observed = fisher_global_statistic(_mask_pvalues(masks))
     b = 20 * reps
@@ -410,11 +406,11 @@ def simes_permutation_diagnostic(
     subset masks sample it directly.  Small control pools make the
     statistic too coarse for the uniform approximation to hold.
     """
-    m_values = [int(m) for m in m_values]
-    if min(n, b, *m_values) < 1:
-        raise DataError("need n, b and every m of at least 1")
+    m_values = [check_integer(m, "m", 1) for m in m_values]
+    for name, count in (("n", n), ("b", b)):
+        check_integer(count, name, 1)
     _check_level(alpha, "alpha")
-    check_seed(seed)
+    check_integer(seed, "seed")
     rates = {}
     for m in m_values:
         samples = _random_null(rep_rng(seed, m), b, n + m, n, simes_statistic)

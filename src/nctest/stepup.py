@@ -65,8 +65,8 @@ class StepCurve:
             raise DataError("breakpoints and values must have equal length")
         if bp.size == 0:
             raise DataError("a step curve needs at least one breakpoint")
-        if np.any(np.diff(bp) <= 0):
-            raise DataError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+            raise DataError("breakpoints must be finite and strictly increasing")
         if not (np.all(np.isfinite(vals)) and np.isfinite(self.left_value)):
             raise DataError("step curve values must be finite")
         bp.flags.writeable = False

@@ -184,6 +184,16 @@ def test_curve_validation():
         LocalFdrCurve(np.array([1.0, 1.0]), np.array([0.1, 0.2]), 0.5)
     with pytest.raises(DataError):
         LocalFdrCurve(np.array([1.0, 2.0]), np.array([0.2, 0.1]), 0.5)
+    # NaN compares false, so monotonicity checks alone would pass it
+    for bp, vals in (([1.0, np.nan, 3.0], [0.1, 0.2, 0.3]), ([np.nan], [0.1]),
+                     ([1.0, np.inf], [0.1, 0.2])):
+        with pytest.raises(DataError, match="breakpoints must be finite"):
+            LocalFdrCurve(np.array(bp), np.array(vals), 0.5)
+    for vals in ([0.1, np.nan], [np.nan, np.nan], [0.1, np.inf]):
+        with pytest.raises(DataError, match="values must be finite"):
+            LocalFdrCurve(np.array([1.0, 2.0]), np.array(vals), 0.5)
+    with pytest.raises(DataError, match="breakpoints must be finite"):
+        bayes_risk_curves(worked_set(), q=0.3, pi=0.5, grid=[0.1, np.nan, 0.7])
 
 
 def test_bayes_risk_symmetric_population():

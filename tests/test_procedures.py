@@ -274,13 +274,16 @@ def test_subset_masks_match_full_argsort():
 
 def test_random_null_matches_one_shot_sample():
     # block-wise draws continue one stream, so the statistics equal those
-    # of the masks of one (b, size) draw
+    # of the masks of one (b, size) draw, also on a pool with ties
     for b, size, n_test in ((1000, 300, 7), (50, 2000, 40), (3, 70_000, 2)):
         assert b > _BLOCK_ELEMENTS // size  # more than one block
-        for stat_rows in (fisher_global_statistic, simes_statistic):
-            masks = _subset_masks(np.random.default_rng(8), b, size, n_test)
-            got = _random_null(np.random.default_rng(8), b, size, n_test, stat_rows)
-            np.testing.assert_array_equal(got, stat_rows(_mask_pvalues(masks)))
+        tied_pool = np.sort(np.round(np.random.default_rng(size).normal(size=size), 1))
+        tied_end = np.searchsorted(tied_pool, tied_pool, side="right") - 1
+        for tie_end in (None, tied_end):
+            for stat_rows in (fisher_global_statistic, simes_statistic):
+                masks = _subset_masks(np.random.default_rng(8), b, size, n_test)
+                got = _random_null(np.random.default_rng(8), b, size, n_test, stat_rows, tie_end)
+                np.testing.assert_array_equal(got, stat_rows(_mask_pvalues(masks, tie_end)))
 
 
 def test_permutation_exact_matches_monte_carlo():

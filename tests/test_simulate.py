@@ -53,36 +53,57 @@ _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
 
 
 # every library entry point that takes a seed refuses a negative one before
-# numpy's SeedSequence does; the first case is an exact enumeration, which draws nothing
-@pytest.mark.parametrize("call", [
-    lambda: permutation_global(_SMALL, seed=-1),
-    lambda: permutation_global(_SMALL, B=5, seed=-1, max_enumeration=1),
-    lambda: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=-1),
-    lambda: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=-1),
-    lambda: prds_counterexample(method="mc", draws=100, seed=-1),
-    lambda: with_jitter(_SMALL, seed=-1),
-    lambda: generate_emn(SimConfig(reps=1), rep_seed=-1),
+# numpy's SeedSequence does; the first case is an exact enumeration, which draws
+# nothing.  Counts are refused below their minimum at the entry point as well.
+@pytest.mark.parametrize("message, call", [
+    ("seed must be non-negative", lambda: permutation_global(_SMALL, seed=-1)),
+    ("seed must be non-negative",
+     lambda: permutation_global(_SMALL, B=5, seed=-1, max_enumeration=1)),
+    ("seed must be non-negative", lambda: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=-1)),
+    ("seed must be non-negative",
+     lambda: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=-1)),
+    ("seed must be non-negative", lambda: prds_counterexample(method="mc", draws=100, seed=-1)),
+    ("seed must be non-negative", lambda: with_jitter(_SMALL, seed=-1)),
+    ("seed must be non-negative", lambda: generate_emn(SimConfig(reps=1), rep_seed=-1)),
+    ("B must be at least 1", lambda: permutation_global(_SMALL, B=0, max_enumeration=1)),
+    ("n0 must be non-negative", lambda: SimConfig(n0=-1)),
+    ("m must be at least 1", lambda: SimConfig(m=0)),
+    ("draws must be at least 1", lambda: prds_counterexample(method="mc", draws=0)),
+    ("m must be at least 1", lambda: power_vs_m(SimConfig(reps=2), [5, 0])),
 ], ids=["permutation-exact", "permutation-mc", "fisher-demo", "simes-perm", "prds-mc",
-        "with-jitter", "generate-emn"])
-def test_negative_seed_is_a_data_error(call):
-    with pytest.raises(DataError, match="seed must be non-negative"):
+        "with-jitter", "generate-emn", "permutation-B", "sim-config-n0", "sim-config-m",
+        "prds-draws", "power-vs-m"])
+def test_negative_seed_is_a_data_error(message, call):
+    with pytest.raises(DataError, match=message):
         call()
 
 
-# a seed that is not an integer is refused before numpy's SeedSequence sees it, also on
-# the exact path of permutation_global and in SimConfig, which draw nothing at that point
-@pytest.mark.parametrize("call", [
-    lambda seed: SimConfig(seed=seed),
-    lambda seed: permutation_global(_SMALL, seed=seed),
-    lambda seed: permutation_global(_SMALL, B=5, seed=seed, max_enumeration=1),
-    lambda seed: with_jitter(_SMALL, seed=seed),
-    lambda seed: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=seed),
-    lambda seed: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=seed),
+# a seed or count that is not an integer is refused before numpy sees it, also on the
+# exact path of permutation_global and in SimConfig, which draw nothing at that point;
+# a float count is refused, never truncated, and so is a bool, which Python counts
+# as an integer
+@pytest.mark.parametrize("name, call", [
+    ("seed", lambda seed: SimConfig(seed=seed)),
+    ("seed", lambda seed: permutation_global(_SMALL, seed=seed)),
+    ("seed", lambda seed: permutation_global(_SMALL, B=5, seed=seed, max_enumeration=1)),
+    ("seed", lambda seed: with_jitter(_SMALL, seed=seed)),
+    ("seed", lambda seed: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=seed)),
+    ("seed", lambda seed: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=seed)),
+    ("B", lambda B: permutation_global(_SMALL, B=B, max_enumeration=1)),
+    ("n0", lambda n0: SimConfig(n0=n0)),
+    ("reps", lambda reps: SimConfig(reps=reps)),
+    ("reps", lambda reps: fisher_miscalibration_demo(n=3, m=3, reps=reps)),
+    ("b", lambda b: simes_permutation_diagnostic(n=3, m_values=(3,), b=b)),
+    ("m", lambda m: simes_permutation_diagnostic(n=3, m_values=(m,), b=5)),
+    # three draws of seed 0 fill both conditioning events
+    ("draws", lambda draws: prds_counterexample(method="mc", draws=draws)),
+    ("m", lambda m: power_vs_m(SimConfig(reps=2), [m])),
 ], ids=["sim-config", "permutation-exact", "permutation-mc", "with-jitter", "simes-perm",
-        "fisher-demo"])
-def test_non_integer_seed_is_a_data_error(call):
-    for bad in (1.5, 2.0, "3", None):
-        with pytest.raises(DataError, match="seed must be an integer"):
+        "fisher-demo", "permutation-B", "sim-config-n0", "sim-config-reps", "fisher-demo-reps",
+        "simes-perm-b", "simes-perm-m", "prds-draws", "power-vs-m"])
+def test_non_integer_seed_is_a_data_error(name, call):
+    for bad in (1.5, 2.0, "3", None, True):
+        with pytest.raises(DataError, match=f"{name} must be an integer"):
             call(bad)
     call(np.int64(3))
     call(np.uint32(3))
@@ -393,9 +414,11 @@ def test_mask_kernels_match_module_statistics():
             s = make_statistic_set(test, nc)
             pool = np.sort(np.concatenate([test, nc]))
             _, samples = permutation_global(s, name, B=40, seed=8, max_enumeration=0)
-            expected = [reference(pool, stat_fn, rep_rng(8, b).choice(pool.size, test.size,
-                                                                      replace=False))
-                        for b in range(40)]
+            # relabeling b puts the tests at the test.size smallest of row b's
+            # uniform keys, all drawn from the one stream (8, 0)
+            keys = rep_rng(8, 0).random((40, pool.size))
+            expected = [reference(pool, stat_fn, subset)
+                        for subset in np.argsort(keys, axis=1)[:, :test.size]]
             np.testing.assert_array_equal(samples, expected)
         _, samples = permutation_global(make_statistic_set(*small), name)
         pool = np.sort(np.concatenate(small))

@@ -26,6 +26,10 @@ def test_step_curve_validation():
         StepCurve([1.0, 1.0], [0.0, 0.0], 0.0)
     with pytest.raises(DataError):
         StepCurve([0.0], [np.inf], 0.0)
+    # NaN compares false, so an increasing check alone would pass it
+    for breakpoints in ([0.0, np.nan, 2.0], [np.nan], [0.0, np.inf], [-np.inf]):
+        with pytest.raises(DataError, match="breakpoints must be finite"):
+            StepCurve(breakpoints, np.zeros(len(breakpoints)), 0.0)
 
 
 def test_pi_hat_lambda_one_is_exactly_one():
