@@ -223,6 +223,10 @@ _PLAIN = re.compile(r"[\w.+\-:/@]*", re.ASCII)
 
 
 def _csv_quoted(text: str) -> str:
+    if "\r" in text:
+        # csv.writer leaves a carriage return unquoted before Python 3.12,
+        # and a reader would end the row there
+        return '"' + text.replace('"', '""') + '"'
     line = io.StringIO()
     csv.writer(line, lineterminator="\n").writerow((text, ""))
     return line.getvalue()[:-2]  # the empty second field and the line end

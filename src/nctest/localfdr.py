@@ -248,7 +248,10 @@ def localfdr_curve(statistics: StatisticSet, pi: float) -> LocalFdrCurve:
     q_hat(t) = inf{q in (0, pi]: threshold(q/pi) >= t}.  The threshold
     as a function of lam is the lower envelope of the candidate score
     lines, so the curve's switch points are exact line crossings; no
-    grid is involved.
+    grid is involved.  The envelope is the greatest convex minorant of
+    the control ECDF against the test ECDF (Soloff, Xiang and Fithian,
+    arXiv 2207.07299).  Vectorised passes drop the lines that cannot
+    reach it before a stack loop finishes it over the few left.
     """
     _check_levels(pi=pi)
     n, m = statistics.n, statistics.m
@@ -264,7 +267,7 @@ def localfdr_curve(statistics: StatisticSet, pi: float) -> LocalFdrCurve:
         bi = 0.0 if i < 0 else b[i]
         return (a[j] - ai) / (b[j] - bi)
 
-    for k in range(cand_t.size):
+    for k in _envelope_candidates(a, b).tolist():
         while stack:
             top, top_in = stack[-1]
             lam_in = crossing(top, k)
@@ -284,6 +287,35 @@ def localfdr_curve(statistics: StatisticSet, pi: float) -> LocalFdrCurve:
         breakpoints.append(cand_t[k])
         values.append(pi * lam_in)
     return LocalFdrCurve(np.asarray(breakpoints), np.asarray(values), pi)
+
+
+# vectorised passes before the stack loop; a strictly convex chain followed
+# by a near-flat run loses one point per pass, so the loop finishes the rest
+_PRUNE_PASSES = 64
+
+
+def _envelope_candidates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices of the lines that may reach the lower envelope, in order.
+
+    Points (b_k, a_k), b strictly increasing, follow the boundary point
+    (0, 0), which is never dropped.  A pass drops every point whose
+    incoming slope is at least its outgoing slope among the points
+    still left; such a point lies on or above the chord of its
+    neighbours, so it is no vertex of the envelope and the stack loop
+    would pop it too.  Slopes use the same float expression as the
+    loop's crossing.  Passes stop when none drops or after
+    _PRUNE_PASSES.
+    """
+    keep = np.arange(a.size)
+    for _ in range(_PRUNE_PASSES):
+        ka = np.concatenate([[0.0], a[keep]])
+        kb = np.concatenate([[0.0], b[keep]])
+        slopes = (ka[1:] - ka[:-1]) / (kb[1:] - kb[:-1])
+        drop = slopes[:-1] >= slopes[1:]  # the last point has no outgoing slope
+        if not drop.any():
+            break
+        keep = keep[np.append(~drop, True)]
+    return keep
 
 
 def neighborhood_threshold(statistics: StatisticSet, lam: float, h: float) -> list:

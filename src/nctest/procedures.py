@@ -348,6 +348,7 @@ def permutation_global(
     """
     check_integer(B, "B", 1)
     check_integer(seed, "seed")
+    check_integer(max_enumeration, "max_enumeration", 0)
     try:
         stat_rows, direction = _STATISTICS[statistic]
     except KeyError:

@@ -294,8 +294,10 @@ def power_vs_m(config: SimConfig, m_grid) -> dict:
 
 def rule_of_thumb_m(n: int, n1: int, q: float, factor: float = 2.0) -> int:
     """Smallest recommended control-pool size for a target power gap."""
-    if n < 1 or n1 < 1 or not 0 < q < 1 or not factor > 0:
-        raise DataError("need n >= 1, 1 <= n1, 0 < q < 1, factor > 0")
+    check_integer(n, "n", 1)
+    check_integer(n1, "n1", 1)
+    if not 0 < q < 1 or not factor > 0:
+        raise DataError("need 0 < q < 1, factor > 0")
     return int(math.ceil(factor * n / (q * n1)))
 
 

@@ -251,6 +251,21 @@ def test_ids_keep_their_csv_quoting(capsys, tmp_path):
     assert pvalues == dict(zip(p.ids, p.values.tolist()))
 
 
+def test_carriage_return_id_reads_back_as_one_field(capsys, tmp_path):
+    lines = ["id,value,role", '"x\ry",-3.0,test'] + [f"t{k},{k / 10},test" for k in range(5)]
+    lines += [f"c{k},{k / 7},nc" for k in range(20)]
+    path = tmp_path / "cr.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert load_csv(str(path)).investigation_ids[0] == "x\ry"
+    code, _, err = _run(capsys, ["analyze", "--in", str(path), "--out", str(tmp_path / "b")])
+    assert code == 0, err
+    with open(tmp_path / "b" / "result.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["id", "statistic", "pvalue", "rejected"]
+    assert [row[0] for row in rows[1:]] == ["x\ry"] + [f"t{k}" for k in range(5)]
+    assert {len(row) for row in rows} == {4}
+
+
 def test_placeholder_text_in_ids_and_paths_is_kept(capsys, tmp_path, monkeypatch):
     # the first two markers _emit tries occur as data: as rejected ids and as the --in path
     ids = ["@nctest-column-0-0", "@nctest-column-0-1"]

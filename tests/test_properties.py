@@ -15,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
+from nctest import localfdr  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import _count_extreme, _step_prefix, permutation_global  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
@@ -225,6 +226,80 @@ def test_neighborhood_threshold_matches_window_loop(tests, controls, lam):
         for res in found:
             below = {i for i, v in zip(s.investigation_ids, tests) if v <= res.tau_hat}
             assert res.rejected == below
+
+
+def _stack_envelope_curve(s, pi):
+    """Breakpoints and values of the local-FDR curve by the stack loop over every line."""
+    n, m = s.n, s.m
+    cand_t, c, r = ecdf_counts(s, np.unique(s.investigation))
+    a = c.astype(float) * n
+    b = r.astype(float) * m
+    stack = [(-1, 0.0)]
+
+    def crossing(i, j):
+        ai = 0.0 if i < 0 else a[i]
+        bi = 0.0 if i < 0 else b[i]
+        return (a[j] - ai) / (b[j] - bi)
+
+    for k in range(cand_t.size):
+        while stack:
+            top, top_in = stack[-1]
+            if crossing(top, k) <= top_in:
+                stack.pop()
+            else:
+                break
+        stack.append((k, crossing(stack[-1][0], k) if stack else 0.0))
+    kept = [(cand_t[k], pi * lam_in) for k, lam_in in stack if k >= 0 and lam_in < 1.0]
+    return np.array([t for t, _ in kept]), np.array([v for _, v in kept])
+
+
+def _assert_reference_curve(s, pi):
+    curve = localfdr_curve(s, pi)
+    breakpoints, values = _stack_envelope_curve(s, pi)
+    assert curve.breakpoints.tobytes() == breakpoints.tobytes()
+    assert curve.values.tobytes() == values.tobytes()
+
+
+# wide tied pools: runs of tests with no control between them, and controls
+# shifted below or above most tests (every c = 0, or lam_in >= 1 throughout)
+_wide_ties = st.lists(st.integers(-15, 15).map(float), min_size=1, max_size=150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tests=_wide_ties, controls=_wide_ties, shift=st.sampled_from([0.0, 0.5, -20.0, 20.0]),
+       pi=st.sampled_from([0.3, 0.8, 1.0]))
+def test_localfdr_curve_matches_the_stack_loop(tests, controls, shift, pi):
+    s = make_statistic_set(np.array(tests), np.array(controls) + shift)
+    _assert_reference_curve(s, pi)
+
+
+def test_localfdr_curve_past_the_pass_cap(monkeypatch):
+    # a strictly convex chain (i controls before test i) then a flat run of tests:
+    # each pass drops only the last chain point, so the cap stops the passes and
+    # the stack loop finishes the envelope
+    chain, flat = 100, 1000
+    tests = np.arange(chain + flat, dtype=float)
+    controls = np.concatenate([np.full(i, i - 0.5) for i in range(1, chain + 1)]
+                              + [np.full(20_000, chain + flat + 10.0)])
+    s = make_statistic_set(tests, controls)
+    cand_t, c, r = ecdf_counts(s, np.unique(s.investigation))
+    a, b = c.astype(float) * s.n, r.astype(float) * s.m
+
+    def passes_left(keep):
+        ka, kb = np.append(0.0, a[keep]), np.append(0.0, b[keep])
+        slopes = np.diff(ka) / np.diff(kb)
+        return bool(np.any(slopes[:-1] >= slopes[1:]))
+
+    assert passes_left(localfdr._envelope_candidates(a, b))
+    _assert_reference_curve(s, 0.8)
+    # uncapped passes alone reach the envelope; no passes leave the loop all of it
+    monkeypatch.setattr(localfdr, "_PRUNE_PASSES", 10 * chain)
+    hull = localfdr._envelope_candidates(a, b)
+    assert not passes_left(hull) and hull.size < chain
+    _assert_reference_curve(s, 0.8)
+    monkeypatch.setattr(localfdr, "_PRUNE_PASSES", 0)
+    assert localfdr._envelope_candidates(a, b).size == cand_t.size
+    _assert_reference_curve(s, 0.8)
 
 
 def _brute_stepup(tests, controls, lam, q):

@@ -70,9 +70,11 @@ _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
     ("m must be at least 1", lambda: SimConfig(m=0)),
     ("draws must be at least 1", lambda: prds_counterexample(method="mc", draws=0)),
     ("m must be at least 1", lambda: power_vs_m(SimConfig(reps=2), [5, 0])),
+    ("max_enumeration must be non-negative",
+     lambda: permutation_global(_SMALL, max_enumeration=-1)),
 ], ids=["permutation-exact", "permutation-mc", "fisher-demo", "simes-perm", "prds-mc",
         "with-jitter", "generate-emn", "permutation-B", "sim-config-n0", "sim-config-m",
-        "prds-draws", "power-vs-m"])
+        "prds-draws", "power-vs-m", "permutation-cap"])
 def test_negative_seed_is_a_data_error(message, call):
     with pytest.raises(DataError, match=message):
         call()
@@ -98,9 +100,10 @@ def test_negative_seed_is_a_data_error(message, call):
     # three draws of seed 0 fill both conditioning events
     ("draws", lambda draws: prds_counterexample(method="mc", draws=draws)),
     ("m", lambda m: power_vs_m(SimConfig(reps=2), [m])),
+    ("max_enumeration", lambda cap: permutation_global(_SMALL, B=5, max_enumeration=cap)),
 ], ids=["sim-config", "permutation-exact", "permutation-mc", "with-jitter", "simes-perm",
         "fisher-demo", "permutation-B", "sim-config-n0", "sim-config-reps", "fisher-demo-reps",
-        "simes-perm-b", "simes-perm-m", "prds-draws", "power-vs-m"])
+        "simes-perm-b", "simes-perm-m", "prds-draws", "power-vs-m", "permutation-cap"])
 def test_non_integer_seed_is_a_data_error(name, call):
     for bad in (1.5, 2.0, "3", None, True):
         with pytest.raises(DataError, match=f"{name} must be an integer"):
@@ -362,6 +365,11 @@ def test_rule_of_thumb():
         rule_of_thumb_m(0, 10, 0.2)
     with pytest.raises(DataError):
         rule_of_thumb_m(100, 10, 1.5)
+    # counts are integers: a float or a bool is refused, never truncated
+    for n, n1 in ((2.5, 1), (True, True), (100, 10.0), (np.int64(100), 10.5)):
+        with pytest.raises(DataError, match="must be an integer"):
+            rule_of_thumb_m(n, n1, 0.2)
+    assert rule_of_thumb_m(np.int64(100), np.uint8(10), 0.2) == 100
 
 
 def test_rule_of_thumb_rejects_nan_factor():

@@ -74,6 +74,75 @@ def test_step_curve_staircase_inside_frame():
         assert np.isclose(x0, x1) or np.isclose(y0, y1)
 
 
+# threshold lines at the plot edges fix the x range to (0, 568), so data x
+# maps to canvas x + 56 and a breakpoint col + frac sits inside pixel column
+# col + 56 whatever the rounding
+_EDGES = [(0.0, ""), (568.0, "")]
+
+
+def _full_staircase(bp, vals, left_value):
+    """Points attribute of the staircase that draws every step."""
+    ys = list(vals) + ([left_value] if left_value is not None else [])
+    frame = svg._Frame((0.0, 568.0), (min(ys), max(ys)))
+    xs = [frame.x(v) for v in list(bp) + [568.0]]
+    steps = list(zip(xs, xs[1:], vals))
+    if left_value is not None:
+        steps.insert(0, (frame.x(0.0), xs[0], left_value))
+    return " ".join(f"{svg._fmt(a)},{svg._fmt(frame.y(v))} {svg._fmt(b)},{svg._fmt(frame.y(v))}"
+                    for a, b, v in steps)
+
+
+def _points(points):
+    return [tuple(map(float, pt.split(","))) for pt in points.split()]
+
+
+def _drawn_points(doc):
+    (poly,) = _parse(doc).iter(f"{NS}polyline")
+    return poly.get("points")
+
+
+def _by_column(points):
+    columns = {}
+    for x, y in points:
+        columns.setdefault(int(x), []).append((x, y))
+    return columns
+
+
+def test_dense_step_curve_keeps_each_column():
+    rng = np.random.default_rng(5)
+    # dense columns, then columns of one to four steps
+    columns = np.concatenate([rng.integers(30, 280, 20_000),
+                              np.repeat(np.arange(300, 530), rng.integers(1, 5, 230))])
+    bp = np.sort(columns + rng.uniform(0.1, 0.9, columns.size))
+    vals = rng.normal(size=bp.size)
+    drawn = _points(_drawn_points(svg.step_curve_svg(bp, vals, 0.0, _EDGES)))
+    full = _points(_full_staircase(bp, vals, 0.0))
+    assert len(drawn) < len(full) // 10
+    # the left-value and end points are the full staircase's
+    assert drawn[0] == full[0] and drawn[-1] == full[-1]
+    drawn_columns, full_columns = _by_column(drawn[1:-1]), _by_column(full[1:-1])
+    assert drawn_columns.keys() == full_columns.keys()
+    for column, points in full_columns.items():
+        kept = drawn_columns[column]
+        ys = [y for _, y in points]
+        assert (min(y for _, y in kept), max(y for _, y in kept)) == (min(ys), max(ys))
+        # the join from the column before and the exit to the next are the full ones
+        assert kept[:2] == points[:2] and kept[-1] == points[-1]
+        assert len({x for x, _ in kept}) <= 4
+        if len({x for x, _ in points}) <= 4:
+            assert kept == points
+
+
+@pytest.mark.parametrize("left_value", [0.0, None])
+def test_step_curve_with_four_steps_per_column_draws_every_step(left_value):
+    rng = np.random.default_rng(6)
+    columns = np.repeat(np.arange(40, 500, 3), rng.integers(1, 5, 154))
+    bp = np.sort(columns + rng.uniform(0.1, 0.9, columns.size))
+    vals = rng.normal(size=bp.size)
+    doc = svg.step_curve_svg(bp, vals, left_value, _EDGES)
+    assert _drawn_points(doc) == _full_staircase(bp, vals, left_value)
+
+
 def test_step_curve_rejects_mismatch():
     with pytest.raises(DataError):
         svg.step_curve_svg([0.0, 1.0], [0.1])
