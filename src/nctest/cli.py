@@ -266,6 +266,13 @@ def _cell_texts(chunk):
         texts = list(map(str, chunk.tolist()))
         return texts, texts
     values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+    try:
+        plain = _PLAIN.fullmatch("".join(values))
+    except TypeError:  # not every value is a string
+        plain = None
+    if plain:
+        # every string is plain, so it is its own CSV field and needs no JSON escape
+        return values, list(map('"{}"'.format, values))
     return list(map(_csv_text, values)), list(map(_json_value, values))
 
 
@@ -277,18 +284,18 @@ def _format_rows(report: Report, splices: list, write=None) -> list:
     """
     columns = report.columns
     spliced = {k for splice in splices for k in (splice.values, splice.keys) if k is not None}
-    line = ",".join(["{}"] * len(columns)) + "\n"
     fragments = [[] for _ in splices]
     rows = len(columns[0]) if columns else 0
     for lo in range(0, rows, _CHUNK):
         texts = {k: _cell_texts(column[lo:lo + _CHUNK])
                  for k, column in enumerate(columns) if write is not None or k in spliced}
         if write is not None:
-            write("".join(map(line.format, *(texts[k][0] for k in range(len(columns))))))
+            lines = zip(*(texts[k][0] for k in range(len(columns))))
+            write("\n".join(map(",".join, lines)) + "\n")
         for splice, parts in zip(splices, fragments):
             values = texts[splice.values][1]
             if splice.keys is not None:
-                values = map("{}:{}".format, texts[splice.keys][1], values)
+                values = map(":".join, zip(texts[splice.keys][1], values))
             parts.append(",".join(values))
     return fragments
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +157,95 @@ def make_statistic_set(
 
 
 _CANONICAL_COLUMNS = ("id", "value", "role", "subgroup", "treatment", "control", "truth")
+# the required fields of a record as np.loadtxt reads them: the id stripped,
+# the value as a float and the role as a code
+_RECORD = np.dtype([("id", object), ("value", float), ("role", np.int8)])
+
+
+class _RoleCodes(dict):
+    """Role text to code; a padded role is looked up stripped, an unknown one is -1."""
+
+    def __missing__(self, text):
+        return self.get(text.strip(), -1)
+
+
+_ROLE_CODES = _RoleCodes(nc=0, test=1)
+
+
+def _read_records(fh, start: int, usecols: tuple, max_rows=None) -> np.ndarray:
+    i_id, _, i_role = usecols
+    converters = {i_id: str.strip, i_role: _ROLE_CODES.__getitem__}
+    fh.seek(start)
+    with warnings.catch_warnings():
+        # loadtxt warns of an input without records and, given max_rows, of blank lines
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, dtype=_RECORD, delimiter=",", quotechar='"', comments=None,
+                          usecols=usecols, converters=converters, ndmin=1, max_rows=max_rows)
+
+
+def _parsed_records(fh, start: int, usecols: tuple):
+    """The records np.loadtxt reads before the first it refuses, and that record's index.
+
+    The index is None when every record is read.  loadtxt refuses a
+    value its float parser cannot read and a row that lacks a used
+    column.  Its message numbers the record from 0 or from 1, by the
+    kind of error; that guess is checked, and the first refused record
+    is found by reading prefixes of growing, then bisected, length.
+    """
+    try:
+        return _read_records(fh, start, usecols), None
+    except ValueError as error:
+        hint = re.search(r" at row (\d+)", str(error))
+
+    def reads(rows: int) -> bool:
+        try:
+            _read_records(fh, start, usecols, rows)
+        except ValueError:
+            return False
+        return True
+
+    good, bad = 0, 1  # the first `good` records are read, the first `bad` are not
+    if hint:
+        row = int(hint.group(1))
+        if reads(max(row - 1, 0)):
+            good, bad = max(row - 1, 0), row + 1
+    while reads(bad):
+        good, bad = bad, 2 * bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if reads(mid) else (good, mid)
+    return _read_records(fh, start, usecols, good), good
+
+
+def _record_error(row: list, i_id: int, i_value: int, i_role: int) -> str:
+    """What is wrong with the required fields of a record known to be bad."""
+    raw = row[i_value].strip()
+    if not row[i_id].strip():
+        return "empty id"
+    try:
+        value = float(raw)
+    except ValueError:
+        return f"bad value {raw!r}"
+    if not math.isfinite(value):
+        return f"non-finite value {raw!r}"
+    role = row[i_role].strip()
+    if role not in ("test", "nc"):
+        return f"unknown role {role!r}"
+    # float() reads digit-group underscores and non-ASCII digits; numpy's parser does not
+    return f"bad value {raw!r}"
+
+
+def _records(fh, start: int, lines_before: int, width: int):
+    """(file line, fields) of each record after start, short rows padded to width."""
+    fh.seek(start)
+    reader = csv.reader(fh)
+    pad = [""] * width
+    line = lines_before
+    for row in reader:
+        # a record starts on the line after the previous one ends; blank lines count
+        first, line = line + 1, lines_before + reader.line_num
+        if row:
+            yield first, row + pad[len(row):]
 
 
 def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
@@ -169,7 +260,10 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
     orientation : str
         Which tail of the input values carries evidence.
 
-    Row order is preserved within each role.
+    Fields may be quoted; blank lines are skipped, missing trailing
+    fields read as empty and fields beyond the header are ignored.
+    There are no comment lines, and a byte-order mark before the header
+    is dropped.  Row order is preserved within each role.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -178,11 +272,17 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
         hasattr(source, "read") and isinstance(getattr(source, "mode", ""), str) and "b" in getattr(source, "mode", "")
     ):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    if not source.seekable():
+        # records are read again to place an error or to read the optional columns
+        source = io.StringIO(source.read(), newline="")
 
-    reader = csv.reader(source)
+    # the header is read line by line, so the stream can tell where the records start
+    reader = csv.reader(iter(source.readline, ""))
     header = next(reader, None)
     if header is None:
         raise DataError("empty CSV: missing header")
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")  # the byte-order mark Excel writes
     # a repeated header name means its last column, as with csv.DictReader
     index = {name: k for k, name in enumerate(header)}
     for required in ("id", "value", "role"):
@@ -194,71 +294,57 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
         col[name] for name in ("subgroup", "treatment", "control", "truth")
     )
     optional = any(k is not None for k in (i_subgroup, i_treatment, i_control, i_truth))
-    # short rows read as empty fields; pad them out to every column used
-    pad = [""] * (1 + max(k for k in col.values() if k is not None))
+    start, header_lines = source.tell(), reader.line_num
 
-    inv_ids, inv_vals, nc_ids, nc_vals = [], [], [], []
+    records, refused = _parsed_records(source, start, (i_id, i_value, i_role))
+    ids, values, roles = records["id"], records["value"], records["role"]
+    is_test, is_nc = roles == _ROLE_CODES["test"], roles == _ROLE_CODES["nc"]
+    bad = (ids == "") | ~np.isfinite(values) | ~(is_test | is_nc)
+    if refused is not None:
+        bad = np.append(bad, True)
+    first_bad = int(np.argmax(bad)) if bad.any() else None
+
     subgroup, paired_raw, truth = {}, {}, {}
-    end = reader.line_num
-    for row in reader:
-        # errors name the file line where the record starts; blank lines count
-        lineno, end = end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) < len(pad):
-            row += pad[len(row):]
-        rid = row[i_id].strip()
-        if not rid:
-            raise DataError(f"line {lineno}: empty id")
-        raw = row[i_value].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            raise DataError(f"line {lineno}: bad value {raw!r}") from None
-        if not math.isfinite(value):
-            raise DataError(f"line {lineno}: non-finite value {raw!r}")
-        role = row[i_role].strip()
-        if role == "test":
-            inv_ids.append(rid)
-            inv_vals.append(value)
-        elif role == "nc":
-            nc_ids.append(rid)
-            nc_vals.append(value)
-        else:
-            raise DataError(f"line {lineno}: unknown role {role!r}")
-        if not optional:
-            continue
-        if i_subgroup is not None:
-            label = row[i_subgroup].strip()
-            if label:
-                subgroup[rid] = label
-        t_raw = row[i_treatment].strip() if i_treatment is not None else ""
-        c_raw = row[i_control].strip() if i_control is not None else ""
-        if t_raw or c_raw:
-            if not (t_raw and c_raw):
-                raise DataError(f"line {lineno}: treatment and control must both be present")
-            try:
-                pair = (float(t_raw), float(c_raw))
-            except ValueError:
-                raise DataError(f"line {lineno}: bad treatment/control pair") from None
-            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-                raise DataError(f"line {lineno}: non-finite treatment/control pair")
-            paired_raw[rid] = pair
-        if i_truth is not None:
-            label = row[i_truth].strip()
-            if label:
-                truth[rid] = label
+    if optional or first_bad is not None:
+        # errors name the file line where the first bad record starts
+        width = 1 + max(k for k in col.values() if k is not None)
+        for k, (lineno, row) in enumerate(_records(source, start, header_lines, width)):
+            if k == first_bad:
+                raise DataError(f"line {lineno}: {_record_error(row, i_id, i_value, i_role)}")
+            if not optional:
+                continue
+            rid = ids[k]
+            if i_subgroup is not None:
+                label = row[i_subgroup].strip()
+                if label:
+                    subgroup[rid] = label
+            t_raw = row[i_treatment].strip() if i_treatment is not None else ""
+            c_raw = row[i_control].strip() if i_control is not None else ""
+            if t_raw or c_raw:
+                if not (t_raw and c_raw):
+                    raise DataError(f"line {lineno}: treatment and control must both be present")
+                try:
+                    pair = (float(t_raw), float(c_raw))
+                except ValueError:
+                    raise DataError(f"line {lineno}: bad treatment/control pair") from None
+                if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+                    raise DataError(f"line {lineno}: non-finite treatment/control pair")
+                paired_raw[rid] = pair
+            if i_truth is not None:
+                label = row[i_truth].strip()
+                if label:
+                    truth[rid] = label
 
-    if not inv_ids:
+    if not is_test.any():
         raise DataError("no investigation statistics (role=test)")
-    if not nc_ids:
+    if not is_nc.any():
         raise DataError("no negative controls (role=nc)")
     return make_statistic_set(
-        inv_vals,
-        nc_vals,
+        values[is_test],
+        values[is_nc],
         orientation=orientation,
-        investigation_ids=inv_ids,
-        nc_ids=nc_ids,
+        investigation_ids=ids[is_test].tolist(),
+        nc_ids=ids[is_nc].tolist(),
         subgroup=subgroup,
         paired_raw=paired_raw,
         truth=truth,

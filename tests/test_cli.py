@@ -212,6 +212,17 @@ def test_chunk_edges_match_the_per_row_writer(monkeypatch, tmp_path, rows):
     }) + "\n"
 
 
+@pytest.mark.parametrize("chunk", [
+    ("t1", "c_2", "a.b+c-d:e/f@g", ""), ("t1", "a b"), ("t1", "a,b"), ('q"t',), ("x\ry",),
+    ("café", "t2"), ("back\\slash",), ("tab\tx",), ("t1", None), ("t1", 2.5, 3),
+])
+def test_string_chunk_texts_are_those_of_each_value(chunk):
+    # a chunk whose joined strings are plain skips the per-value check
+    csv_texts, json_texts = cli._cell_texts(chunk)
+    assert list(csv_texts) == [cli._csv_text(value) for value in chunk]
+    assert list(json_texts) == [cli._json_value(value) for value in chunk]
+
+
 def test_writer_keeps_non_finite_text_in_the_csv(tmp_path):
     values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 2.0]
     column = np.ma.masked_array(values, mask=[False] * 5 + [True])
@@ -264,6 +275,22 @@ def test_carriage_return_id_reads_back_as_one_field(capsys, tmp_path):
     assert rows[0] == ["id", "statistic", "pvalue", "rejected"]
     assert [row[0] for row in rows[1:]] == ["x\ry"] + [f"t{k}" for k in range(5)]
     assert {len(row) for row in rows} == {4}
+
+
+def test_quoted_input_with_blank_lines_runs_clean(capsys, tmp_path):
+    # blank lines, quoted fields and a byte-order mark leave no warning in the
+    # payload, and the input hash covers the file's own bytes
+    lines = ["\ufeffid,value,role", "", '"t,0",-3.0,test', '"t""1", 0.5 ,"test"', "", ""]
+    lines += [f"t{k},{k / 10},test" for k in range(2, 8)]
+    lines += [f'"c{k}",{k / 7},nc' for k in range(20)]
+    data = ("\r\n".join(lines) + "\r\n").encode("utf-8")
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(data)
+    for args in (["analyze"], ["localfdr", "--q", "0.2", "--pi", "0.8"], ["stepup"]):
+        payload = _payload(capsys, args + ["--in", str(path)])
+        assert payload["warnings"] == []
+        assert payload["manifest"]["input_sha256"] == hashlib.sha256(data).hexdigest()
+    assert list(_payload(capsys, ["analyze", "--in", str(path)])["pvalues"])[:2] == ["t,0", 't"1']
 
 
 def test_placeholder_text_in_ids_and_paths_is_kept(capsys, tmp_path, monkeypatch):

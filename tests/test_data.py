@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -120,7 +121,12 @@ def test_load_csv_byte_stream_and_path(tmp_path):
     path.write_bytes(data)
     with open(path, "rb") as fh:
         from_binary_file = load_csv(fh)
-    for s in (from_bytes, from_binary_file, load_csv(path), load_csv(str(path))):
+    read, write = os.pipe()  # a stream that cannot seek, as stdin may be
+    os.write(write, data)
+    os.close(write)
+    with open(read, "rb") as fh:
+        from_pipe = load_csv(fh)
+    for s in (from_bytes, from_binary_file, from_pipe, load_csv(path), load_csv(str(path))):
         assert s.investigation_ids == ("\u00e9",)
         assert s.nc_ids == ("n1",)
 
@@ -155,6 +161,40 @@ def test_load_csv_error_messages(csv_text, message):
     with pytest.raises(DataError) as excinfo:
         load_csv(io.StringIO(csv_text))
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("raw", ["1_000", "١"])
+def test_values_numpy_cannot_parse_are_bad(raw):
+    # float() reads digit-group underscores and non-ASCII digits; the C parser
+    # of np.loadtxt does not, and load_csv follows the parser
+    csv_text = f"id,value,role\na,0.1,test\nb,{raw},nc\n"
+    with pytest.raises(DataError) as excinfo:
+        load_csv(io.StringIO(csv_text))
+    assert str(excinfo.value) == f"line 3: bad value {raw!r}"
+
+
+@pytest.mark.parametrize("kind", ["value", "short"])
+@pytest.mark.parametrize("bad_row", [0, 1, 2, 7, 31, 32, 33, 63])
+def test_first_refused_record_is_found_anywhere(kind, bad_row):
+    # a record np.loadtxt refuses, after blank lines and a quoted line break
+    rows = [f"t{k},{k / 8!r},test" for k in range(64)]
+    rows[5] = '"t\n5",0.625,nc'
+    rows[bad_row] = f"t{bad_row},x,nc" if kind == "value" else f"t{bad_row}"
+    csv_text = "id,value,role\n\n" + "\n".join(rows[:20]) + "\n\n\n" + "\n".join(rows[20:]) + "\n"
+    line = 3 + bad_row + (bad_row > 5) + 2 * (bad_row >= 20)
+    message = "bad value 'x'" if kind == "value" else "bad value ''"
+    with pytest.raises(DataError) as excinfo:
+        load_csv(io.StringIO(csv_text))
+    assert str(excinfo.value) == f"line {line}: {message}"
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    text = "\ufeffid,value,role\na,0.1,test\nn1,0.3,nc\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (path, io.BytesIO(text.encode("utf-8")), io.StringIO(text)):
+        s = load_csv(source)
+        assert (s.investigation_ids, s.nc_ids) == (("a",), ("n1",))
 
 
 def test_values_read_only():

@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nctest import bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
+from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
 from nctest import localfdr  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
@@ -64,6 +64,183 @@ def test_load_csv_returns_written_rows(rows, ids, with_subgroup, with_truth):
         assert got_values.tobytes() == np.array([v for _, v in mine]).tobytes()
     assert s.subgroup == ({rid: row[2] for rid, row in written if row[2]} if with_subgroup else {})
     assert s.truth == ({rid: row[3] for rid, row in written if row[3]} if with_truth else {})
+
+
+_REQUIRED = ("id", "value", "role")
+
+
+def _reference_load_csv(source, orientation="small_is_significant"):
+    """The per-row loop load_csv ran before its single np.loadtxt parse."""
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty CSV: missing header")
+    index = {name: k for k, name in enumerate(header)}
+    for required in _REQUIRED:
+        if required not in index:
+            raise DataError(f"missing required column {required!r}")
+    names = _REQUIRED + ("subgroup", "treatment", "control", "truth")
+    col = {name: index.get(name) for name in names}
+    i_id, i_value, i_role, i_subgroup, i_treatment, i_control, i_truth = (col[n] for n in names)
+    pad = [""] * (1 + max(k for k in col.values() if k is not None))
+    inv_ids, inv_vals, nc_ids, nc_vals = [], [], [], []
+    subgroup, paired_raw, truth = {}, {}, {}
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
+        if not row:
+            continue
+        row += pad[len(row):]
+        rid = row[i_id].strip()
+        if not rid:
+            raise DataError(f"line {lineno}: empty id")
+        raw = row[i_value].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"line {lineno}: bad value {raw!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"line {lineno}: non-finite value {raw!r}")
+        role = row[i_role].strip()
+        if role == "test":
+            inv_ids.append(rid)
+            inv_vals.append(value)
+        elif role == "nc":
+            nc_ids.append(rid)
+            nc_vals.append(value)
+        else:
+            raise DataError(f"line {lineno}: unknown role {role!r}")
+        if i_subgroup is not None and row[i_subgroup].strip():
+            subgroup[rid] = row[i_subgroup].strip()
+        t_raw = row[i_treatment].strip() if i_treatment is not None else ""
+        c_raw = row[i_control].strip() if i_control is not None else ""
+        if t_raw or c_raw:
+            if not (t_raw and c_raw):
+                raise DataError(f"line {lineno}: treatment and control must both be present")
+            try:
+                pair = (float(t_raw), float(c_raw))
+            except ValueError:
+                raise DataError(f"line {lineno}: bad treatment/control pair") from None
+            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+                raise DataError(f"line {lineno}: non-finite treatment/control pair")
+            paired_raw[rid] = pair
+        if i_truth is not None and row[i_truth].strip():
+            truth[rid] = row[i_truth].strip()
+    if not inv_ids:
+        raise DataError("no investigation statistics (role=test)")
+    if not nc_ids:
+        raise DataError("no negative controls (role=nc)")
+    return make_statistic_set(inv_vals, nc_vals, orientation=orientation,
+                              investigation_ids=inv_ids, nc_ids=nc_ids,
+                              subgroup=subgroup, paired_raw=paired_raw, truth=truth)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_number = st.one_of(_finite.map(repr), st.integers(-10**20, 10**20).map(str))
+# well-formed cells, so that a text of them loads; an id gets its row number
+_ID_CORES = st.one_of(
+    st.text(alphabet=string.ascii_letters + string.digits, min_size=1, max_size=3),
+    st.text(alphabet=string.ascii_letters + "_-:.@#", min_size=17, max_size=24),
+    st.sampled_from(["#", "#a", "a,b", 'q"t', 'say ""hi""', "two\nlines", "cr\rid", "crlf\r\nid",
+                     "été"]),
+)
+_VALID = {
+    "value": st.one_of(_number, st.tuples(_PAD, _number, _PAD).map("".join)),
+    "role": st.tuples(_PAD, st.sampled_from(["test", "nc"]), _PAD).map("".join),
+    "subgroup": st.sampled_from(["", "g1", " g2 ", "a,b"]),
+    "treatment": _finite.map(repr),
+    "control": _finite.map(repr),
+    "truth": st.sampled_from(["", "null", "nonnull", " null "]),
+    "other": st.sampled_from(["", "x", "1", "#", '"']),
+}
+# cells that make errors: empty or repeated ids, nan/inf spellings, junk, wrong roles
+_JUNK = {
+    "id": st.sampled_from(["", "  ", "\t", "dup"]),
+    "value": st.tuples(_PAD, st.sampled_from([
+        "", "nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "INF",
+        "x", "1.2.3", "0x10", "1e", "--1", "1,5", '"1"']), _PAD).map("".join),
+    "role": st.tuples(_PAD, st.sampled_from(["Test", "NC", "control", "", "test nc"]), _PAD).map(
+        "".join),
+    "subgroup": st.just(""),
+    "treatment": st.sampled_from(["", "nan", "x"]),
+    "control": st.sampled_from(["", "inf", "y"]),
+    "truth": st.sampled_from(["maybe", "NULL"]),
+    "other": st.just(""),
+}
+_NAMES = ("id", "value", "role", "subgroup", "treatment", "control", "truth", "other")
+
+
+def _field(text, quote):
+    if quote or any(c in text for c in ',"\r\n') or text[:1] in (" ", "\t"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text in the shapes load_csv accepts: quoting, blank lines, CRLF, short and long rows.
+
+    Column names may repeat and come in any order; one header in ten
+    lacks a required column.  Half the texts have about one junk cell in
+    ten.  In the others, a short row keeps every required column and a
+    row has both or neither of treatment and control.  One id in ten
+    lacks the row number that keeps it unique.
+    """
+    required = list(_REQUIRED)
+    if draw(st.integers(0, 9)) == 0:
+        required = draw(st.lists(st.sampled_from(_REQUIRED)))
+    names = draw(st.permutations(required + draw(st.lists(st.sampled_from(_NAMES), max_size=5))))
+    used = [k for k, name in enumerate(names) if name in _REQUIRED]
+    junk = draw(st.booleans())
+    pairs_complete = junk or (("treatment" in names) == ("control" in names))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names)]
+    for row in range(draw(st.integers(0, 12))):
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        paired = pairs_complete and draw(st.booleans())
+        cells = []
+        for name in names:
+            if junk and draw(st.integers(0, 9)) == 0:
+                cells.append(draw(_JUNK[name]))
+            elif name == "id":
+                suffix = str(row) if draw(st.integers(0, 9)) else ""  # else ids may repeat
+                cells.append(draw(_PAD) + draw(_ID_CORES) + suffix + draw(_PAD))
+            elif name in ("treatment", "control") and not paired:
+                cells.append("")
+            else:
+                cells.append(draw(_VALID[name]))
+        shape = draw(st.sampled_from(["full"] * 6 + ["short", "long"]))
+        if shape == "short":
+            shortest = 0 if junk or not used else 1 + max(used)
+            cells = cells[: draw(st.integers(shortest, len(cells)))]
+        elif shape == "long":
+            cells += draw(st.lists(_VALID["other"], min_size=1, max_size=3))
+        lines.append(",".join(_field(text, draw(st.integers(0, 3)) == 0) for text in cells))
+    return end.join(lines) + end * draw(st.booleans())
+
+
+_ORIENTATIONS = ("small_is_significant", "large_is_significant")
+
+
+def _loaded(loader, text, orientation):
+    try:
+        s = loader(io.StringIO(text, newline=""), orientation=orientation)
+    except DataError as error:
+        return str(error)
+    return (s.investigation_ids, s.investigation.tobytes(), s.nc_ids,
+            s.negative_controls.tobytes(), s.subgroup, s.paired_raw, s.truth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts(), orientation=st.sampled_from(_ORIENTATIONS))
+@example(text='id,value,role\n"a\nb",0.1,test\n\n  ,0.2,nc\n', orientation=_ORIENTATIONS[0])
+@example(text="role,value,id,value\r\ntest,1,a\r\n\r\nnc,x,b,2\r\n", orientation=_ORIENTATIONS[0])
+def test_load_csv_matches_the_row_loop(text, orientation):
+    want = _loaded(_reference_load_csv, text, orientation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak
+        got = _loaded(load_csv, text, orientation)
+    assert got == want
 
 
 def _grid_matrix(draw, rows, cols, levels):
