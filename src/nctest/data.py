@@ -271,7 +271,11 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
     if isinstance(source, io.BufferedIOBase) or (
         hasattr(source, "read") and isinstance(getattr(source, "mode", ""), str) and "b" in getattr(source, "mode", "")
     ):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            return load_csv(text, orientation=orientation)
+        finally:
+            text.detach()  # the caller's stream stays open
     if not source.seekable():
         # records are read again to place an error or to read the optional columns
         source = io.StringIO(source.read(), newline="")

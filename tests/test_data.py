@@ -116,11 +116,14 @@ def test_load_csv_duplicate_header_uses_last_column():
 
 def test_load_csv_byte_stream_and_path(tmp_path):
     data = "id,value,role\n\u00e9,0.1,test\nn1,0.3,nc\n".encode("utf-8")
-    from_bytes = load_csv(io.BytesIO(data))
+    stream = io.BytesIO(data)
+    from_bytes = load_csv(stream)
+    assert not stream.closed  # the caller's stream is left open
     path = tmp_path / "in.csv"
     path.write_bytes(data)
     with open(path, "rb") as fh:
         from_binary_file = load_csv(fh)
+        assert not fh.closed
     read, write = os.pipe()  # a stream that cannot seek, as stdin may be
     os.write(write, data)
     os.close(write)
