@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +71,7 @@ class StatisticSet:
         ids_nc = tuple(map(str, self.nc_ids))
         if len(ids_inv) != inv.size or len(ids_nc) != nc.size:
             raise DataError("id list and value list lengths differ")
-        if len(set(ids_inv + ids_nc)) != inv.size + nc.size:
+        if len(set(ids_inv).union(ids_nc)) != inv.size + nc.size:
             seen = set()
             for i in ids_inv + ids_nc:
                 if i in seen:
@@ -133,21 +132,18 @@ def make_statistic_set(
     Ids default to t1..tn and c1..cm.  Values are given on the caller's
     scale; they are negated here when orientation is large_is_significant.
     """
-    inv = _as_float_array(investigation_values, "investigation values")
-    nc = _as_float_array(nc_values, "negative control values")
+    inv = np.asarray(investigation_values, dtype=float)
+    nc = np.asarray(nc_values, dtype=float)
     if orientation == "large_is_significant":
-        inv = -inv
-        nc = -nc
-    elif orientation != "small_is_significant":
-        raise DataError(f"unknown orientation {orientation!r}")
+        inv, nc = -inv, -nc
     if investigation_ids is None:
-        investigation_ids = tuple(f"t{k}" for k in range(1, inv.size + 1))
+        investigation_ids = [f"t{k}" for k in range(1, inv.size + 1)]
     if nc_ids is None:
-        nc_ids = tuple(f"c{k}" for k in range(1, nc.size + 1))
+        nc_ids = [f"c{k}" for k in range(1, nc.size + 1)]
     return StatisticSet(
-        investigation_ids=tuple(investigation_ids),
+        investigation_ids=investigation_ids,
         investigation=inv,
-        nc_ids=tuple(nc_ids),
+        nc_ids=nc_ids,
         negative_controls=nc,
         orientation=orientation,
         subgroup=dict(subgroup or {}),
@@ -172,57 +168,14 @@ class _RoleCodes(dict):
 _ROLE_CODES = _RoleCodes(nc=0, test=1)
 
 
-def _read_records(fh, start: int, usecols: tuple, max_rows=None) -> np.ndarray:
-    i_id, _, i_role = usecols
-    converters = {i_id: str.strip, i_role: _ROLE_CODES.__getitem__}
-    fh.seek(start)
-    with warnings.catch_warnings():
-        # loadtxt warns of an input without records and, given max_rows, of blank lines
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(fh, dtype=_RECORD, delimiter=",", quotechar='"', comments=None,
-                          usecols=usecols, converters=converters, ndmin=1, max_rows=max_rows)
-
-
-def _parsed_records(fh, start: int, usecols: tuple):
-    """The records np.loadtxt reads before the first it refuses, and that record's index.
-
-    The index is None when every record is read.  loadtxt refuses a
-    value its float parser cannot read and a row that lacks a used
-    column.  Its message numbers the record from 0 or from 1, by the
-    kind of error; that guess is checked, and the first refused record
-    is found by reading prefixes of growing, then bisected, length.
-    """
-    try:
-        return _read_records(fh, start, usecols), None
-    except ValueError as error:
-        hint = re.search(r" at row (\d+)", str(error))
-
-    def reads(rows: int) -> bool:
-        try:
-            _read_records(fh, start, usecols, rows)
-        except ValueError:
-            return False
-        return True
-
-    good, bad = 0, 1  # the first `good` records are read, the first `bad` are not
-    if hint:
-        row = int(hint.group(1))
-        if reads(max(row - 1, 0)):
-            good, bad = max(row - 1, 0), row + 1
-    while reads(bad):
-        good, bad = bad, 2 * bad
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        good, bad = (mid, bad) if reads(mid) else (good, mid)
-    return _read_records(fh, start, usecols, good), good
-
-
-def _record_error(row: list, i_id: int, i_value: int, i_role: int) -> str:
-    """What is wrong with the required fields of a record known to be bad."""
-    raw = row[i_value].strip()
+def _record_error(row: list, i_id: int, i_value: int, i_role: int):
+    """What is wrong with the required fields of a record, or None if nothing is."""
     if not row[i_id].strip():
         return "empty id"
+    raw = row[i_value].strip()
     try:
+        if "_" in raw or not raw.isascii():  # float() reads these; numpy's parser does not
+            raise ValueError
         value = float(raw)
     except ValueError:
         return f"bad value {raw!r}"
@@ -231,8 +184,7 @@ def _record_error(row: list, i_id: int, i_value: int, i_role: int) -> str:
     role = row[i_role].strip()
     if role not in ("test", "nc"):
         return f"unknown role {role!r}"
-    # float() reads digit-group underscores and non-ASCII digits; numpy's parser does not
-    return f"bad value {raw!r}"
+    return None
 
 
 def _records(fh, start: int, lines_before: int, width: int):
@@ -292,36 +244,42 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
     for required in ("id", "value", "role"):
         if required not in index:
             raise DataError(f"missing required column {required!r}")
-    col = {name: index.get(name) for name in _CANONICAL_COLUMNS}
-    i_id, i_value, i_role = col["id"], col["value"], col["role"]
-    i_subgroup, i_treatment, i_control, i_truth = (
-        col[name] for name in ("subgroup", "treatment", "control", "truth")
-    )
-    optional = any(k is not None for k in (i_subgroup, i_treatment, i_control, i_truth))
+    col = [index.get(name) for name in _CANONICAL_COLUMNS]
+    i_id, i_value, i_role, i_subgroup, i_treatment, i_control, i_truth = col
+    optional = any(k is not None for k in col[3:])
     start, header_lines = source.tell(), reader.line_num
 
-    records, refused = _parsed_records(source, start, (i_id, i_value, i_role))
-    ids, values, roles = records["id"], records["value"], records["role"]
-    is_test, is_nc = roles == _ROLE_CODES["test"], roles == _ROLE_CODES["nc"]
-    bad = (ids == "") | ~np.isfinite(values) | ~(is_test | is_nc)
-    if refused is not None:
-        bad = np.append(bad, True)
-    first_bad = int(np.argmax(bad)) if bad.any() else None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns of an input without records
+            records = np.loadtxt(source, dtype=_RECORD, delimiter=",", quotechar='"', comments=None,
+                                 usecols=(i_id, i_value, i_role), ndmin=1,
+                                 converters={i_id: str.strip, i_role: _ROLE_CODES.__getitem__})
+    except ValueError as error:
+        # a value the parser cannot read or a row that lacks a used column: check every record
+        refused, first_bad = error, 0
+    else:
+        refused = None
+        ids, values, roles = records["id"], records["value"], records["role"]
+        is_test, is_nc = roles == _ROLE_CODES["test"], roles == _ROLE_CODES["nc"]
+        bad = (ids == "") | ~np.isfinite(values) | ~(is_test | is_nc)
+        first_bad = int(np.argmax(bad)) if bad.any() else math.inf
 
     subgroup, paired_raw, truth = {}, {}, {}
-    if optional or first_bad is not None:
+    if optional or first_bad < math.inf:
         # errors name the file line where the first bad record starts
-        width = 1 + max(k for k in col.values() if k is not None)
+        width = 1 + max(k for k in col if k is not None)
         for k, (lineno, row) in enumerate(_records(source, start, header_lines, width)):
-            if k == first_bad:
-                raise DataError(f"line {lineno}: {_record_error(row, i_id, i_value, i_role)}")
+            if k >= first_bad:
+                problem = _record_error(row, i_id, i_value, i_role)
+                if problem:
+                    raise DataError(f"line {lineno}: {problem}")
             if not optional:
                 continue
-            rid = ids[k]
-            if i_subgroup is not None:
-                label = row[i_subgroup].strip()
-                if label:
-                    subgroup[rid] = label
+            rid = row[i_id].strip()
+            label = row[i_subgroup].strip() if i_subgroup is not None else ""
+            if label:
+                subgroup[rid] = label
             t_raw = row[i_treatment].strip() if i_treatment is not None else ""
             c_raw = row[i_control].strip() if i_control is not None else ""
             if t_raw or c_raw:
@@ -334,10 +292,11 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
                 if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
                     raise DataError(f"line {lineno}: non-finite treatment/control pair")
                 paired_raw[rid] = pair
-            if i_truth is not None:
-                label = row[i_truth].strip()
-                if label:
-                    truth[rid] = label
+            label = row[i_truth].strip() if i_truth is not None else ""
+            if label:
+                truth[rid] = label
+    if refused is not None:
+        raise DataError(f"unreadable record: {refused}")
 
     if not is_test.any():
         raise DataError("no investigation statistics (role=test)")
@@ -373,13 +332,6 @@ def with_jitter(statistics: StatisticSet, seed: int) -> StatisticSet:
     noise = rng.uniform(-0.25 * gap, 0.25 * gap, size=values.size)
     inv = statistics.investigation + noise[: statistics.n]
     nc = statistics.negative_controls + noise[statistics.n :]
-    return StatisticSet(
-        investigation_ids=statistics.investigation_ids,
-        investigation=inv,
-        nc_ids=statistics.nc_ids,
-        negative_controls=nc,
-        orientation=statistics.orientation,
-        subgroup=dict(statistics.subgroup),
-        paired_raw=dict(statistics.paired_raw),
-        truth=dict(statistics.truth),
-    )
+    return replace(statistics, investigation=inv, negative_controls=nc,
+                   subgroup=dict(statistics.subgroup), paired_raw=dict(statistics.paired_raw),
+                   truth=dict(statistics.truth))

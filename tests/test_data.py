@@ -12,6 +12,7 @@ from nctest import (
     ranc_values,
     with_jitter,
 )
+from nctest import data
 
 BASIC_CSV = """id,value,role
 a,0.1,test
@@ -54,6 +55,12 @@ def test_orientation_flips_sign():
 def test_duplicate_id_rejected():
     with pytest.raises(DataError, match="duplicate id"):
         make_statistic_set([0.1], [0.2], investigation_ids=["x"], nc_ids=["x"])
+    # ids are kept as strings, so an integer id and its text are the same id
+    s = make_statistic_set([0.1, 0.2], [0.3], investigation_ids=[1, 2])
+    assert s.investigation_ids == ("1", "2") and s.nc_ids == ("c1",)
+    with pytest.raises(DataError) as excinfo:
+        make_statistic_set([0.1], [0.2], investigation_ids=[1], nc_ids=["1"])
+    assert str(excinfo.value) == "duplicate id '1'"
 
 
 def test_non_finite_rejected():
@@ -158,11 +165,22 @@ def test_load_csv_byte_stream_and_path(tmp_path):
         ("id,value,role\nn1,0.1,nc\n", "no investigation statistics (role=test)"),
         ("id,value,role\na,0.1,test\n", "no negative controls (role=nc)"),
         ("id,value,role\na,0.1,test\na,0.2,nc\n", "duplicate id 'a'"),
+        # keyword arguments of make_statistic_set, which leaves every check to StatisticSet
+        pytest.param({"orientation": "up"}, "unknown orientation 'up'", id="make-orientation"),
+        pytest.param({"investigation_values": [[0.1]]},
+                     "investigation values must be one-dimensional", id="make-2d"),
+        pytest.param({"nc_values": [0.2, np.inf]},
+                     "non-finite value in negative control values", id="make-inf"),
+        pytest.param({"orientation": "large_is_significant", "investigation_values": [np.nan]},
+                     "non-finite value in investigation values", id="make-nan-large"),
     ],
 )
 def test_load_csv_error_messages(csv_text, message):
     with pytest.raises(DataError) as excinfo:
-        load_csv(io.StringIO(csv_text))
+        if isinstance(csv_text, dict):
+            make_statistic_set(**{"investigation_values": [0.1], "nc_values": [0.2], **csv_text})
+        else:
+            load_csv(io.StringIO(csv_text))
     assert str(excinfo.value) == message
 
 
@@ -176,19 +194,33 @@ def test_values_numpy_cannot_parse_are_bad(raw):
     assert str(excinfo.value) == f"line 3: bad value {raw!r}"
 
 
-@pytest.mark.parametrize("kind", ["value", "short"])
-@pytest.mark.parametrize("bad_row", [0, 1, 2, 7, 31, 32, 33, 63])
-def test_first_refused_record_is_found_anywhere(kind, bad_row):
-    # a record np.loadtxt refuses, after blank lines and a quoted line break
-    rows = [f"t{k},{k / 8!r},test" for k in range(64)]
+@pytest.mark.parametrize("kind", ["value", "short", "role"])
+@pytest.mark.parametrize("bad_row", [0, 1, 2, 7, 31, 32, 33, 63, 1999])
+def test_first_refused_record_is_found_anywhere(monkeypatch, kind, bad_row):
+    # a bad record after blank lines and a quoted line break; np.loadtxt refuses
+    # the first two kinds, and every load parses the file once
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(data.np, "loadtxt", counted)
+    rows = [f"t{k},{k / 8!r},test" for k in range(2000)]
     rows[5] = '"t\n5",0.625,nc'
-    rows[bad_row] = f"t{bad_row},x,nc" if kind == "value" else f"t{bad_row}"
-    csv_text = "id,value,role\n\n" + "\n".join(rows[:20]) + "\n\n\n" + "\n".join(rows[20:]) + "\n"
+
+    def text():
+        return "id,value,role\n\n" + "\n".join(rows[:20]) + "\n\n\n" + "\n".join(rows[20:]) + "\n"
+
+    s = load_csv(io.StringIO(text()))
+    assert (s.n, s.m, len(calls)) == (1999, 1, 1)
+    rows[bad_row] = {"value": f"t{bad_row},x,nc", "short": f"t{bad_row}", "role": f"t{bad_row},0.5,Nc"}[kind]
     line = 3 + bad_row + (bad_row > 5) + 2 * (bad_row >= 20)
-    message = "bad value 'x'" if kind == "value" else "bad value ''"
+    message = {"value": "bad value 'x'", "short": "bad value ''", "role": "unknown role 'Nc'"}[kind]
     with pytest.raises(DataError) as excinfo:
-        load_csv(io.StringIO(csv_text))
+        load_csv(io.StringIO(text()))
     assert str(excinfo.value) == f"line {line}: {message}"
+    assert len(calls) == 2
 
 
 def test_load_csv_drops_a_byte_order_mark(tmp_path):
@@ -207,8 +239,12 @@ def test_values_read_only():
 
 
 def test_jitter_breaks_ties_and_preserves_order():
-    s = make_statistic_set([0.5, 0.1, 0.9], [0.5, 0.5, 2.0])
+    s = make_statistic_set([0.5, 0.1, 0.9], [0.5, 0.5, 2.0], subgroup={"t1": "g"},
+                           paired_raw={"c1": (1.0, 2.0)}, truth={"t2": "null"})
     j = with_jitter(s, seed=7)
+    assert (j.investigation_ids, j.nc_ids, j.orientation) == (s.investigation_ids, s.nc_ids, s.orientation)
+    for name in ("subgroup", "paired_raw", "truth"):  # equal, but the jittered set's own copies
+        assert getattr(j, name) == getattr(s, name) and getattr(j, name) is not getattr(s, name)
     pooled = np.concatenate([s.investigation, s.negative_controls])
     jittered = np.concatenate([j.investigation, j.negative_controls])
     assert np.unique(jittered).size == jittered.size

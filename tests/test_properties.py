@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
-from nctest import localfdr  # noqa: E402
+from nctest import data, localfdr  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import _count_extreme, _step_prefix, permutation_global  # noqa: E402
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
@@ -241,6 +241,31 @@ def test_load_csv_matches_the_row_loop(text, orientation):
         warnings.simplefilter("error")  # no numpy warning may leak
         got = _loaded(load_csv, text, orientation)
     assert got == want
+
+
+_VALUE_PIECES = st.sampled_from(list("0123456789.e+-_ \t\xa0\u2003\u3000١１")
+                                 + ["inf", "-Infinity", "nan", "NaN", "+nan"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.lists(_VALUE_PIECES, max_size=8).map("".join))
+@example(raw="1_000")
+@example(raw="١")
+@example(raw="１")
+@example(raw="\xa01e5\u2003")
+def test_record_check_reads_values_as_numpy_does(raw):
+    # the check that places a load error accepts a value exactly when np.loadtxt
+    # reads it, as the only record of a file
+    try:
+        read = np.loadtxt(io.StringIO(f"a,{raw},test\n"), delimiter=",", quotechar='"',
+                          comments=None, usecols=1, ndmin=1)
+    except ValueError:
+        read = None
+    problem = data._record_error(["a", raw, "test"], 0, 1, 2)
+    if read is None:
+        assert problem == f"bad value {raw.strip()!r}"
+    else:
+        assert problem == (None if np.isfinite(read[0]) else f"non-finite value {raw.strip()!r}")
 
 
 def _grid_matrix(draw, rows, cols, levels):
