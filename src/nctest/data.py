@@ -71,7 +71,9 @@ class StatisticSet:
         ids_nc = tuple(map(str, self.nc_ids))
         if len(ids_inv) != inv.size or len(ids_nc) != nc.size:
             raise DataError("id list and value list lengths differ")
-        if len(set(ids_inv).union(ids_nc)) != inv.size + nc.size:
+        distinct = set(ids_inv)
+        distinct.update(ids_nc)
+        if len(distinct) != inv.size + nc.size:
             seen = set()
             for i in ids_inv + ids_nc:
                 if i in seen:
@@ -197,7 +199,7 @@ def _records(fh, start: int, lines_before: int, width: int):
         # a record starts on the line after the previous one ends; blank lines count
         first, line = line + 1, lines_before + reader.line_num
         if row:
-            yield first, row + pad[len(row):]
+            yield first, row if len(row) >= width else row + pad[len(row):]
 
 
 def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
