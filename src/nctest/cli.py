@@ -250,9 +250,11 @@ def _json_value(value) -> str:
 def _cell_texts(chunk):
     """CSV and JSON texts of a chunk of one column."""
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
-        data = np.ma.getdata(chunk)
+        if hasattr(chunk, "mask"):  # only a masked chunk loads numpy.ma
+            data, missing = np.ma.getdata(chunk), np.ma.getmaskarray(chunk)
+        else:
+            data, missing = chunk, np.zeros(chunk.shape, dtype=bool)
         texts = list(map(float.__repr__, data.tolist()))
-        missing = np.ma.getmaskarray(chunk)
         null = np.flatnonzero(missing | ~np.isfinite(data)).tolist()
         if not null:
             return texts, texts

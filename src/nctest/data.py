@@ -26,13 +26,24 @@ TRUTH_NULL = "null"
 TRUTH_NONNULL = "nonnull"
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, frozen in place; only for an array no caller holds."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_float_array(values, what: str) -> np.ndarray:
+    """values as a read-only float array that the caller cannot change.
+
+    A writeable array is copied before it is frozen, so the caller's own
+    stays writeable; a read-only one is taken as it is.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"non-finite value in {what}")
-    return arr
+    return _read_only(arr.copy()) if arr.flags.writeable else arr
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,6 @@ class StatisticSet:
         for key, label in self.truth.items():
             if label not in (TRUTH_NULL, TRUTH_NONNULL):
                 raise DataError(f"unknown truth label {label!r} for id {key!r}")
-        inv.flags.writeable = False
-        nc.flags.writeable = False
         object.__setattr__(self, "investigation_ids", ids_inv)
         object.__setattr__(self, "nc_ids", ids_nc)
         object.__setattr__(self, "investigation", inv)
@@ -137,7 +146,7 @@ def make_statistic_set(
     inv = np.asarray(investigation_values, dtype=float)
     nc = np.asarray(nc_values, dtype=float)
     if orientation == "large_is_significant":
-        inv, nc = -inv, -nc
+        inv, nc = _read_only(-inv), _read_only(-nc)
     if investigation_ids is None:
         investigation_ids = [f"t{k}" for k in range(1, inv.size + 1)]
     if nc_ids is None:
@@ -305,8 +314,8 @@ def load_csv(source, orientation: str = "small_is_significant") -> StatisticSet:
     if not is_nc.any():
         raise DataError("no negative controls (role=nc)")
     return make_statistic_set(
-        values[is_test],
-        values[is_nc],
+        _read_only(values[is_test]),
+        _read_only(values[is_nc]),
         orientation=orientation,
         investigation_ids=ids[is_test].tolist(),
         nc_ids=ids[is_nc].tolist(),
@@ -332,8 +341,8 @@ def with_jitter(statistics: StatisticSet, seed: int) -> StatisticSet:
         gap = 1.0
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-0.25 * gap, 0.25 * gap, size=values.size)
-    inv = statistics.investigation + noise[: statistics.n]
-    nc = statistics.negative_controls + noise[statistics.n :]
+    inv = _read_only(statistics.investigation + noise[: statistics.n])
+    nc = _read_only(statistics.negative_controls + noise[statistics.n :])
     return replace(statistics, investigation=inv, negative_controls=nc,
                    subgroup=dict(statistics.subgroup), paired_raw=dict(statistics.paired_raw),
                    truth=dict(statistics.truth))

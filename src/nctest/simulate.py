@@ -10,9 +10,13 @@ non-PRDS construction and the miscalibration of Fisher's combination
 test); and a permutation diagnostic for the Simes statistic.
 
 Every replication uses its own counter-derived RNG stream, so results
-depend only on the seed.  A study draws each stream's normals once, and
-every cell of the study (or point of a power curve) reads a prefix of
-them.
+depend only on the seed.  A study runs its replications block by block:
+it draws one block of streams' normals once, every cell of the study
+(or point of a power curve) reads a prefix of them, and only each
+replication's FDP and TPR outlive the block.  A block holds
+procedures._BLOCK_ELEMENTS // width replications, so memory is bounded
+by one block, not by the replication count, and the numbers do not
+depend on the block size.
 """
 
 import math
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import procedures
 from ._util import check_integer, rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
 from .errors import DataError
@@ -148,16 +153,27 @@ def _mu_vector(config: SimConfig) -> np.ndarray:
     )
 
 
-def _normals(seed: int, reps: int, width: int) -> np.ndarray:
-    """Row r holds the first `width` standard normals of stream (seed, r).
+def _normals(seed: int, reps: range, width: int) -> np.ndarray:
+    """Row k holds the first `width` standard normals of stream (seed, reps[k]).
 
     The first k draws of a stream do not depend on how many follow, so
     one draw at the widest cell serves every narrower cell of a study.
     """
-    out = np.empty((reps, width))
-    for rep in range(reps):
-        out[rep] = rep_rng(seed, rep).normal(size=width)
+    out = np.empty((len(reps), width))
+    for row, rep in zip(out, reps):
+        row[:] = rep_rng(seed, rep).normal(size=width)
     return out
+
+
+def _blocks(seed: int, reps: int, width: int):
+    """(start, normals) of streams (seed, 0..reps-1), one block at a time.
+
+    A block holds procedures._BLOCK_ELEMENTS // width rows, the bound
+    the permutation engine uses for its masks.
+    """
+    rows = max(1, procedures._BLOCK_ELEMENTS // width)
+    for start in range(0, reps, rows):
+        yield start, _normals(seed, range(start, min(start + rows, reps)), width)
 
 
 def _uniforms(config: SimConfig, normals: np.ndarray) -> np.ndarray:
@@ -233,26 +249,45 @@ def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
 
 def simulate_cell(config: SimConfig) -> SimReport:
     """FDP and TPR of the three BH variants over config.reps replications."""
-    normals = _normals(config.seed, config.reps, config.n + config.m + 1)
-    return _simulate_cell(config, normals)
+    return _run_study([config])[0]
 
 
-def _simulate_cell(config: SimConfig, normals: np.ndarray) -> SimReport:
+def _run_study(configs) -> list:
+    """The SimReport of each cell, all cells reading streams (seed, 0..reps-1).
+
+    The cells share one seed and replication count.  Each block of
+    normals, drawn at the widest cell, is evaluated by every cell before
+    the next is drawn; only the per-replication FDP and TPR are kept.
+    """
+    if not configs:
+        return []
+    seed, reps = configs[0].seed, configs[0].reps
+    width = max(config.n + config.m for config in configs) + 1
+    rows = [np.empty((len(METHODS), 2, reps)) for _ in configs]
+    for start, normals in _blocks(seed, reps, width):
+        for out, config in zip(rows, configs):
+            out[..., start:start + len(normals)] = _cell_rows(config, normals)
+    return [_report(config, out) for config, out in zip(configs, rows)]
+
+
+def _cell_rows(config: SimConfig, normals: np.ndarray) -> np.ndarray:
+    """FDP and TPR of each method, (method, fdp/tpr, row), on one block of streams."""
     from scipy.special import ndtr, ndtri
 
     n = config.n
     t = _uniforms(config, normals)
     inv, nc = t[:, :n], t[:, n:]
     null_mask = np.arange(n) < config.n0
+    return np.array([
+        _fdp_tpr_rows(p, config.q, null_mask)
+        for p in (inv, ranc_values(inv, nc), ndtr(ndtri(inv) - config.mu_null))
+    ])
 
-    p_by_method = {
-        "bh_raw": inv,
-        "bh_ranc": ranc_values(inv, nc),
-        "bh_oracle": ndtr(ndtri(inv) - config.mu_null),
-    }
+
+def _report(config: SimConfig, rows: np.ndarray) -> SimReport:
+    """Means and SDs over the replications of _cell_rows' (method, fdp/tpr, rep) array."""
     methods = {}
-    for name, p in p_by_method.items():
-        fdp, tpr = _fdp_tpr_rows(p, config.q, null_mask)
+    for name, (fdp, tpr) in zip(METHODS, rows):
         methods[name] = {
             "fdr": float(np.mean(fdp)),
             "fdr_sd": float(np.std(fdp, ddof=1)) if config.reps > 1 else 0.0,
@@ -265,30 +300,26 @@ def _simulate_cell(config: SimConfig, normals: np.ndarray) -> SimReport:
 def run_table1(reps: int = 10_000, seed: int = 0) -> dict:
     """The six-cell dependence-by-null-setting comparison."""
     base = SimConfig(reps=reps, seed=seed)
-    normals = _normals(seed, reps, base.n + base.m + 1)
-    return {
-        f"{dependence}/{label}": _simulate_cell(replace(
+    cells = {
+        f"{dependence}/{label}": replace(
             base,
             rho=0.5 if dependence == "exchangeable" else 0.0,
             mu_null=mu_null,
             dependence=dependence,
-        ), normals)
+        )
         for dependence in DEPENDENCE_KINDS
         for label, mu_null in NULL_SETTINGS.items()
     }
+    return dict(zip(cells, _run_study(list(cells.values()))))
 
 
 def power_vs_m(config: SimConfig, m_grid) -> dict:
     """Mean TPR of each method as the control-pool size varies."""
     m_grid = [check_integer(v, "m", 1) for v in m_grid]
-    normals = _normals(config.seed, config.reps, config.n + max(m_grid, default=0) + 1)
+    reports = _run_study([replace(config, m=m) for m in m_grid])
     out = {"m": m_grid}
     for name in METHODS:
-        out[name] = []
-    for m in m_grid:
-        report = _simulate_cell(replace(config, m=m), normals)
-        for name in METHODS:
-            out[name].append(report.methods[name]["power"])
+        out[name] = [report.methods[name]["power"] for report in reports]
     return out
 
 
@@ -389,8 +420,10 @@ def fisher_miscalibration_demo(
         check_integer(count, name, 1)
     _check_level(alpha, "alpha")
     check_integer(seed, "seed")
-    masks = np.argsort(_normals(seed, reps, n + m), axis=1, kind="stable") < n
-    observed = fisher_global_statistic(_mask_pvalues(masks))
+    observed = np.concatenate([
+        fisher_global_statistic(_mask_pvalues(np.argsort(normals, axis=1, kind="stable") < n))
+        for _, normals in _blocks(seed, reps, n + m)
+    ])
     b = 20 * reps
     null = _random_null(rep_rng(seed, reps), b, n + m, n, fisher_global_statistic)
     p_perm = (1.0 + _count_extreme(null, observed, "large")) / (b + 1.0)

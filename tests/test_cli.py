@@ -875,3 +875,27 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
+    # only localfdr's boundary row is a masked array; plain float columns
+    # are written without loading numpy.ma (stepup still loads it through
+    # np.unique, which asks np.ma.is_masked)
+    script = (
+        "import contextlib, io, sys\n"
+        "from nctest.cli import main\n"
+        "for args in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(args.split()) == 0, args\n"
+        "    assert 'numpy.ma' not in sys.modules, args\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script,
+         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
+         f"analyze --in {toy_csv} --procedure bh",
+         f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr

@@ -236,6 +236,26 @@ def test_values_read_only():
     s = make_statistic_set([0.1], [0.2])
     with pytest.raises(ValueError):
         s.investigation[0] = 5.0
+    # the set freezes its own copy of a writeable array; the caller's stays writeable
+    for orientation in data.ORIENTATIONS:
+        a, b = np.array([0.1, 0.4]), np.array([0.2, 0.3])
+        s = make_statistic_set(a, b, orientation=orientation)
+        assert a.flags.writeable and b.flags.writeable
+        a[0] = b[0] = 5.0
+        assert s.investigation.tolist() in ([0.1, 0.4], [-0.1, -0.4])
+        assert not (s.investigation.flags.writeable or s.negative_controls.flags.writeable)
+    s = StatisticSet(investigation_ids=("t1", "t2"), investigation=a, nc_ids=("c1", "c2"),
+                     negative_controls=b)
+    assert a.flags.writeable and b.flags.writeable
+    assert not (s.investigation.flags.writeable or s.negative_controls.flags.writeable)
+    # a read-only array is taken as it is, so a loaded set's arrays are not copied again
+    a.flags.writeable = False
+    assert make_statistic_set(a, [0.2]).investigation is a
+    s = load_csv(io.StringIO(BASIC_CSV))
+    assert make_statistic_set(s.investigation, s.negative_controls).investigation is s.investigation
+    assert not (s.investigation.flags.writeable or s.negative_controls.flags.writeable)
+    j = with_jitter(s, seed=1)
+    assert not (j.investigation.flags.writeable or j.negative_controls.flags.writeable)
 
 
 def test_jitter_breaks_ties_and_preserves_order():

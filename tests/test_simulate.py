@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from nctest import DataError, make_statistic_set, ranc_values, with_jitter
+from nctest import DataError, make_statistic_set, procedures, ranc_values, with_jitter
 from nctest.cli import _json_text
 from nctest._util import rep_rng, thread_count
 from nctest.procedures import (
@@ -180,6 +181,49 @@ def test_simulate_cell_matches_study_cells():
         alone = simulate_cell(SimConfig(m=m, reps=30, seed=21))
         for name, cell in alone.methods.items():
             assert curves[name][k] == cell["power"]
+
+
+@pytest.mark.parametrize("reps", [1, 7, 8, 23])
+def test_block_size_changes_no_number(monkeypatch, reps):
+    # every kernel is row-wise and the means are taken once over all
+    # replications, so blocks of 1 row, 7 rows, every rep and the default
+    # give equal floats; width is each study's widest draw per replication
+    studies = {
+        "table1": (311, lambda: {cell: report.to_dict()
+                                 for cell, report in run_table1(reps=reps, seed=5).items()}),
+        "power-vs-m": (151, lambda: power_vs_m(SimConfig(reps=reps, seed=5), [40, 5])),
+        "cell": (141, lambda: simulate_cell(SimConfig(
+            m=30, rho=0.5, dependence="exchangeable", reps=reps, seed=5)).to_dict()),
+        "b2": (800, lambda: fisher_miscalibration_demo(reps=reps, seed=5)),
+    }
+    for name, (width, study) in studies.items():
+        results = [study()]
+        for rows in (1, 7, reps):
+            monkeypatch.setattr(procedures, "_BLOCK_ELEMENTS", rows * width)
+            results.append(study())
+        monkeypatch.undo()
+        assert all(result == results[0] for result in results), name
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_study_memory_does_not_grow_with_reps():
+    # a study holds one block of replications at a time, plus a few
+    # floats per replication
+    simulate_cell(SimConfig(reps=2))  # imports outside the measurement
+    small = _peak_bytes(lambda: simulate_cell(SimConfig(reps=500)))
+    large = _peak_bytes(lambda: simulate_cell(SimConfig(reps=2000)))
+    assert abs(large - small) < 1 << 20, (small, large)
+    small = _peak_bytes(lambda: fisher_miscalibration_demo(reps=200))
+    large = _peak_bytes(lambda: fisher_miscalibration_demo(reps=800))
+    assert abs(large - small) < 1 << 20, (small, large)
 
 
 def test_generate_null_statistics_uniform():
