@@ -1,5 +1,7 @@
 """Small shared helpers: RNG streams, seed and count checks, JSON float lists, NCTEST_THREADS."""
 
+from __future__ import annotations
+
 import numbers
 import os
 

@@ -36,7 +36,10 @@ from .errors import DataError
 from .localfdr import cdf_threshold, localfdr_curve
 from .nullfit import falsify_subgroups, null_diagnostics_table
 from .procedures import (
+    _MAX_ENUMERATION,
     RejectionResult,
+    _simes_exact_pvalue,
+    _within_cap,
     bh,
     bonferroni_global,
     hochberg,
@@ -57,7 +60,7 @@ from .simulate import (
 from .stepup import stepup_threshold
 
 # layout version of every JSON payload, pinned by the schemas in nctest/schemas
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 PRESETS = ("table1", "power-vs-m", "power-vs-m-weak", "b1", "b2", "simes-perm")
 _ORIENTATION = {"small": "small_is_significant", "large": "large_is_significant"}
 _SOURCE_ALIASES = {
@@ -644,17 +647,25 @@ def cmd_simulate(ns, manifest) -> Report:
 
 def cmd_permtest(ns, manifest) -> Report:
     statistics = _load(ns)
-    b = 999 if ns.reps is None else ns.reps
-    result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)
-    p_value, samples = result
+    n, m = statistics.n, statistics.m
+    samples = None
+    if ns.statistic == "simes_min_ratio" and _within_cap(n, m, _MAX_ENUMERATION):
+        # where the engine would enumerate, the p-value is counted: no sample
+        p_value, observed = _simes_exact_pvalue(statistics)
+        draws = math.comb(n + m, n)
+    else:
+        b = 999 if ns.reps is None else ns.reps
+        result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)
+        p_value, samples = result
+        observed, draws = result.observed, samples.size
     payload = {
-        "n": statistics.n,
-        "m": statistics.m,
+        "n": n,
+        "m": m,
         "statistic": ns.statistic,
-        "observed": result.observed,
+        "observed": observed,
         "p_value": float(p_value),
-        "draws": int(samples.size),
-        "null_summary": {
+        "draws": draws,
+        "null_summary": None if samples is None else {
             "mean": float(samples.mean()),
             "sd": float(samples.std(ddof=1)) if samples.size > 1 else None,
             "q05": float(np.quantile(samples, 0.05)),
@@ -663,12 +674,14 @@ def cmd_permtest(ns, manifest) -> Report:
         },
     }
     header = ("draw", "statistic")
-    columns = (np.arange(samples.size), samples)
+    columns = ((), ()) if samples is None else (np.arange(samples.size), samples)
     svg_text = None
-    if _want_svg(ns):
+    if _want_svg(ns) and samples is None:
+        warnings.warn("the exact Simes p-value is counted without a null sample; no plot written")
+    elif _want_svg(ns):
         svg_text = svg.histogram_svg(
             samples, bins=min(50, max(5, samples.size // 20)),
-            thresholds=[(result.observed, "observed")],
+            thresholds=[(observed, "observed")],
             title=f"{ns.statistic} permutation null (p={p_value:.3g})",
             xlabel="statistic", desc=_desc(manifest),
         )

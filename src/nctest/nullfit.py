@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import float_list
-from .data import StatisticSet
+from .data import StatisticSet, _read_only
 from .errors import DataError
 from .procedures import _check_level, bh
 from .ranc import PValueVector, ranc_pvalues
@@ -283,7 +283,7 @@ def pvalues_from_null(statistics: StatisticSet, model: NullModel) -> PValueVecto
 
     z = (statistics.investigation - model.mu) / model.sigma
     return PValueVector(
-        values=np.clip(ndtr(z), np.finfo(float).tiny, 1.0),
+        values=_read_only(np.clip(ndtr(z), np.finfo(float).tiny, 1.0)),
         ids=statistics.investigation_ids,
         kind="parametric_null",
     )

@@ -239,6 +239,9 @@ _STATISTICS = {
     "fisher": (fisher_global_statistic, "large"),
 }
 
+# the largest orbit C(n + m, n) that permutation_global enumerates by default
+_MAX_ENUMERATION = 1_000_000
+
 # Mask elements (arrangements x pool size) per block: 1 byte each, plus 8
 # for the control counts when the pool has ties.
 _BLOCK_ELEMENTS = 1 << 16
@@ -274,20 +277,29 @@ def _random_null(rng, b: int, size: int, n_test: int, stat_rows, tie_end=None) -
     ])
 
 
+def _extreme_bound(observed, direction: str):
+    """The least extreme value that still counts as extreme: observed moved
+    by a relative 1e-12 away from `direction`.
+
+    Values within that tolerance count as ties, hence as extreme:
+    statistics equal in exact arithmetic (Fisher's sum of logs of equal
+    products, say) can differ in the last bits.
+    """
+    tol = 1e-12 * np.abs(observed)
+    return observed + tol if direction == "small" else observed - tol
+
+
 def _count_extreme(samples: np.ndarray, observed, direction: str):
     """Samples at least as extreme as each observed value in `direction`.
 
-    Values within a relative 1e-12 of observed count as ties, hence as
-    extreme: statistics equal in exact arithmetic (Fisher's sum of logs
-    of equal products, say) can differ in the last bits.  The samples
-    are sorted once, and each count is one searchsorted.
+    Extreme means at or beyond _extreme_bound.  The samples are sorted
+    once, and each count is one searchsorted.
     """
-    observed = np.asarray(observed, dtype=float)
-    tol = 1e-12 * np.abs(observed)
+    bound = _extreme_bound(np.asarray(observed, dtype=float), direction)
     ordered = np.sort(samples)
     if direction == "small":
-        return np.searchsorted(ordered, observed + tol, side="right")
-    return ordered.size - np.searchsorted(ordered, observed - tol, side="left")
+        return np.searchsorted(ordered, bound, side="right")
+    return ordered.size - np.searchsorted(ordered, bound, side="left")
 
 
 def _mask_pvalues(masks: np.ndarray, tie_end: np.ndarray | None = None) -> np.ndarray:
@@ -314,6 +326,94 @@ def _mask_blocks(size: int, n: int):
         yield _index_masks(chosen, size)
 
 
+def _within_cap(n: int, m: int, cap: int) -> bool:
+    """C(n + m, n) <= cap, without the full binomial of a large pool.
+
+    C(n + m, n) is the last of the integers C(max(n, m) + i, i) for
+    i = 0..min(n, m), which rise with i, so the first one past cap
+    decides; that takes at most about log2(cap) steps.  The full
+    binomial at n = m = 1e6 takes 45 s.
+    """
+    low, high = min(n, m), max(n, m)
+    count = 1
+    for i in range(1, low + 1):
+        count = count * (high + i) // i
+        if count > cap:
+            return False
+    return count <= cap
+
+
+def _pooled(statistics: StatisticSet, stat_rows):
+    """Tie ends of the ascending pool (None without ties) and the observed statistic.
+
+    tie_end[k] is the last position of k's tie group.  The observed
+    statistic is the identity relabeling evaluated by the engine's own
+    mask kernel, so input row order cannot change it.
+    """
+    values = np.concatenate([statistics.investigation, statistics.negative_controls])
+    order = np.argsort(values, kind="stable")
+    pool = values[order]
+    tie_end = None
+    if np.any(pool[1:] == pool[:-1]):
+        tie_end = np.searchsorted(pool, pool, side="right") - 1
+    observed = float(stat_rows(_mask_pvalues((order < statistics.n)[None], tie_end))[0])
+    return tie_end, observed
+
+
+def _monotone_paths(lower: np.ndarray, width: int) -> int:
+    """Sequences c_1 <= ... <= c_K of integers in [0, width] with c_k >= lower[k].
+
+    Each is one lattice path; one cumulative sum per k counts them, as
+    in the recursion behind exact two-sample Kolmogorov-Smirnov
+    p-values (Gnedenko and Korolyuk 1951; Hodges 1958).  A partial
+    count never exceeds the total C(K + width, K), so int64 is exact
+    below 2**63.
+    """
+    ways = np.zeros(width + 1, dtype=np.int64)
+    ways[0] = 1
+    for low in lower.tolist():
+        np.cumsum(ways, out=ways)
+        ways[:low] = 0
+    return int(ways.sum())
+
+
+def _simes_exact_pvalue(statistics: StatisticSet):
+    """(p_value, observed) of the exact Simes permutation test, by counting.
+
+    Equal to permutation_global(statistics) wherever that enumerates,
+    in O(n * m) steps and without a mask.  A relabeling is not extreme
+    when, for every k, its k-th smallest test, with c controls at or
+    below its tie group, has n * ((1 + c) / (m + 1) / k) above
+    _extreme_bound.  That is the engine's own float expression, and it
+    rises with c, so the condition is c >= f[k].  The tests of one tie
+    group share c, so the group's largest k binds; with q(x) the pool
+    positions at or below x's tie group, the condition is
+    q(x_k) - k >= f[k] at the position x_k of every test k.  That bounds
+    the controls before each test from below, so the relabelings that
+    are not extreme are lattice paths, counted position by position;
+    a group that holds t of its s positions is so weighted C(s, t).
+    p = (C(n + m, n) - #not extreme) / C(n + m, n).
+    """
+    n, m = statistics.n, statistics.m
+    tie_end, observed = _pooled(statistics, simes_statistic)
+    bound = _extreme_bound(observed, "small")
+    k = np.arange(1, n + 1)
+    f = np.count_nonzero(n * ((1.0 + np.arange(m + 1)) / (m + 1.0) / k[:, None]) <= bound, axis=1)
+    q = np.arange(1, n + m + 1) if tie_end is None else tie_end + 1
+    # controls before test k, at least; m + 1 is past every path
+    lower = np.maximum.accumulate(np.clip(np.searchsorted(q, f + k) - (k - 1), 0, m + 1))
+    if lower[-1] > m:
+        non_extreme = 0
+    elif n <= m:
+        non_extreme = _monotone_paths(lower, m)
+    else:
+        # the same paths control by control: at most lower.searchsorted(j)
+        # tests come before the j-th control, taken from the top down
+        non_extreme = _monotone_paths(n - np.searchsorted(lower, np.arange(m, 0, -1)), n)
+    total = math.comb(n + m, n)
+    return (total - non_extreme) / total, observed
+
+
 class PermutationResult(tuple):
     """(p_value, null_samples), with the observed statistic as .observed."""
 
@@ -328,7 +428,7 @@ def permutation_global(
     statistic: str = "simes_min_ratio",
     B: int = 999,
     seed: int = 0,
-    max_enumeration: int = 1_000_000,
+    max_enumeration: int = _MAX_ENUMERATION,
 ):
     """Permutation test of the global null that the investigation
     statistics are exchangeable with the negative controls.
@@ -355,21 +455,14 @@ def permutation_global(
         raise DataError(f"unknown statistic {statistic!r}") from None
 
     n, m = statistics.n, statistics.m
-    values = np.concatenate([statistics.investigation, statistics.negative_controls])
-    order = np.argsort(values, kind="stable")
-    pool = values[order]
-    tie_end = None
-    if np.any(pool[1:] == pool[:-1]):
-        tie_end = np.searchsorted(pool, pool, side="right") - 1
-
-    observed = float(stat_rows(_mask_pvalues((order < n)[None], tie_end))[0])
-    total = math.comb(n + m, n)
-    exact = total <= max_enumeration
+    tie_end, observed = _pooled(statistics, stat_rows)
+    exact = _within_cap(n, m, max_enumeration)
     if exact:
         samples = np.concatenate([stat_rows(_mask_pvalues(masks, tie_end))
                                   for masks in _mask_blocks(n + m, n)])
     else:
         samples = _random_null(rep_rng(seed, 0), B, n + m, n, stat_rows, tie_end)
     extreme = int(_count_extreme(samples, observed, direction))
-    p_value = extreme / total if exact else (1 + extreme) / (1 + B)
+    # enumeration gives every one of the C(n + m, n) relabelings once
+    p_value = extreme / samples.size if exact else (1 + extreme) / (1 + B)
     return PermutationResult(p_value, samples, observed)

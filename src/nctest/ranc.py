@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StatisticSet
+from .data import StatisticSet, _read_only
 from .errors import DataError
 
 PVALUE_KINDS = ("ranc", "modified_ranc", "parametric_null", "external")
@@ -41,8 +41,8 @@ class PValueVector:
             raise DataError("p-value vector must be one-dimensional and non-empty")
         if not np.all(np.isfinite(arr) & (arr > 0) & (arr <= 1)):
             raise DataError("p-values must be finite and lie in (0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        # a writeable array is copied before it is frozen, so the caller's stays writeable
+        object.__setattr__(self, "values", _read_only(arr.copy()) if arr.flags.writeable else arr)
         object.__setattr__(self, "ids", tuple(self.ids))
 
 
@@ -118,7 +118,7 @@ def _pvalue_vector(statistics: StatisticSet, kind: str, shift: float) -> PValueV
             RuntimeWarning, stacklevel=3,  # points at the caller of ranc_pvalues
         )
     return PValueVector(
-        values=_rank_pvalues(below, statistics.m, shift),
+        values=_read_only(_rank_pvalues(below, statistics.m, shift)),
         ids=statistics.investigation_ids,
         kind=kind,
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import procedures
 from ._util import check_integer, rep_rng
-from .data import TRUTH_NONNULL, TRUTH_NULL, make_statistic_set
+from .data import TRUTH_NONNULL, TRUTH_NULL, _read_only, make_statistic_set
 from .errors import DataError
 from .procedures import (
     _check_level,
@@ -222,7 +222,7 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
 
     p = ndtr(ndtri(statistics.investigation) - config.mu_null)
     return PValueVector(
-        values=np.clip(p, np.finfo(float).tiny, 1.0),
+        values=_read_only(np.clip(p, np.finfo(float).tiny, 1.0)),
         ids=statistics.investigation_ids,
         kind="parametric_null",
     )

@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,10 +15,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from nctest import cli
-from nctest.data import load_csv
+from nctest import cli, procedures
+from nctest.data import load_csv, make_statistic_set
 from nctest.localfdr import cdf_threshold
-from nctest.procedures import bh
+from nctest.procedures import bh, permutation_global
 from nctest.ranc import ranc_pvalues
 from nctest.stepup import stepup_threshold
 
@@ -207,7 +208,7 @@ def test_chunk_edges_match_the_per_row_writer(monkeypatch, tmp_path, rows):
     body, text = _emit_bundle(cli.Report(payload, header, (ids, x, count)), tmp_path / "b")
     assert body == _per_row_csv(header, zip(ids, x.tolist(), count.tolist()))
     assert text == cli._json_text({
-        "schema_version": 3, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
+        "schema_version": 4, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
         "count": count.tolist(), "manifest": {"flags": {}},
     }) + "\n"
 
@@ -377,7 +378,7 @@ def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
     payload = _payload(
         capsys, ["analyze", "--in", tied_csv, "--procedure", "bh", "--q", "0.2"], schema="analyze"
     )
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     result = payload["result"]
     assert "audit" not in result
     pvalues, q = payload["pvalues"], result["parameters"]["q"]
@@ -425,6 +426,7 @@ def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
         ("analyze", {**analyze, "result": {**analyze["result"], "audit": {"order": []}}}),
         ("analyze", {**analyze, "schema_version": 1}),
         ("analyze", {**analyze, "schema_version": 2}),
+        ("analyze", {**analyze, "schema_version": 3}),
         ("analyze", unversioned),
         ("localfdr", {**localfdr, "threshold": {**localfdr["threshold"],
                                                 "objective_at_candidates": per_candidate}}),
@@ -436,7 +438,7 @@ def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
     for name in ("analyze", "falsify", "localfdr", "null-fit", "permtest", "simulate", "stepup"):
         schema = _schema(name)
         assert {"schema_version", "warnings"} <= set(schema["required"])
-        assert schema["properties"]["schema_version"] == {"const": 3}
+        assert schema["properties"]["schema_version"] == {"const": 4}
         assert schema["properties"]["warnings"] == {"type": "array", "items": {"type": "string"}}
 
 
@@ -653,6 +655,79 @@ def test_permtest_deterministic(capsys, toy_csv):
     assert 0 < first["p_value"] <= 1
     assert first["statistic"] == "simes_min_ratio"
     assert first["null_summary"]["q05"] <= first["null_summary"]["q95"]
+
+
+def test_permtest_above_the_cap_keeps_its_bytes(capsys, toy_csv, tmp_path):
+    # C(27, 12) relabelings exceed the enumeration cap, so Simes still samples; digests
+    # of the CSV body and the SVG less its <desc>, pinned from the enumerating engine
+    assert math.comb(27, 12) > procedures._MAX_ENUMERATION
+    out = tmp_path / "perm"
+    args = ["permtest", "--in", toy_csv, "--reps", "200", "--seed", "3", "--plots", "svg"]
+    code, _, err = _run(capsys, args + ["--out", str(out)])
+    assert code == 0, err
+    body = (out / "result.csv").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == (
+        "35374aa66f0024785d14021f1b4118fa318b8de64ea78369e1c76d52c1383e85"
+    )
+    plot = re.sub(rb"<desc>.*</desc>\n", b"", (out / "plot.svg").read_bytes())
+    assert hashlib.sha256(plot).hexdigest() == (
+        "f5f11231851a26d2d0d3959388e45cf758d8ee443c4db815ca6504112cf6cb47"
+    )
+    payload = json.loads((out / "result.json").read_text())
+    assert (payload["p_value"], payload["observed"], payload["draws"]) == (
+        0.024875621890547265, 0.1875, 200)
+
+
+def _pool_csv(path, tests, controls):
+    lines = ["id,value,role"]
+    lines += [f"t{k},{float(v)!r},test" for k, v in enumerate(tests)]
+    lines += [f"c{k},{float(v)!r},nc" for k, v in enumerate(controls)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_permtest_exact_simes_is_counted(capsys, tmp_path):
+    # within the cap the p-value is a count: the enumerator's p, observed and orbit
+    # size, with no sample to summarise, write or plot
+    rng = np.random.default_rng(31)
+    tests, controls = np.round(rng.normal(size=5) - 1.0, 1), np.round(rng.normal(size=20), 1)
+    path = _pool_csv(tmp_path / "pool.csv", tests, controls)
+    want = permutation_global(make_statistic_set(tests, controls))
+    out = tmp_path / "exact"
+    code, _, err = _run(capsys, ["permtest", "--in", path, "--plots", "svg", "--out", str(out)])
+    assert code == 0, err
+    payload = json.loads((out / "result.json").read_text())
+    jsonschema.validate(payload, _schema("permtest"))
+    assert payload["draws"] == math.comb(25, 5)
+    assert (payload["p_value"], payload["observed"]) == (want[0], want.observed)
+    assert payload["null_summary"] is None
+    assert payload["warnings"] == [
+        "the exact Simes p-value is counted without a null sample; no plot written"]
+    assert (out / "result.csv").read_text().split("\n")[1:] == ["draw,statistic", ""]
+    assert sorted(os.listdir(out)) == ["manifest.json", "result.csv", "result.json"]
+    stdout = _payload(capsys, ["permtest", "--in", path], schema="permtest")
+    assert {k: stdout[k] for k in ("p_value", "observed", "draws", "null_summary", "warnings")} == {
+        "p_value": want[0], "observed": want.observed, "draws": math.comb(25, 5),
+        "null_summary": None, "warnings": []}
+
+
+def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch):
+    # the two slowest pools under the cap: untied n = 3, m = 178 and, tied at
+    # one decimal, n = 2, m = 1,400, where enumeration took seconds
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(procedures, "_mask_blocks", refuse)
+    rng = np.random.default_rng(12)
+    for n, m, decimals in ((3, 178, None), (2, 1400, 1)):
+        tests, controls = rng.normal(size=n) - 1.0, rng.normal(size=m)
+        if decimals is not None:
+            tests, controls = np.round(tests, decimals), np.round(controls, decimals)
+        path = _pool_csv(tmp_path / f"pool{n}.csv", tests, controls)
+        payload = _payload(capsys, ["permtest", "--in", path], schema="permtest")
+        assert math.comb(n + m, n) <= procedures._MAX_ENUMERATION
+        assert payload["draws"] == math.comb(n + m, n)
+        assert 0 < payload["p_value"] <= 1
 
 
 def test_simulate_table1_byte_identical(capsys, tmp_path):
@@ -896,6 +971,32 @@ def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
          f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
          f"analyze --in {toy_csv} --procedure bh",
          f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
+    # numpy.random loads with the first draw, not with the package
+    script = (
+        "import contextlib, io, sys\n"
+        "from nctest.cli import main\n"
+        "for args in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = main(args.split())\n"
+        "        except SystemExit as stop:\n"
+        "            code = stop.code\n"
+        "    assert code == 0, (args, code)\n"
+        "    assert 'numpy.random' not in sys.modules, args\n"
+    )
+    small = _pool_csv(tmp_path / "small.csv", [-1.0, 0.5, -0.2], np.linspace(-2, 2, 10))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "--version",
+         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
+         f"permtest --in {small} --out {tmp_path / 'p'}"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr

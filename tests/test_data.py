@@ -6,9 +6,11 @@ import pytest
 
 from nctest import (
     DataError,
+    PValueVector,
     StatisticSet,
     load_csv,
     make_statistic_set,
+    ranc_pvalues,
     ranc_values,
     with_jitter,
 )
@@ -256,6 +258,15 @@ def test_values_read_only():
     assert not (s.investigation.flags.writeable or s.negative_controls.flags.writeable)
     j = with_jitter(s, seed=1)
     assert not (j.investigation.flags.writeable or j.negative_controls.flags.writeable)
+    # a p-value vector follows the same rule
+    p = np.array([0.2, 0.6])
+    v = PValueVector(values=p, ids=("a", "b"), kind="external")
+    assert p.flags.writeable and not v.values.flags.writeable
+    p[0] = 0.9
+    assert v.values.tolist() == [0.2, 0.6]
+    p.flags.writeable = False
+    assert PValueVector(values=p, ids=("a", "b"), kind="external").values is p
+    assert not ranc_pvalues(s).values.flags.writeable
 
 
 def test_jitter_breaks_ties_and_preserves_order():

@@ -10,6 +10,7 @@ from nctest.procedures import (
     _mask_pvalues,
     _random_null,
     _subset_masks,
+    _within_cap,
     bh,
     bonferroni_global,
     confusion_counts,
@@ -284,6 +285,15 @@ def test_random_null_matches_one_shot_sample():
                 masks = _subset_masks(np.random.default_rng(8), b, size, n_test)
                 got = _random_null(np.random.default_rng(8), b, size, n_test, stat_rows, tie_end)
                 np.testing.assert_array_equal(got, stat_rows(_mask_pvalues(masks, tie_end)))
+
+
+def test_within_cap_matches_the_binomial():
+    # the cap is decided without the full binomial, which takes 45 s at n = m = 1e6
+    for n, m in itertools.product(range(30), repeat=2):
+        for cap in (0, 1, 5, 100, 1000, 10**6):
+            assert _within_cap(n, m, cap) == (math.comb(n + m, n) <= cap), (n, m, cap)
+    assert _within_cap(1, 999_999, 10**6) and _within_cap(999_999, 1, 10**6)
+    assert not _within_cap(1, 10**6, 10**6) and not _within_cap(10**6, 10**6, 10**6)
 
 
 def test_permutation_exact_matches_monte_carlo():

@@ -17,7 +17,12 @@ from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pv
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
 from nctest import data, localfdr  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
-from nctest.procedures import _count_extreme, _step_prefix, permutation_global  # noqa: E402
+from nctest.procedures import (  # noqa: E402
+    _count_extreme,
+    _simes_exact_pvalue,
+    _step_prefix,
+    permutation_global,
+)
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows  # noqa: E402
 
@@ -606,6 +611,39 @@ def test_permutation_exact_agrees_with_monte_carlo(tests, controls, statistic):
     mean = (1 + _MC_DRAWS * exact) / (1 + _MC_DRAWS)
     se = math.sqrt(_MC_DRAWS * exact * (1 - exact)) / (1 + _MC_DRAWS)
     assert abs(mc - mean) <= 3 * se, (exact, mc, se)
+
+
+# integers and signed zeros tie within and across roles
+_pool_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-5, max_value=5, allow_nan=False),
+)
+# the shape of the permutation benchmark workload: 5 tests, 20 controls
+_BENCH_RNG = np.random.default_rng(9401)
+_BENCH_TESTS = (_BENCH_RNG.normal(size=5) - 1.0).tolist()
+_BENCH_CONTROLS = _BENCH_RNG.normal(size=20).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tests=st.lists(_pool_values, min_size=1, max_size=5),
+    controls=st.lists(_pool_values, min_size=1, max_size=12),
+)
+@example(tests=[0.0], controls=[-0.0])
+@example(tests=[-1.0], controls=[2.0])
+@example(tests=[1.0] * 4, controls=[1.0] * 9)
+@example(tests=[0.0, -0.0, 1.0, 1.0, 2.0], controls=[-0.0, 1.0])
+@example(tests=_BENCH_TESTS, controls=_BENCH_CONTROLS)
+# 3 * (3/17/3) is 3 * (1/17) in exact arithmetic, one ulp above it in floats:
+# only the 1e-12 tolerance counts that relabeling as extreme
+@example(tests=[-10.0, 10.0, 11.0], controls=[k / 16 for k in range(16)])
+def test_simes_count_matches_enumeration(tests, controls):
+    # the lattice-path count is the enumerator's p-value, bit for bit, on both
+    # sides of n = m and with ties of any size
+    s = make_statistic_set(np.array(tests), np.array(controls))
+    result = permutation_global(s)
+    assert _simes_exact_pvalue(s) == (result[0], result.observed)
 
 
 # a few repeated values make exact ties between samples and observed values
