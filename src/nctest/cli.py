@@ -36,10 +36,8 @@ from .errors import DataError
 from .localfdr import cdf_threshold, localfdr_curve
 from .nullfit import falsify_subgroups, null_diagnostics_table
 from .procedures import (
-    _MAX_ENUMERATION,
     RejectionResult,
     _simes_exact_pvalue,
-    _within_cap,
     bh,
     bonferroni_global,
     hochberg,
@@ -649,10 +647,10 @@ def cmd_permtest(ns, manifest) -> Report:
     statistics = _load(ns)
     n, m = statistics.n, statistics.m
     samples = None
-    if ns.statistic == "simes_min_ratio" and _within_cap(n, m, _MAX_ENUMERATION):
-        # where the engine would enumerate, the p-value is counted: no sample
-        p_value, observed = _simes_exact_pvalue(statistics)
-        draws = math.comb(n + m, n)
+    # where the engine would enumerate, the Simes p-value is counted: no sample
+    counted = _simes_exact_pvalue(statistics) if ns.statistic == "simes_min_ratio" else None
+    if counted is not None:
+        p_value, observed, draws = counted
     else:
         b = 999 if ns.reps is None else ns.reps
         result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)

@@ -378,14 +378,16 @@ def _monotone_paths(lower: np.ndarray, width: int) -> int:
 
 
 def _simes_exact_pvalue(statistics: StatisticSet):
-    """(p_value, observed) of the exact Simes permutation test, by counting.
+    """(p_value, observed, total) of the exact Simes permutation test, by
+    counting; None where C(n + m, n) exceeds _MAX_ENUMERATION.
 
-    Equal to permutation_global(statistics) wherever that enumerates,
-    in O(n * m) steps and without a mask.  A relabeling is not extreme
-    when, for every k, its k-th smallest test, with c controls at or
-    below its tie group, has n * ((1 + c) / (m + 1) / k) above
-    _extreme_bound.  That is the engine's own float expression, and it
-    rises with c, so the condition is c >= f[k].  The tests of one tie
+    Equal to permutation_global(statistics) wherever that enumerates
+    its total = C(n + m, n) relabelings, in O(n * m) steps and without
+    a mask.  A relabeling is not extreme when, for every k, its k-th
+    smallest test, with c controls at or below its tie group, has
+    n * ((1 + c) / (m + 1) / k) above _extreme_bound.  That is the
+    engine's own float expression, and it rises with c, so the
+    condition is c >= f[k].  The tests of one tie
     group share c, so the group's largest k binds; with q(x) the pool
     positions at or below x's tie group, the condition is
     q(x_k) - k >= f[k] at the position x_k of every test k.  That bounds
@@ -395,23 +397,17 @@ def _simes_exact_pvalue(statistics: StatisticSet):
     p = (C(n + m, n) - #not extreme) / C(n + m, n).
     """
     n, m = statistics.n, statistics.m
+    if not _within_cap(n, m, _MAX_ENUMERATION):
+        return None
     tie_end, observed = _pooled(statistics, simes_statistic)
     bound = _extreme_bound(observed, "small")
     k = np.arange(1, n + 1)
     f = np.count_nonzero(n * ((1.0 + np.arange(m + 1)) / (m + 1.0) / k[:, None]) <= bound, axis=1)
     q = np.arange(1, n + m + 1) if tie_end is None else tie_end + 1
-    # controls before test k, at least; m + 1 is past every path
-    lower = np.maximum.accumulate(np.clip(np.searchsorted(q, f + k) - (k - 1), 0, m + 1))
-    if lower[-1] > m:
-        non_extreme = 0
-    elif n <= m:
-        non_extreme = _monotone_paths(lower, m)
-    else:
-        # the same paths control by control: at most lower.searchsorted(j)
-        # tests come before the j-th control, taken from the top down
-        non_extreme = _monotone_paths(n - np.searchsorted(lower, np.arange(m, 0, -1)), n)
+    # controls before test k, at least; a bound past m leaves no path
+    lower = np.maximum.accumulate(np.searchsorted(q, f + k) - (k - 1))
     total = math.comb(n + m, n)
-    return (total - non_extreme) / total, observed
+    return (total - _monotone_paths(lower, m)) / total, observed, total
 
 
 class PermutationResult(tuple):

@@ -9,6 +9,7 @@ from nctest.procedures import (
     _BLOCK_ELEMENTS,
     _mask_pvalues,
     _random_null,
+    _simes_exact_pvalue,
     _subset_masks,
     _within_cap,
     bh,
@@ -294,6 +295,14 @@ def test_within_cap_matches_the_binomial():
             assert _within_cap(n, m, cap) == (math.comb(n + m, n) <= cap), (n, m, cap)
     assert _within_cap(1, 999_999, 10**6) and _within_cap(999_999, 1, 10**6)
     assert not _within_cap(1, 10**6, 10**6) and not _within_cap(10**6, 10**6, 10**6)
+
+
+def test_simes_count_stops_at_the_enumeration_cap():
+    # C(27, 12) > 1e6: there the engine samples, and the count gives way to it
+    rng = np.random.default_rng(3)
+    assert _simes_exact_pvalue(make_statistic_set(rng.normal(size=12), rng.normal(size=15))) is None
+    p, observed, total = _simes_exact_pvalue(make_statistic_set(rng.normal(size=1), rng.normal(size=999)))
+    assert total == 1000 and 0 < p <= 1
 
 
 def test_permutation_exact_matches_monte_carlo():

@@ -643,7 +643,7 @@ def test_simes_count_matches_enumeration(tests, controls):
     # sides of n = m and with ties of any size
     s = make_statistic_set(np.array(tests), np.array(controls))
     result = permutation_global(s)
-    assert _simes_exact_pvalue(s) == (result[0], result.observed)
+    assert _simes_exact_pvalue(s) == (result[0], result.observed, result[1].size)
 
 
 # a few repeated values make exact ties between samples and observed values
