@@ -37,7 +37,6 @@ from .localfdr import cdf_threshold, localfdr_curve
 from .nullfit import falsify_subgroups, null_diagnostics_table
 from .procedures import (
     RejectionResult,
-    _simes_exact_pvalue,
     bh,
     bonferroni_global,
     hochberg,
@@ -645,25 +644,19 @@ def cmd_simulate(ns, manifest) -> Report:
 
 def cmd_permtest(ns, manifest) -> Report:
     statistics = _load(ns)
-    n, m = statistics.n, statistics.m
-    samples = None
-    # where the engine would enumerate, the Simes p-value is counted: no sample
-    counted = _simes_exact_pvalue(statistics) if ns.statistic == "simes_min_ratio" else None
-    if counted is not None:
-        p_value, observed, draws = counted
-    else:
-        b = 999 if ns.reps is None else ns.reps
-        result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)
-        p_value, samples = result
-        observed, draws = result.observed, samples.size
+    b = 999 if ns.reps is None else ns.reps
+    result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)
+    p_value, samples = result
+    # an exact Simes p-value is counted: no sample to summarise, write or plot
+    counted = samples.size == 0
     payload = {
-        "n": n,
-        "m": m,
+        "n": statistics.n,
+        "m": statistics.m,
         "statistic": ns.statistic,
-        "observed": observed,
+        "observed": result.observed,
         "p_value": float(p_value),
-        "draws": draws,
-        "null_summary": None if samples is None else {
+        "draws": result.draws,
+        "null_summary": None if counted else {
             "mean": float(samples.mean()),
             "sd": float(samples.std(ddof=1)) if samples.size > 1 else None,
             "q05": float(np.quantile(samples, 0.05)),
@@ -672,14 +665,14 @@ def cmd_permtest(ns, manifest) -> Report:
         },
     }
     header = ("draw", "statistic")
-    columns = ((), ()) if samples is None else (np.arange(samples.size), samples)
+    columns = (np.arange(samples.size), samples)
     svg_text = None
-    if _want_svg(ns) and samples is None:
+    if _want_svg(ns) and counted:
         warnings.warn("the exact Simes p-value is counted without a null sample; no plot written")
     elif _want_svg(ns):
         svg_text = svg.histogram_svg(
             samples, bins=min(50, max(5, samples.size // 20)),
-            thresholds=[(observed, "observed")],
+            thresholds=[(result.observed, "observed")],
             title=f"{ns.statistic} permutation null (p={p_value:.3g})",
             xlabel="statistic", desc=_desc(manifest),
         )

@@ -239,7 +239,7 @@ _STATISTICS = {
     "fisher": (fisher_global_statistic, "large"),
 }
 
-# the largest orbit C(n + m, n) that permutation_global enumerates by default
+# the largest orbit C(n + m, n) over which permutation_global is exact
 _MAX_ENUMERATION = 1_000_000
 
 # Mask elements (arrangements x pool size) per block: 1 byte each, plus 8
@@ -351,7 +351,7 @@ def _pooled(statistics: StatisticSet, stat_rows):
     mask kernel, so input row order cannot change it.
     """
     values = np.concatenate([statistics.investigation, statistics.negative_controls])
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     pool = values[order]
     tie_end = None
     if np.any(pool[1:] == pool[:-1]):
@@ -377,74 +377,68 @@ def _monotone_paths(lower: np.ndarray, width: int) -> int:
     return int(ways.sum())
 
 
-def _simes_exact_pvalue(statistics: StatisticSet):
-    """(p_value, observed, total) of the exact Simes permutation test, by
-    counting; None where C(n + m, n) exceeds _MAX_ENUMERATION.
+def _simes_extreme(n: int, m: int, tie_end, observed: float) -> int:
+    """Relabelings whose Simes statistic is at least as extreme as observed,
+    by counting, in O(n * m) steps and without a mask.
 
-    Equal to permutation_global(statistics) wherever that enumerates
-    its total = C(n + m, n) relabelings, in O(n * m) steps and without
-    a mask.  A relabeling is not extreme when, for every k, its k-th
-    smallest test, with c controls at or below its tie group, has
-    n * ((1 + c) / (m + 1) / k) above _extreme_bound.  That is the
-    engine's own float expression, and it rises with c, so the
-    condition is c >= f[k].  The tests of one tie
+    tie_end and observed are _pooled's.  A relabeling is not extreme
+    when, for every k, its k-th smallest test, with c controls at or
+    below its tie group, has n * ((1 + c) / (m + 1) / k) above
+    _extreme_bound.  That is the engine's own float expression, and it
+    rises with c, so the condition is c >= f[k].  The tests of one tie
     group share c, so the group's largest k binds; with q(x) the pool
     positions at or below x's tie group, the condition is
     q(x_k) - k >= f[k] at the position x_k of every test k.  That bounds
     the controls before each test from below, so the relabelings that
     are not extreme are lattice paths, counted position by position;
     a group that holds t of its s positions is so weighted C(s, t).
-    p = (C(n + m, n) - #not extreme) / C(n + m, n).
+    The count equals that of enumerating all C(n + m, n) relabelings.
     """
-    n, m = statistics.n, statistics.m
-    if not _within_cap(n, m, _MAX_ENUMERATION):
-        return None
-    tie_end, observed = _pooled(statistics, simes_statistic)
     bound = _extreme_bound(observed, "small")
     k = np.arange(1, n + 1)
     f = np.count_nonzero(n * ((1.0 + np.arange(m + 1)) / (m + 1.0) / k[:, None]) <= bound, axis=1)
     q = np.arange(1, n + m + 1) if tie_end is None else tie_end + 1
     # controls before test k, at least; a bound past m leaves no path
     lower = np.maximum.accumulate(np.searchsorted(q, f + k) - (k - 1))
-    total = math.comb(n + m, n)
-    return (total - _monotone_paths(lower, m)) / total, observed, total
+    return math.comb(n + m, n) - _monotone_paths(lower, m)
 
 
 class PermutationResult(tuple):
-    """(p_value, null_samples), with the observed statistic as .observed."""
+    """(p_value, null_samples), with the observed statistic as .observed and
+    the number of relabelings the p-value is taken over as .draws.
 
-    def __new__(cls, p_value: float, samples: np.ndarray, observed: float):
+    draws is C(n + m, n) for an exact p-value and B for Monte Carlo.  An
+    exact Simes p-value is counted, so its null_samples is empty.
+    """
+
+    def __new__(cls, p_value: float, samples: np.ndarray, observed: float, draws: int):
         result = super().__new__(cls, (p_value, samples))
         result.observed = observed
+        result.draws = draws
         return result
 
 
-def permutation_global(
-    statistics: StatisticSet,
-    statistic: str = "simes_min_ratio",
-    B: int = 999,
-    seed: int = 0,
-    max_enumeration: int = _MAX_ENUMERATION,
-):
+def permutation_global(statistics: StatisticSet, statistic: str = "simes_min_ratio",
+                       B: int = 999, seed: int = 0):
     """Permutation test of the global null that the investigation
     statistics are exchangeable with the negative controls.
 
     The statistic, "simes_min_ratio" (small values are extreme) or
     "fisher" (large values are extreme), is computed from the rank based
-    p-values of each relabeled sample, in pooled order.  Monte Carlo
-    draws B relabelings from the one stream rep_rng(seed, 0), with the
-    add-one correction p = (1 + #extreme) / (1 + B); when C(n+m, n) does not
-    exceed max_enumeration the distribution is enumerated exactly
-    instead and p = #extreme / total.
+    p-values of each relabeled sample, in pooled order.  When C(n+m, n)
+    does not exceed _MAX_ENUMERATION the p-value is exact, #extreme /
+    C(n+m, n): Simes counts the extreme relabelings as lattice paths and
+    returns an empty sample, Fisher enumerates every relabeling.  Above
+    it, Monte Carlo draws B relabelings from the one stream
+    rep_rng(seed, 0), with the add-one correction p = (1 + #extreme) / (1 + B).
     The observed statistic is the identity relabeling evaluated by the
     same code, so input row order cannot change it.  Blocks of 2**16
     mask elements bound working memory beyond the pool and samples to
     about 1 MB.  Unpacks as (p_value, null_samples); .observed holds
-    the observed statistic.
+    the observed statistic and .draws the number of relabelings.
     """
     check_integer(B, "B", 1)
     check_integer(seed, "seed")
-    check_integer(max_enumeration, "max_enumeration", 0)
     try:
         stat_rows, direction = _STATISTICS[statistic]
     except KeyError:
@@ -452,13 +446,16 @@ def permutation_global(
 
     n, m = statistics.n, statistics.m
     tie_end, observed = _pooled(statistics, stat_rows)
-    exact = _within_cap(n, m, max_enumeration)
-    if exact:
+    if not _within_cap(n, m, _MAX_ENUMERATION):
+        samples = _random_null(rep_rng(seed, 0), B, n + m, n, stat_rows, tie_end)
+        extreme = int(_count_extreme(samples, observed, direction))
+        return PermutationResult((1 + extreme) / (1 + B), samples, observed, B)
+    total = math.comb(n + m, n)
+    if statistic == "simes_min_ratio":
+        samples = np.empty(0)
+        extreme = _simes_extreme(n, m, tie_end, observed)
+    else:
         samples = np.concatenate([stat_rows(_mask_pvalues(masks, tie_end))
                                   for masks in _mask_blocks(n + m, n)])
-    else:
-        samples = _random_null(rep_rng(seed, 0), B, n + m, n, stat_rows, tie_end)
-    extreme = int(_count_extreme(samples, observed, direction))
-    # enumeration gives every one of the C(n + m, n) relabelings once
-    p_value = extreme / samples.size if exact else (1 + extreme) / (1 + B)
-    return PermutationResult(p_value, samples, observed)
+        extreme = int(_count_extreme(samples, observed, direction))
+    return PermutationResult(extreme / total, samples, observed, total)

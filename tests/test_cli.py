@@ -686,20 +686,21 @@ def _pool_csv(path, tests, controls):
     return str(path)
 
 
-def test_permtest_exact_simes_is_counted(capsys, tmp_path):
+def test_permtest_exact_simes_is_counted(capsys, tmp_path, enumerate_simes):
     # within the cap the p-value is a count: the enumerator's p, observed and orbit
     # size, with no sample to summarise, write or plot
     rng = np.random.default_rng(31)
     tests, controls = np.round(rng.normal(size=5) - 1.0, 1), np.round(rng.normal(size=20), 1)
     path = _pool_csv(tmp_path / "pool.csv", tests, controls)
-    want = permutation_global(make_statistic_set(tests, controls))
+    p, samples, observed = enumerate_simes(make_statistic_set(tests, controls))
+    assert samples.size == math.comb(25, 5)
     out = tmp_path / "exact"
     code, _, err = _run(capsys, ["permtest", "--in", path, "--plots", "svg", "--out", str(out)])
     assert code == 0, err
     payload = json.loads((out / "result.json").read_text())
     jsonschema.validate(payload, _schema("permtest"))
     assert payload["draws"] == math.comb(25, 5)
-    assert (payload["p_value"], payload["observed"]) == (want[0], want.observed)
+    assert (payload["p_value"], payload["observed"]) == (p, observed)
     assert payload["null_summary"] is None
     assert payload["warnings"] == [
         "the exact Simes p-value is counted without a null sample; no plot written"]
@@ -707,13 +708,14 @@ def test_permtest_exact_simes_is_counted(capsys, tmp_path):
     assert sorted(os.listdir(out)) == ["manifest.json", "result.csv", "result.json"]
     stdout = _payload(capsys, ["permtest", "--in", path], schema="permtest")
     assert {k: stdout[k] for k in ("p_value", "observed", "draws", "null_summary", "warnings")} == {
-        "p_value": want[0], "observed": want.observed, "draws": math.comb(25, 5),
+        "p_value": p, "observed": observed, "draws": math.comb(25, 5),
         "null_summary": None, "warnings": []}
 
 
 def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch):
     # the two slowest pools under the cap: untied n = 3, m = 178 and, tied at
-    # one decimal, n = 2, m = 1,400, where enumeration took seconds
+    # one decimal, n = 2, m = 1,400, where enumeration took seconds; neither the
+    # CLI nor the library enumerates them
     def refuse(*args):
         raise AssertionError("enumerated")
 
@@ -728,6 +730,23 @@ def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch):
         assert math.comb(n + m, n) <= procedures._MAX_ENUMERATION
         assert payload["draws"] == math.comb(n + m, n)
         assert 0 < payload["p_value"] <= 1
+        result = permutation_global(make_statistic_set(tests, controls))
+        assert (result.draws, result[1].size) == (math.comb(n + m, n), 0)
+
+
+@pytest.mark.parametrize("statistic, n, m", [
+    ("fisher", 5, 20), ("simes_min_ratio", 5, 20), ("simes_min_ratio", 12, 15)])
+def test_permtest_reports_the_library_result(capsys, tmp_path, statistic, n, m):
+    # permtest makes one permutation_global call: Fisher within the cap
+    # enumerates, Simes within it counts and Simes above it samples
+    rng = np.random.default_rng(7)
+    tests, controls = np.round(rng.normal(size=n) - 0.5, 1), np.round(rng.normal(size=m), 1)
+    path = _pool_csv(tmp_path / "pool.csv", tests, controls)
+    args = ["permtest", "--in", path, "--statistic", statistic, "--reps", "300", "--seed", "5"]
+    payload = _payload(capsys, args, schema="permtest")
+    result = permutation_global(make_statistic_set(tests, controls), statistic, B=300, seed=5)
+    assert (payload["p_value"], payload["observed"], payload["draws"]) == (
+        result[0], result.observed, result.draws)
 
 
 def test_simulate_table1_byte_identical(capsys, tmp_path):

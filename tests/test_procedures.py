@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from nctest import DataError, make_statistic_set
+from nctest import DataError, make_statistic_set, procedures
 from nctest.procedures import (
     _BLOCK_ELEMENTS,
     _mask_pvalues,
     _random_null,
-    _simes_exact_pvalue,
     _subset_masks,
     _within_cap,
     bh,
@@ -191,22 +190,24 @@ def test_confusion_counts():
     assert 0 <= c["fdp"] <= 1
 
 
-def test_permutation_enumeration_exact():
+def test_permutation_enumeration_exact(enumerate_simes):
     # pool {1,2,3,4}, T={1,2}: all six relabelings give Simes statistics
     # {1/3, 2/3, 2/3, 2/3, 1, 1}; observed 1/3, so p = 1/6
     s = make_statistic_set([1.0, 2.0], [3.0, 4.0])
-    p, samples = permutation_global(s, "simes_min_ratio", B=10, seed=0)
-    assert p == pytest.approx(1 / 6)
+    _, samples, _ = enumerate_simes(s)
     np.testing.assert_allclose(
         np.sort(samples), [1 / 3, 2 / 3, 2 / 3, 2 / 3, 1.0, 1.0]
     )
+    # the library counts the same p over the six relabelings, with no sample
+    result = permutation_global(s, "simes_min_ratio", B=10, seed=0)
+    assert result[0] == pytest.approx(1 / 6)
+    assert (result[1].size, result.observed, result.draws) == (0, pytest.approx(1 / 3), 6)
 
 
-def test_permutation_b1_counting():
+def test_permutation_b1_counting(monkeypatch):
+    monkeypatch.setattr(procedures, "_MAX_ENUMERATION", 0)
     s = make_statistic_set([1.0], [2.0, 3.0])
-    p, samples = permutation_global(
-        s, "simes_min_ratio", B=1, seed=0, max_enumeration=0
-    )
+    p, samples = permutation_global(s, "simes_min_ratio", B=1, seed=0)
     assert len(samples) == 1
     assert p in (0.5, 1.0)
 
@@ -220,17 +221,17 @@ def test_permutation_seed_and_thread_determinism():
     np.testing.assert_array_equal(s1, s2)
 
 
-def test_permutation_invariant_to_row_order():
+def test_permutation_invariant_to_row_order(monkeypatch):
     # the Fisher sum of the observed sample once depended on input row
     # order: rows [0,1,2,3] gave p = 18/495 and [1,3,2,0] gave 19/495
     rng = np.random.default_rng(3)
     t = rng.normal(size=4) - 2
     c = rng.normal(size=8)
     for statistic in ("fisher", "simes_min_ratio"):
-        for max_enumeration in (1_000_000, 0):
+        for cap in (1_000_000, 0):
+            monkeypatch.setattr(procedures, "_MAX_ENUMERATION", cap)
             results = [
-                permutation_global(make_statistic_set(t[rows], c), statistic, B=200,
-                                   seed=4, max_enumeration=max_enumeration)
+                permutation_global(make_statistic_set(t[rows], c), statistic, B=200, seed=4)
                 for rows in ([0, 1, 2, 3], [1, 3, 2, 0], [3, 2, 1, 0])
             ]
             for other in results[1:]:
@@ -298,28 +299,33 @@ def test_within_cap_matches_the_binomial():
 
 
 def test_simes_count_stops_at_the_enumeration_cap():
-    # C(27, 12) > 1e6: there the engine samples, and the count gives way to it
+    # C(27, 12) > 1e6: there Simes samples B relabelings, and within the cap it counts
     rng = np.random.default_rng(3)
-    assert _simes_exact_pvalue(make_statistic_set(rng.normal(size=12), rng.normal(size=15))) is None
-    p, observed, total = _simes_exact_pvalue(make_statistic_set(rng.normal(size=1), rng.normal(size=999)))
-    assert total == 1000 and 0 < p <= 1
+    p, samples = result = permutation_global(
+        make_statistic_set(rng.normal(size=12), rng.normal(size=15)), B=50)
+    assert samples.size == result.draws == 50 and 0 < p <= 1
+    p, samples = result = permutation_global(
+        make_statistic_set(rng.normal(size=1), rng.normal(size=999)), B=50)
+    assert samples.size == 0 and result.draws == 1000 and 0 < p <= 1
 
 
-def test_permutation_exact_matches_monte_carlo():
+def test_permutation_exact_matches_monte_carlo(monkeypatch, enumerate_simes):
     # exact enumeration and large-B Monte Carlo estimate one p-value
     rng = np.random.default_rng(21)
     s = make_statistic_set(rng.normal(size=4) - 1.0, rng.normal(size=8))
     B = 20_000
-    for statistic in ("simes_min_ratio", "fisher"):
-        exact, samples = permutation_global(s, statistic)
+    nulls = {"simes_min_ratio": enumerate_simes(s)[:2], "fisher": permutation_global(s, "fisher")}
+    monkeypatch.setattr(procedures, "_MAX_ENUMERATION", 0)
+    for statistic, (exact, samples) in nulls.items():
         assert samples.size == math.comb(12, 4)
-        mc, _ = permutation_global(s, statistic, B=B, seed=22, max_enumeration=0)
+        mc, _ = permutation_global(s, statistic, B=B, seed=22)
         se = math.sqrt(exact * (1 - exact) / B)
         assert abs(mc - exact) <= 3 * se, (statistic, exact, mc, se)
 
 
 def test_permutation_level_calibration():
-    # exchangeable null data: P(p <= 0.05) should be 0.05 up to MC error
+    # exchangeable null data: P(p <= 0.05) should be 0.05 up to MC error;
+    # C(30, 10) exceeds the enumeration cap, so every p-value is sampled
     reps = 300
     B = 99
     hits = 0
@@ -327,7 +333,7 @@ def test_permutation_level_calibration():
     for r in range(reps):
         x = master.normal(size=30)
         s = make_statistic_set(x[:10], x[10:])
-        p, _ = permutation_global(s, "simes_min_ratio", B=B, seed=r, max_enumeration=0)
+        p, _ = permutation_global(s, "simes_min_ratio", B=B, seed=r)
         hits += p <= 0.05
     rate = hits / reps
     se = math.sqrt(0.05 * 0.95 / reps)

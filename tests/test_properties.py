@@ -5,6 +5,7 @@ import io
 import math
 import string
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
-from nctest import data, localfdr  # noqa: E402
+from nctest import data, localfdr, procedures  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import (  # noqa: E402
     _count_extreme,
-    _simes_exact_pvalue,
     _step_prefix,
     permutation_global,
 )
@@ -601,12 +601,16 @@ _MC_DRAWS = 3000
     controls=st.lists(st.integers(-3, 3), min_size=3, max_size=9),
     statistic=st.sampled_from(["simes_min_ratio", "fisher"]),
 )
-def test_permutation_exact_agrees_with_monte_carlo(tests, controls, statistic):
+def test_permutation_exact_agrees_with_monte_carlo(tests, controls, statistic, enumerate_simes):
     # integer statistics tie within and across roles
     s = make_statistic_set(np.array(tests, dtype=float), np.array(controls, dtype=float))
-    exact, samples = permutation_global(s, statistic)
+    if statistic == "fisher":
+        exact, samples = permutation_global(s, statistic)
+    else:
+        exact, samples, _ = enumerate_simes(s)
     assert samples.size == math.comb(s.n + s.m, s.n)
-    mc, _ = permutation_global(s, statistic, B=_MC_DRAWS, seed=0, max_enumeration=0)
+    with mock.patch.object(procedures, "_MAX_ENUMERATION", 0):
+        mc, _ = permutation_global(s, statistic, B=_MC_DRAWS, seed=0)
     # (1 + #extreme) / (1 + B), #extreme ~ Binomial(B, exact)
     mean = (1 + _MC_DRAWS * exact) / (1 + _MC_DRAWS)
     se = math.sqrt(_MC_DRAWS * exact * (1 - exact)) / (1 + _MC_DRAWS)
@@ -638,12 +642,13 @@ _BENCH_CONTROLS = _BENCH_RNG.normal(size=20).tolist()
 # 3 * (3/17/3) is 3 * (1/17) in exact arithmetic, one ulp above it in floats:
 # only the 1e-12 tolerance counts that relabeling as extreme
 @example(tests=[-10.0, 10.0, 11.0], controls=[k / 16 for k in range(16)])
-def test_simes_count_matches_enumeration(tests, controls):
+def test_simes_count_matches_enumeration(tests, controls, enumerate_simes):
     # the lattice-path count is the enumerator's p-value, bit for bit, on both
     # sides of n = m and with ties of any size
     s = make_statistic_set(np.array(tests), np.array(controls))
+    p, samples, observed = enumerate_simes(s)
     result = permutation_global(s)
-    assert _simes_exact_pvalue(s) == (result[0], result.observed, result[1].size)
+    assert (result[0], result.observed, result.draws) == (p, observed, samples.size)
 
 
 # a few repeated values make exact ties between samples and observed values

@@ -73,7 +73,7 @@ PUBLIC_PARAMETERS = {
     "null_diagnostics_table": "statistics q sources methods bins degree",
     "oracle_pvalues": "statistics config",
     "pdf_localfdr_baseline": "statistics pi",
-    "permutation_global": "statistics statistic B seed max_enumeration",
+    "permutation_global": "statistics statistic B seed",
     "pi_hat": "statistics lam",
     "power_vs_m": "config m_grid",
     "prds_counterexample": "method draws seed",

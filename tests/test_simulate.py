@@ -51,6 +51,8 @@ def test_config_validation():
 
 
 _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
+# C(27, 12) relabelings exceed the enumeration cap, so permutation_global samples
+_ABOVE_CAP = make_statistic_set(np.arange(12.0), np.arange(0.5, 15.0))
 
 
 # every library entry point that takes a seed refuses a negative one before
@@ -58,24 +60,21 @@ _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
 # nothing.  Counts are refused below their minimum at the entry point as well.
 @pytest.mark.parametrize("message, call", [
     ("seed must be non-negative", lambda: permutation_global(_SMALL, seed=-1)),
-    ("seed must be non-negative",
-     lambda: permutation_global(_SMALL, B=5, seed=-1, max_enumeration=1)),
+    ("seed must be non-negative", lambda: permutation_global(_ABOVE_CAP, B=5, seed=-1)),
     ("seed must be non-negative", lambda: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=-1)),
     ("seed must be non-negative",
      lambda: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=-1)),
     ("seed must be non-negative", lambda: prds_counterexample(method="mc", draws=100, seed=-1)),
     ("seed must be non-negative", lambda: with_jitter(_SMALL, seed=-1)),
     ("seed must be non-negative", lambda: generate_emn(SimConfig(reps=1), rep_seed=-1)),
-    ("B must be at least 1", lambda: permutation_global(_SMALL, B=0, max_enumeration=1)),
+    ("B must be at least 1", lambda: permutation_global(_ABOVE_CAP, B=0)),
     ("n0 must be non-negative", lambda: SimConfig(n0=-1)),
     ("m must be at least 1", lambda: SimConfig(m=0)),
     ("draws must be at least 1", lambda: prds_counterexample(method="mc", draws=0)),
     ("m must be at least 1", lambda: power_vs_m(SimConfig(reps=2), [5, 0])),
-    ("max_enumeration must be non-negative",
-     lambda: permutation_global(_SMALL, max_enumeration=-1)),
 ], ids=["permutation-exact", "permutation-mc", "fisher-demo", "simes-perm", "prds-mc",
         "with-jitter", "generate-emn", "permutation-B", "sim-config-n0", "sim-config-m",
-        "prds-draws", "power-vs-m", "permutation-cap"])
+        "prds-draws", "power-vs-m"])
 def test_negative_seed_is_a_data_error(message, call):
     with pytest.raises(DataError, match=message):
         call()
@@ -88,11 +87,11 @@ def test_negative_seed_is_a_data_error(message, call):
 @pytest.mark.parametrize("name, call", [
     ("seed", lambda seed: SimConfig(seed=seed)),
     ("seed", lambda seed: permutation_global(_SMALL, seed=seed)),
-    ("seed", lambda seed: permutation_global(_SMALL, B=5, seed=seed, max_enumeration=1)),
+    ("seed", lambda seed: permutation_global(_ABOVE_CAP, B=5, seed=seed)),
     ("seed", lambda seed: with_jitter(_SMALL, seed=seed)),
     ("seed", lambda seed: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=seed)),
     ("seed", lambda seed: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=seed)),
-    ("B", lambda B: permutation_global(_SMALL, B=B, max_enumeration=1)),
+    ("B", lambda B: permutation_global(_ABOVE_CAP, B=B)),
     ("n0", lambda n0: SimConfig(n0=n0)),
     ("reps", lambda reps: SimConfig(reps=reps)),
     ("reps", lambda reps: fisher_miscalibration_demo(n=3, m=3, reps=reps)),
@@ -101,10 +100,9 @@ def test_negative_seed_is_a_data_error(message, call):
     # three draws of seed 0 fill both conditioning events
     ("draws", lambda draws: prds_counterexample(method="mc", draws=draws)),
     ("m", lambda m: power_vs_m(SimConfig(reps=2), [m])),
-    ("max_enumeration", lambda cap: permutation_global(_SMALL, B=5, max_enumeration=cap)),
 ], ids=["sim-config", "permutation-exact", "permutation-mc", "with-jitter", "simes-perm",
         "fisher-demo", "permutation-B", "sim-config-n0", "sim-config-reps", "fisher-demo-reps",
-        "simes-perm-b", "simes-perm-m", "prds-draws", "power-vs-m", "permutation-cap"])
+        "simes-perm-b", "simes-perm-m", "prds-draws", "power-vs-m"])
 def test_non_integer_seed_is_a_data_error(name, call):
     for bad in (1.5, 2.0, "3", None, True):
         with pytest.raises(DataError, match=f"{name} must be an integer"):
@@ -446,7 +444,7 @@ def test_prds_monte_carlo_agrees():
         prds_counterexample(method="bootstrap")
 
 
-def test_mask_kernels_match_module_statistics():
+def test_mask_kernels_match_module_statistics(monkeypatch, enumerate_simes):
     # every sample of the engine, exact orbit and Monte-Carlo draws,
     # equals the module statistic of ranc_values on that relabeling; the
     # data tie test values with controls, so ties must count as
@@ -465,14 +463,18 @@ def test_mask_kernels_match_module_statistics():
         for test, nc in (small, large):
             s = make_statistic_set(test, nc)
             pool = np.sort(np.concatenate([test, nc]))
-            _, samples = permutation_global(s, name, B=40, seed=8, max_enumeration=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(procedures, "_MAX_ENUMERATION", 0)
+                _, samples = permutation_global(s, name, B=40, seed=8)
             # relabeling b puts the tests at the test.size smallest of row b's
             # uniform keys, all drawn from the one stream (8, 0)
             keys = rep_rng(8, 0).random((40, pool.size))
             expected = [reference(pool, stat_fn, subset)
                         for subset in np.argsort(keys, axis=1)[:, :test.size]]
             np.testing.assert_array_equal(samples, expected)
-        _, samples = permutation_global(make_statistic_set(*small), name)
+        # the library counts the Simes p-value, so its orbit comes from the oracle
+        s = make_statistic_set(*small)
+        samples = enumerate_simes(s)[1] if name == "simes_min_ratio" else permutation_global(s, name)[1]
         pool = np.sort(np.concatenate(small))
         expected = [reference(pool, stat_fn, list(subset))
                     for subset in itertools.combinations(range(pool.size), small[0].size)]
