@@ -7,7 +7,9 @@ null/non-null.  On top of it sit the FDR/power comparison of BH on raw
 statistics, on modified rank-based p-values, and on oracle-corrected
 p-values; power-versus-m curves; two probability fixtures (a
 non-PRDS construction and the miscalibration of Fisher's combination
-test); and a permutation diagnostic for the Simes statistic.
+test); and a permutation diagnostic for the Simes statistic.  The
+studies never leave the z scale: all three p-values are monotone in
+T, so BH runs on T itself against boundaries mapped by Phi^-1.
 
 Every replication uses its own counter-derived RNG stream, so results
 depend only on the seed.  A study runs its replications block by block:
@@ -143,16 +145,6 @@ class SimReport:
         }
 
 
-def _mu_vector(config: SimConfig) -> np.ndarray:
-    return np.concatenate(
-        [
-            np.full(config.n0, config.mu_null),
-            np.full(config.n1, config.mu_alt),
-            np.full(config.m, config.mu_null),
-        ]
-    )
-
-
 def _normals(seed: int, reps: range, width: int) -> np.ndarray:
     """Row k holds the first `width` standard normals of stream (seed, reps[k]).
 
@@ -176,16 +168,14 @@ def _blocks(seed: int, reps: int, width: int):
         yield start, _normals(seed, range(start, min(start + rows, reps)), width)
 
 
-def _uniforms(config: SimConfig, normals: np.ndarray) -> np.ndarray:
-    """The cell's statistics ndtr(mu + sqrt(rho) Z + sqrt(1-rho) X).
+def _zvalues(config: SimConfig, normals: np.ndarray) -> np.ndarray:
+    """The cell's z-scale statistics mu + sqrt(rho) Z + sqrt(1-rho) X.
 
     `normals` holds one stream per row (or is one stream).  Independent
     cells read columns [0, n+m) as X; exchangeable cells read column 0
     as the shared Z and columns [1, n+m+1) as X, in the order the stream
     draws them.
     """
-    from scipy.special import ndtr
-
     size = config.n + config.m
     if config.dependence == "exchangeable":
         shared, noise = normals[..., :1], normals[..., 1:size + 1]
@@ -193,15 +183,17 @@ def _uniforms(config: SimConfig, normals: np.ndarray) -> np.ndarray:
         shared, noise = 0.0, normals[..., :size]
     z = math.sqrt(1.0 - config.rho) * noise
     z += math.sqrt(config.rho) * shared
-    z += _mu_vector(config)
-    return ndtr(z, out=z)
+    z += np.repeat([config.mu_null, config.mu_alt, config.mu_null], [config.n0, config.n1, config.m])
+    return z
 
 
 def generate_emn(config: SimConfig, rep_seed: int):
     """One replication of the equicorrelated normal model."""
     check_integer(rep_seed, "rep_seed")
+    from scipy.special import ndtr
+
     normals = rep_rng(config.seed, rep_seed).normal(size=config.n + config.m + 1)
-    t = _uniforms(config, normals)
+    t = ndtr(_zvalues(config, normals))
     n = config.n
     ids = [f"t{i}" for i in range(1, n + 1)]
     truth = {
@@ -228,22 +220,24 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
     )
 
 
-def _fdp_tpr_rows(p: np.ndarray, q: float, null_mask: np.ndarray):
+def _fdp_tpr_rows(values: np.ndarray, boundaries: np.ndarray, null_mask: np.ndarray):
     """Row-wise BH: false discovery proportion and true positive rate per row.
 
-    The step-up count k never splits a run of tied p-values: if
-    p_(k+1) = p_(k) <= qk/n <= q(k+1)/n, position k+1 passes too.  So BH
-    rejects {i: p_i <= p_(k)} for any order of the ties, and the sorted
+    boundaries are BH's on the scale of values (k q / n for p-values); a
+    stack of them, shape (..., n), runs each on one sort of the values
+    and gives fdp and tpr of shape (..., rows).  The step-up count k
+    never splits a run of tied values: if v_(k+1) = v_(k) <= b_k <=
+    b_(k+1), position k+1 passes too.  So BH
+    rejects {i: v_i <= v_(k)} for any order of the ties, and the sorted
     values alone give k and the cut; no sort order is needed.
     """
-    n = p.shape[1]
-    psort = np.sort(p, axis=1)
-    k = _step_prefix(psort, q * np.arange(1, n + 1) / n, step_up=True)
-    cut = np.where(k > 0, psort[np.arange(p.shape[0]), np.maximum(k, 1) - 1], -np.inf)
-    v = np.count_nonzero((p <= cut[:, None]) & null_mask, axis=1)
+    vsort = np.sort(values, axis=1)
+    k = _step_prefix(vsort, boundaries[..., None, :], step_up=True)
+    cut = np.where(k > 0, vsort[np.arange(len(values)), np.maximum(k, 1) - 1], -np.inf)
+    v = np.count_nonzero((values <= cut[..., None]) & null_mask, axis=-1)
     n1 = int((~null_mask).sum())
     fdp = v / np.maximum(k, 1)
-    tpr = (k - v) / n1 if n1 > 0 else np.full(p.shape[0], np.nan)
+    tpr = (k - v) / n1 if n1 > 0 else np.full(k.shape, np.nan)
     return fdp, tpr
 
 
@@ -264,24 +258,38 @@ def _run_study(configs) -> list:
     seed, reps = configs[0].seed, configs[0].reps
     width = max(config.n + config.m for config in configs) + 1
     rows = [np.empty((len(METHODS), 2, reps)) for _ in configs]
+    bounds = [_boundaries(config) for config in configs]
     for start, normals in _blocks(seed, reps, width):
-        for out, config in zip(rows, configs):
-            out[..., start:start + len(normals)] = _cell_rows(config, normals)
+        for out, config, boundaries in zip(rows, configs, bounds):
+            out[..., start:start + len(normals)] = _cell_rows(config, normals, *boundaries)
     return [_report(config, out) for config, out in zip(configs, rows)]
 
 
-def _cell_rows(config: SimConfig, normals: np.ndarray) -> np.ndarray:
-    """FDP and TPR of each method, (method, fdp/tpr, row), on one block of streams."""
-    from scipy.special import ndtr, ndtri
+def _boundaries(config: SimConfig):
+    """BH's boundaries k q / n, and Phi^-1(k q / n) shifted by 0 and by mu_null."""
+    from statistics import NormalDist
 
+    p = config.q * np.arange(1, config.n + 1) / config.n
+    z = np.array([NormalDist().inv_cdf(b) for b in p.tolist()])
+    return p, np.stack([z, config.mu_null + z])
+
+
+def _cell_rows(config: SimConfig, normals: np.ndarray, p_bounds, z_bounds) -> np.ndarray:
+    """FDP and TPR of each method, (method, fdp/tpr, row), on one block of streams.
+
+    BH on Phi(T - s) rejects where T <= s + Phi^-1(k q / n), so raw
+    (s = 0) and oracle (s = mu_null) BH share one sort of the z-scale T,
+    and ranks among the controls are counted on T, which Phi keeps.
+    This equals BH on the p scale up to rounding: inv_cdf and ndtr
+    differ by a few ulp, so a T that close to a boundary may fall on
+    the other side of it.
+    """
     n = config.n
-    t = _uniforms(config, normals)
-    inv, nc = t[:, :n], t[:, n:]
+    z = _zvalues(config, normals)
+    inv, nc = z[:, :n], z[:, n:]
     null_mask = np.arange(n) < config.n0
-    return np.array([
-        _fdp_tpr_rows(p, config.q, null_mask)
-        for p in (inv, ranc_values(inv, nc), ndtr(ndtri(inv) - config.mu_null))
-    ])
+    raw, oracle = np.stack(_fdp_tpr_rows(inv, z_bounds, null_mask), axis=1)
+    return np.array([raw, _fdp_tpr_rows(ranc_values(inv, nc), p_bounds, null_mask), oracle])
 
 
 def _report(config: SimConfig, rows: np.ndarray) -> SimReport:
@@ -327,9 +335,10 @@ def rule_of_thumb_m(n: int, n1: int, q: float, factor: float = 2.0) -> int:
     """Smallest recommended control-pool size for a target power gap."""
     check_integer(n, "n", 1)
     check_integer(n1, "n1", 1)
-    if not 0 < q < 1 or not factor > 0:
-        raise DataError("need 0 < q < 1, factor > 0")
-    return int(math.ceil(factor * n / (q * n1)))
+    m = factor * n / (q * n1) if 0 < q < 1 and factor > 0 else math.nan
+    if not math.isfinite(m):
+        raise DataError("need 0 < q < 1, factor > 0 and a finite pool size")
+    return math.ceil(m)
 
 
 def prds_counterexample(method: str = "exact", draws: int = 1_000_000, seed: int = 0):

@@ -965,7 +965,10 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
          f"permtest --in {toy_csv} --reps 200",
          "simulate --preset b1 --reps 2000",
          "simulate --preset simes-perm --reps 200",
-         "simulate --preset b2 --reps 20"],
+         "simulate --preset b2 --reps 20",
+         "simulate --preset table1 --reps 20",
+         "simulate --preset power-vs-m --reps 20",
+         "simulate --preset power-vs-m-weak --reps 20"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr

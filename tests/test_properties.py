@@ -583,7 +583,7 @@ def _tied_pvalue_rows(draw):
 @example(data=(np.array([[0.25, 0.25, 0.75]]), np.array([True, True, True])), q=0.5)
 def test_order_free_bh_equals_argsort_reference(data, q):
     p, null_mask = data
-    fdp, tpr = _fdp_tpr_rows(p, q, null_mask)
+    fdp, tpr = _fdp_tpr_rows(p, q * np.arange(1, p.shape[1] + 1) / p.shape[1], null_mask)
     want_fdp, want_tpr = _argsort_fdp_tpr(p, q, null_mask)
     assert fdp.tobytes() == want_fdp.tobytes()
     assert tpr.tobytes() == want_tpr.tobytes()

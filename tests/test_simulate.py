@@ -32,7 +32,15 @@ from nctest.simulate import (
     simes_permutation_diagnostic,
     simulate_cell,
 )
-from nctest.simulate import _chi2_sf_even, _fdp_tpr_rows
+from nctest.simulate import (
+    DEPENDENCE_KINDS,
+    NULL_SETTINGS,
+    _boundaries,
+    _cell_rows,
+    _chi2_sf_even,
+    _fdp_tpr_rows,
+    _normals,
+)
 
 
 def test_config_validation():
@@ -305,7 +313,7 @@ def test_vectorized_bh_matches_reference():
     rng = np.random.default_rng(11)
     p = np.maximum(np.round(rng.uniform(0.001, 1, size=(50, 12)), 2), 0.01)  # ties
     null_mask = np.array([True] * 8 + [False] * 4)
-    fdp, tpr = _fdp_tpr_rows(p, 0.3, null_mask)
+    fdp, tpr = _fdp_tpr_rows(p, 0.3 * np.arange(1, 13) / 12, null_mask)
     ids = [f"x{i}" for i in range(12)]
     truth = {
         rid: ("null" if is_null else "nonnull")
@@ -319,6 +327,80 @@ def test_vectorized_bh_matches_reference():
         counts = confusion_counts(bh(vec, 0.3), s)
         assert counts["fdp"] == fdp[r]
         assert counts["tpr"] == tpr[r]
+
+
+def _pscale_cell_rows(config, normals):
+    """The study kernel on the p scale: Phi of the statistics, BH at k q / n.
+
+    Raw p-values are Phi(T), rank-based ones are counted on Phi(T), and
+    oracle ones are Phi(Phi^-1(Phi(T)) - mu_null), all through
+    scipy.special, each with its own sort.
+    """
+    n = config.n
+    if config.dependence == "exchangeable":
+        shared, noise = normals[:, :1], normals[:, 1:n + config.m + 1]
+    else:
+        shared, noise = 0.0, normals[:, :n + config.m]
+    z = math.sqrt(1.0 - config.rho) * noise
+    z += math.sqrt(config.rho) * shared
+    z += np.concatenate([np.full(config.n0, config.mu_null), np.full(config.n1, config.mu_alt),
+                         np.full(config.m, config.mu_null)])
+    t = special.ndtr(z)
+    inv, nc = t[:, :n], t[:, n:]
+    null_mask = np.arange(n) < config.n0
+    rows = []
+    for p in (inv, ranc_values(inv, nc), special.ndtr(special.ndtri(inv) - config.mu_null)):
+        psort = np.sort(p, axis=1)
+        k = procedures._step_prefix(psort, config.q * np.arange(1, n + 1) / n, step_up=True)
+        cut = np.where(k > 0, psort[np.arange(len(p)), np.maximum(k, 1) - 1], -np.inf)
+        v = np.count_nonzero((p <= cut[:, None]) & null_mask, axis=1)
+        n1 = config.n1
+        rows.append((v / np.maximum(k, 1), (k - v) / n1 if n1 else np.full(len(p), np.nan)))
+    return np.array(rows)
+
+
+_TABLE1_CELLS = [
+    SimConfig(rho=0.5 if dependence == "exchangeable" else 0.0, mu_null=mu_null,
+              dependence=dependence)
+    for dependence in DEPENDENCE_KINDS for mu_null in NULL_SETTINGS.values()
+]
+_POWER_CELLS = [SimConfig(m=m, mu_alt=mu_alt) for mu_alt in (-2.0, -3.0)
+                for m in (5, 25, 50, 100, 110, 200, 400)]
+_SMALL_CELLS = [
+    SimConfig(n0=4, n1=1, m=4, rho=0.3, dependence="exchangeable"),
+    SimConfig(n0=80, n1=30, m=60, rho=0.7, mu_null=-0.5, dependence="exchangeable"),
+    SimConfig(n0=1, n1=1, m=1),
+    SimConfig(n0=2, n1=0, m=1, mu_null=0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "config", list(dict.fromkeys(_TABLE1_CELLS + _POWER_CELLS + _SMALL_CELLS)),
+    ids=lambda c: f"{c.dependence[:3]}-n{c.n0}+{c.n1}-m{c.m}-rho{c.rho}-mu{c.mu_null}{c.mu_alt:+}")
+def test_zscale_cell_rows_equal_pscale_reference(config):
+    # BH on the z scale gives the p-scale study's FDP and TPR bit for bit
+    normals = _normals(7, range(400), 511)
+    got = _cell_rows(config, normals, *_boundaries(config))
+    want = _pscale_cell_rows(config, normals)
+    assert got.shape == want.shape == (3, 2, 400)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shift", sorted(NULL_SETTINGS.values()))
+def test_zscale_boundaries_match_pscale_within_ulps(shift):
+    # the presets' grid, n = 110 and q = 0.2: raw BH is shift 0, oracle BH mu_null
+    p_bounds, (raw, oracle) = _boundaries(SimConfig(mu_null=shift))
+    np.testing.assert_array_equal(shift + raw, oracle)
+    ndtri = special.ndtri(p_bounds)
+    assert np.all(np.abs(raw - ndtri) <= 4 * np.spacing(np.abs(ndtri)))
+    steps = np.arange(-256, 257)
+    for b, z_bound in zip(p_bounds, oracle):
+        # floats around the z boundary, in ulps of the larger of z and z - shift
+        z = z_bound + steps * np.spacing(max(abs(z_bound), abs(z_bound - shift)))
+        on_z = z <= z_bound
+        for on_p in (special.ndtr(z - shift) <= b,
+                     special.ndtr(special.ndtri(special.ndtr(z)) - shift) <= b):
+            assert np.all(np.abs(steps[on_p != on_z]) <= 4), (b, shift)
 
 
 def test_global_null_cell_reports_nan_power():
@@ -407,6 +489,10 @@ def test_rule_of_thumb():
         rule_of_thumb_m(0, 10, 0.2)
     with pytest.raises(DataError):
         rule_of_thumb_m(100, 10, 1.5)
+    # an infinite factor, or a pool size that overflows to infinity
+    for q, factor in ((0.2, math.inf), (0.2, 1e308), (1e-320, 2.0)):
+        with pytest.raises(DataError):
+            rule_of_thumb_m(100, 10, q, factor=factor)
     # counts are integers: a float or a bool is refused, never truncated
     for n, n1 in ((2.5, 1), (True, True), (100, 10.0), (np.int64(100), 10.5)):
         with pytest.raises(DataError, match="must be an integer"):
