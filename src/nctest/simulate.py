@@ -227,9 +227,9 @@ def _fdp_tpr_rows(values: np.ndarray, boundaries: np.ndarray, null_mask: np.ndar
     stack of them, shape (..., n), runs each on one sort of the values
     and gives fdp and tpr of shape (..., rows).  The step-up count k
     never splits a run of tied values: if v_(k+1) = v_(k) <= b_k <=
-    b_(k+1), position k+1 passes too.  So BH
-    rejects {i: v_i <= v_(k)} for any order of the ties, and the sorted
-    values alone give k and the cut; no sort order is needed.
+    b_(k+1), position k+1 passes too.  So BH rejects {i: v_i <= v_(k)}
+    for any order of the ties, and the sorted values alone give k and
+    the cut; no sort order is needed.
     """
     vsort = np.sort(values, axis=1)
     k = _step_prefix(vsort, boundaries[..., None, :], step_up=True)
@@ -280,9 +280,9 @@ def _cell_rows(config: SimConfig, normals: np.ndarray, p_bounds, z_bounds) -> np
     BH on Phi(T - s) rejects where T <= s + Phi^-1(k q / n), so raw
     (s = 0) and oracle (s = mu_null) BH share one sort of the z-scale T,
     and ranks among the controls are counted on T, which Phi keeps.
-    This equals BH on the p scale up to rounding: inv_cdf and ndtr
-    differ by a few ulp, so a T that close to a boundary may fall on
-    the other side of it.
+    This equals BH on the p scale up to rounding: NormalDist().inv_cdf
+    and scipy's ndtri differ by up to 4 ulp, so a T within a few ulp of
+    a boundary may fall on the other side of it.
     """
     n = config.n
     z = _zvalues(config, normals)
