@@ -57,7 +57,7 @@ from .simulate import (
 from .stepup import stepup_threshold
 
 # layout version of every JSON payload, pinned by the schemas in nctest/schemas
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 PRESETS = ("table1", "power-vs-m", "power-vs-m-weak", "b1", "b2", "simes-perm")
 _ORIENTATION = {"small": "small_is_significant", "large": "large_is_significant"}
 _SOURCE_ALIASES = {
@@ -621,10 +621,10 @@ def cmd_simulate(ns, manifest) -> Report:
         header = ("calibration", "reject_rate")
         rows = [("chi2", float(chi2_rate)), ("permutation", float(perm_rate))]
     elif preset == "simes-perm":
-        b = 20_000 if ns.reps is None else ns.reps
-        rates = simes_permutation_diagnostic(b=b, seed=seed)
-        payload = {"preset": preset, "b": b,
-                   "reject_rates": {str(m): rate for m, rate in rates.items()}}
+        if ns.reps is not None:
+            raise UsageError("simes-perm is exact and takes no --reps")
+        rates = simes_permutation_diagnostic()
+        payload = {"preset": preset, "reject_rates": {str(m): rate for m, rate in rates.items()}}
         header = ("m", "reject_rate")
         rows = [(m, float(rate)) for m, rate in sorted(rates.items())]
     else:  # argparse choices make this unreachable
@@ -747,7 +747,7 @@ def build_parser() -> _Parser:
     common(p, infile=False)
     p.add_argument("--preset", required=True, choices=PRESETS)
     p.add_argument("--reps", type=int,
-                   help="replications (b1: Monte-Carlo draws; simes-perm: samples)")
+                   help="replications (b1: Monte-Carlo draws; simes-perm is exact and takes none)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("permtest", help="permutation test of the global null")

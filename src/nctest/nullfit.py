@@ -393,14 +393,6 @@ def falsify_subgroups(statistics: StatisticSet) -> FalsificationReport:
     return FalsificationReport(subgroups=tuple(labels), pvalues=pvalues, qq=qq)
 
 
-_FITTERS = {
-    "mad1": fit_mad1,
-    "mad2": fit_mad2,
-    "efron": fit_efron,
-    "ecdf": None,  # nc ECDF ignores the source
-}
-
-
 def null_diagnostics_table(
     statistics: StatisticSet,
     q: float = 0.2,
@@ -417,19 +409,20 @@ def null_diagnostics_table(
     carry the error message instead of being dropped.
     """
     _check_level(q, "q")
+    fitters = {
+        "mad1": lambda source: fit_mad1(statistics, source),
+        "mad2": lambda source: fit_mad2(statistics, source),
+        "efron": lambda source: fit_efron(statistics, source, bins=bins, degree=degree),
+        "ecdf": lambda source: fit_nc_ecdf(statistics),  # the nc ECDF ignores the source
+    }
     rows = []
     for source in sources:
         for method in methods:
-            if method not in _FITTERS:
+            if method not in fitters:
                 raise DataError(f"unknown method {method!r}")
             row = {"source": source, "method": method, "error": None}
             try:
-                if method == "ecdf":
-                    model = fit_nc_ecdf(statistics)
-                elif method == "efron":
-                    model = fit_efron(statistics, source, bins=bins, degree=degree)
-                else:
-                    model = _FITTERS[method](statistics, source)
+                model = fitters[method](source)
                 p = pvalues_from_null(statistics, model)
                 report = uniformity_tests(p)
                 row.update(

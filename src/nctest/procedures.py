@@ -367,9 +367,10 @@ def _monotone_paths(lower: np.ndarray, width: int) -> int:
     in the recursion behind exact two-sample Kolmogorov-Smirnov
     p-values (Gnedenko and Korolyuk 1951; Hodges 1958).  A partial
     count never exceeds the total C(K + width, K), so int64 is exact
-    below 2**63.
+    below 2**63; a larger orbit counts in Python ints.
     """
-    ways = np.zeros(width + 1, dtype=np.int64)
+    dtype = np.int64 if math.comb(len(lower) + width, width) < 2**63 else object
+    ways = np.zeros(width + 1, dtype=dtype)
     ways[0] = 1
     for low in lower.tolist():
         np.cumsum(ways, out=ways)
@@ -381,7 +382,8 @@ def _simes_extreme(n: int, m: int, tie_end, observed: float) -> int:
     """Relabelings whose Simes statistic is at least as extreme as observed,
     by counting, in O(n * m) steps and without a mask.
 
-    tie_end and observed are _pooled's.  A relabeling is not extreme
+    tie_end and observed are as _pooled gives them; simes_permutation_diagnostic
+    passes None and alpha.  A relabeling is not extreme
     when, for every k, its k-th smallest test, with c controls at or
     below its tie group, has n * ((1 + c) / (m + 1) / k) above
     _extreme_bound.  That is the engine's own float expression, and it

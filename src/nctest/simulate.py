@@ -35,9 +35,9 @@ from .procedures import (
     _count_extreme,
     _mask_pvalues,
     _random_null,
+    _simes_extreme,
     _step_prefix,
     fisher_global_statistic,
-    simes_statistic,
 )
 from .ranc import PValueVector, ranc_values
 
@@ -439,24 +439,18 @@ def fisher_miscalibration_demo(
     return float(np.mean(_chi2_sf_even(observed, n) < alpha)), float(np.mean(p_perm <= alpha))
 
 
-def simes_permutation_diagnostic(
-    n: int = 25, m_values=(25, 500), b: int = 20_000, seed: int = 0, alpha: float = 0.05
-) -> dict:
+def simes_permutation_diagnostic(n: int = 25, m_values=(25, 500), alpha: float = 0.05) -> dict:
     """Permutation CDF of the Simes statistic at the nominal level.
 
     The Simes global test treats its statistic as uniform, so the CDF
     at alpha should be near alpha.  The statistic depends only on the
-    pooled ranks, so the permutation distribution needs no data: random
-    subset masks sample it directly.  Small control pools make the
-    statistic too coarse for the uniform approximation to hold.
+    pooled ranks, so the permutation distribution needs no data: the
+    relabelings at or below alpha, within _extreme_bound's tolerance,
+    are counted as lattice paths and divided by C(n + m, n).  Small
+    control pools make the statistic too coarse for the uniform
+    approximation to hold.
     """
     m_values = [check_integer(m, "m", 1) for m in m_values]
-    for name, count in (("n", n), ("b", b)):
-        check_integer(count, name, 1)
+    n = check_integer(n, "n", 1)
     _check_level(alpha, "alpha")
-    check_integer(seed, "seed")
-    rates = {}
-    for m in m_values:
-        samples = _random_null(rep_rng(seed, m), b, n + m, n, simes_statistic)
-        rates[m] = float(np.mean(samples <= alpha))
-    return rates
+    return {m: _simes_extreme(n, m, None, alpha) / math.comb(n + m, n) for m in m_values}

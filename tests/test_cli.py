@@ -20,6 +20,7 @@ from nctest.data import load_csv, make_statistic_set
 from nctest.localfdr import cdf_threshold
 from nctest.procedures import bh, permutation_global
 from nctest.ranc import ranc_pvalues
+from nctest.simulate import simes_permutation_diagnostic
 from nctest.stepup import stepup_threshold
 
 
@@ -208,7 +209,7 @@ def test_chunk_edges_match_the_per_row_writer(monkeypatch, tmp_path, rows):
     body, text = _emit_bundle(cli.Report(payload, header, (ids, x, count)), tmp_path / "b")
     assert body == _per_row_csv(header, zip(ids, x.tolist(), count.tolist()))
     assert text == cli._json_text({
-        "schema_version": 4, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
+        "schema_version": 5, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
         "count": count.tolist(), "manifest": {"flags": {}},
     }) + "\n"
 
@@ -378,7 +379,7 @@ def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
     payload = _payload(
         capsys, ["analyze", "--in", tied_csv, "--procedure", "bh", "--q", "0.2"], schema="analyze"
     )
-    assert payload["schema_version"] == 4
+    assert payload["schema_version"] == 5
     result = payload["result"]
     assert "audit" not in result
     pvalues, q = payload["pvalues"], result["parameters"]["q"]
@@ -389,7 +390,8 @@ def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
         "boundaries": tuple(q * i / n for i in range(1, n + 1)),
         "order": tuple(order),
     }
-    expected = bh(ranc_pvalues(load_csv(tied_csv)), 0.2)
+    with pytest.warns(RuntimeWarning, match="21 investigation value"):
+        expected = bh(ranc_pvalues(load_csv(tied_csv)), 0.2)
     assert rebuilt == expected.audit
     assert result["n_rejected"] == expected.n_rejected > 0
     assert result["rejected_ids"] == order[: result["n_rejected"]]
@@ -427,6 +429,7 @@ def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
         ("analyze", {**analyze, "schema_version": 1}),
         ("analyze", {**analyze, "schema_version": 2}),
         ("analyze", {**analyze, "schema_version": 3}),
+        ("analyze", {**analyze, "schema_version": 4}),
         ("analyze", unversioned),
         ("localfdr", {**localfdr, "threshold": {**localfdr["threshold"],
                                                 "objective_at_candidates": per_candidate}}),
@@ -438,7 +441,7 @@ def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
     for name in ("analyze", "falsify", "localfdr", "null-fit", "permtest", "simulate", "stepup"):
         schema = _schema(name)
         assert {"schema_version", "warnings"} <= set(schema["required"])
-        assert schema["properties"]["schema_version"] == {"const": 4}
+        assert schema["properties"]["schema_version"] == {"const": 5}
         assert schema["properties"]["warnings"] == {"type": "array", "items": {"type": "string"}}
 
 
@@ -452,7 +455,7 @@ _TIE_WARNING = ("{} investigation value(s) exactly tie a negative control; "
     "permtest --in {toy} --reps 50", "falsify --in {rich}",
     "simulate --preset table1 --reps 20", "simulate --preset power-vs-m --reps 20",
     "simulate --preset b1 --reps 20000", "simulate --preset b2 --reps 20",
-    "simulate --preset simes-perm --reps 200",
+    "simulate --preset simes-perm",
 ])
 def test_clean_runs_have_no_warnings(capsys, toy_csv, rich_csv, args):
     # a stray numpy or scipy warning would show up here
@@ -830,19 +833,29 @@ def test_simulate_b1_pinned(tmp_path):
 
 def test_simulate_simes_perm(capsys):
     payload = _payload(
-        capsys, ["simulate", "--preset", "simes-perm", "--reps", "2000"],
-        schema="simulate",
+        capsys, ["simulate", "--preset", "simes-perm"], schema="simulate",
     )
-    assert set(payload["reject_rates"]) == {"25", "500"}
+    # schema v5: the rates are counted, so no sample size is reported
+    assert set(payload) == {"schema_version", "preset", "reject_rates", "warnings", "manifest"}
+    assert payload["reject_rates"] == {
+        str(m): rate for m, rate in simes_permutation_diagnostic().items()
+    }
+
+
+def test_simulate_simes_perm_refuses_reps(capsys):
+    code, out, err = _run(capsys, ["simulate", "--preset", "simes-perm", "--reps", "2000"])
+    assert (code, out) == (1, "")
+    assert err == "nctest: usage error: simes-perm is exact and takes no --reps\n"
 
 
 def test_simulate_simes_perm_pinned(tmp_path):
+    # the exact rates of schema v5, which no seed or --reps changes
     out = tmp_path / "simes.csv"
-    args = ["simulate", "--preset", "simes-perm", "--reps", "2000", "--seed", "0"]
+    args = ["simulate", "--preset", "simes-perm"]
     assert cli.main(args + ["--out", str(out)]) == 0
     body = out.read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == (
-        "a0f99b323c5a525de9e38d0b60da1951f002e3b52d6352caa0f6774a3ae182a8"
+        "d2a1fea264000670bec3de28290b3ea2e3bd3432484af31a67d8fa4efcab85d7"
     )
 
 
@@ -964,7 +977,7 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
          f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
          f"permtest --in {toy_csv} --reps 200",
          "simulate --preset b1 --reps 2000",
-         "simulate --preset simes-perm --reps 200",
+         "simulate --preset simes-perm",
          "simulate --preset b2 --reps 20",
          "simulate --preset table1 --reps 20",
          "simulate --preset power-vs-m --reps 20",
@@ -1018,7 +1031,8 @@ def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script, "--version",
          f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
-         f"permtest --in {small} --out {tmp_path / 'p'}"],
+         f"permtest --in {small} --out {tmp_path / 'p'}",
+         "simulate --preset simes-perm"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr

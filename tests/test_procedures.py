@@ -8,6 +8,7 @@ from nctest import DataError, make_statistic_set, procedures
 from nctest.procedures import (
     _BLOCK_ELEMENTS,
     _mask_pvalues,
+    _monotone_paths,
     _random_null,
     _subset_masks,
     _within_cap,
@@ -296,6 +297,16 @@ def test_within_cap_matches_the_binomial():
             assert _within_cap(n, m, cap) == (math.comb(n + m, n) <= cap), (n, m, cap)
     assert _within_cap(1, 999_999, 10**6) and _within_cap(999_999, 1, 10**6)
     assert not _within_cap(1, 10**6, 10**6) and not _within_cap(10**6, 10**6, 10**6)
+
+
+def test_monotone_paths_count_past_int64():
+    # with no lower bound every one of the C(525, 25) ~ 3.6e42 paths counts;
+    # int64 would wrap, so an orbit at or above 2**63 counts in Python ints
+    assert _monotone_paths(np.zeros(25, int), 500) == math.comb(525, 25)
+    # either side of the switch: C(65, 32) < 2**63 < C(67, 33)
+    assert math.comb(65, 32) < 2**63 < math.comb(67, 33)
+    for k in (32, 33):
+        assert _monotone_paths(np.zeros(k, int), k + 1) == math.comb(2 * k + 1, k)
 
 
 def test_simes_count_stops_at_the_enumeration_cap():

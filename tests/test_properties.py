@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
@@ -24,7 +24,7 @@ from nctest.procedures import (  # noqa: E402
     permutation_global,
 )
 from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
-from nctest.simulate import _fdp_tpr_rows  # noqa: E402
+from nctest.simulate import _fdp_tpr_rows, simes_permutation_diagnostic  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -313,6 +313,8 @@ _int_values = st.lists(st.integers(-4, 4), min_size=1, max_size=15)
 @given(tests=_int_values, controls=_int_values, q=st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]))
 # the first candidate fails and a later one passes: step-up and step-down differ
 @example(tests=[-4] + [-2] * 14, controls=[-3] + [4] * 14, q=0.2)
+# the pools tie on purpose, so the library's tie warning is expected
+@pytest.mark.filterwarnings("ignore:.*exactly tie a negative control:RuntimeWarning")
 def test_stepup_at_lambda_one_is_bh_on_modified_pvalues(tests, controls, q):
     # integer statistics tie each other and the controls
     s = make_statistic_set(np.array(tests, dtype=float), np.array(controls, dtype=float))
@@ -649,6 +651,34 @@ def test_simes_count_matches_enumeration(tests, controls, enumerate_simes):
     p, samples, observed = enumerate_simes(s)
     result = permutation_global(s)
     assert (result[0], result.observed, result.draws) == (p, observed, samples.size)
+
+
+@st.composite
+def _simes_levels(draw):
+    """(n, m, alpha): alpha any level, a Simes value n (1 + c) / ((m + 1) k) in
+    the engine's float expression, one ulp either side of one, or one just
+    inside the 1e-12 tolerance below one."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    c, k = draw(st.integers(0, m)), draw(st.integers(1, n))
+    value = n * ((1.0 + c) / (m + 1.0) / k)
+    alpha = draw(st.sampled_from([value, np.nextafter(value, 0.0), np.nextafter(value, 2.0),
+                                  value * (1 - 5e-13)])
+                 | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    assume(0.0 < alpha < 1.0)
+    return n, m, float(alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(levels=_simes_levels())
+@example(levels=(3, 16, 3 * (3 / 17 / 3)))
+def test_simes_diagnostic_matches_enumeration(levels, enumerate_simes):
+    # the counted CDF at alpha is the share of all C(n + m, n) relabelings
+    # at or below _extreme_bound(alpha), bit for bit
+    n, m, alpha = levels
+    _, samples, _ = enumerate_simes(make_statistic_set(np.arange(n, dtype=float),
+                                                       np.arange(n, n + m, dtype=float)))
+    share = int(_count_extreme(samples, alpha, "small")) / samples.size
+    assert simes_permutation_diagnostic(n, (m,), alpha) == {m: share}
 
 
 # a few repeated values make exact ties between samples and observed values

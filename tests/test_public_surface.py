@@ -83,7 +83,7 @@ PUBLIC_PARAMETERS = {
     "rule_of_thumb_m": "n n1 q factor",
     "run_table1": "reps seed",
     "simes_global": "p alpha",
-    "simes_permutation_diagnostic": "n m_values b seed alpha",
+    "simes_permutation_diagnostic": "n m_values alpha",
     "simes_statistic": "pvalues",
     "simulate_cell": "config",
     "stepup_threshold": "statistics lam q",

@@ -12,6 +12,7 @@ from nctest import DataError, make_statistic_set, procedures, ranc_values, with_
 from nctest.cli import _json_text
 from nctest._util import rep_rng, thread_count
 from nctest.procedures import (
+    _extreme_bound,
     bh,
     confusion_counts,
     fisher_global_statistic,
@@ -70,8 +71,6 @@ _ABOVE_CAP = make_statistic_set(np.arange(12.0), np.arange(0.5, 15.0))
     ("seed must be non-negative", lambda: permutation_global(_SMALL, seed=-1)),
     ("seed must be non-negative", lambda: permutation_global(_ABOVE_CAP, B=5, seed=-1)),
     ("seed must be non-negative", lambda: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=-1)),
-    ("seed must be non-negative",
-     lambda: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=-1)),
     ("seed must be non-negative", lambda: prds_counterexample(method="mc", draws=100, seed=-1)),
     ("seed must be non-negative", lambda: with_jitter(_SMALL, seed=-1)),
     ("seed must be non-negative", lambda: generate_emn(SimConfig(reps=1), rep_seed=-1)),
@@ -80,9 +79,9 @@ _ABOVE_CAP = make_statistic_set(np.arange(12.0), np.arange(0.5, 15.0))
     ("m must be at least 1", lambda: SimConfig(m=0)),
     ("draws must be at least 1", lambda: prds_counterexample(method="mc", draws=0)),
     ("m must be at least 1", lambda: power_vs_m(SimConfig(reps=2), [5, 0])),
-], ids=["permutation-exact", "permutation-mc", "fisher-demo", "simes-perm", "prds-mc",
-        "with-jitter", "generate-emn", "permutation-B", "sim-config-n0", "sim-config-m",
-        "prds-draws", "power-vs-m"])
+], ids=["permutation-exact", "permutation-mc", "fisher-demo", "prds-mc", "with-jitter",
+        "generate-emn", "permutation-B", "sim-config-n0", "sim-config-m", "prds-draws",
+        "power-vs-m"])
 def test_negative_seed_is_a_data_error(message, call):
     with pytest.raises(DataError, match=message):
         call()
@@ -97,20 +96,18 @@ def test_negative_seed_is_a_data_error(message, call):
     ("seed", lambda seed: permutation_global(_SMALL, seed=seed)),
     ("seed", lambda seed: permutation_global(_ABOVE_CAP, B=5, seed=seed)),
     ("seed", lambda seed: with_jitter(_SMALL, seed=seed)),
-    ("seed", lambda seed: simes_permutation_diagnostic(n=3, m_values=(3,), b=5, seed=seed)),
     ("seed", lambda seed: fisher_miscalibration_demo(n=3, m=3, reps=2, seed=seed)),
     ("B", lambda B: permutation_global(_ABOVE_CAP, B=B)),
     ("n0", lambda n0: SimConfig(n0=n0)),
     ("reps", lambda reps: SimConfig(reps=reps)),
     ("reps", lambda reps: fisher_miscalibration_demo(n=3, m=3, reps=reps)),
-    ("b", lambda b: simes_permutation_diagnostic(n=3, m_values=(3,), b=b)),
-    ("m", lambda m: simes_permutation_diagnostic(n=3, m_values=(m,), b=5)),
+    ("m", lambda m: simes_permutation_diagnostic(n=3, m_values=(m,))),
     # three draws of seed 0 fill both conditioning events
     ("draws", lambda draws: prds_counterexample(method="mc", draws=draws)),
     ("m", lambda m: power_vs_m(SimConfig(reps=2), [m])),
-], ids=["sim-config", "permutation-exact", "permutation-mc", "with-jitter", "simes-perm",
-        "fisher-demo", "permutation-B", "sim-config-n0", "sim-config-reps", "fisher-demo-reps",
-        "simes-perm-b", "simes-perm-m", "prds-draws", "power-vs-m"])
+], ids=["sim-config", "permutation-exact", "permutation-mc", "with-jitter", "fisher-demo",
+        "permutation-B", "sim-config-n0", "sim-config-reps", "fisher-demo-reps", "simes-perm-m",
+        "prds-draws", "power-vs-m"])
 def test_non_integer_seed_is_a_data_error(name, call):
     for bad in (1.5, 2.0, "3", None, True):
         with pytest.raises(DataError, match=f"{name} must be an integer"):
@@ -605,16 +602,32 @@ def test_permutation_studies_reject_bad_sizes():
     for kwargs in ({"reps": 0}, {"n": 0}, {"m": 0}, {"alpha": 1.5}, {"alpha": -1}):
         with pytest.raises(DataError):
             fisher_miscalibration_demo(**kwargs)
-    for kwargs in ({"b": 0}, {"n": 0}, {"m_values": (0,)}, {"m_values": (25, 0)},
+    for kwargs in ({"n": 0}, {"m_values": (0,)}, {"m_values": (25, 0)},
                    {"alpha": 1.5}, {"alpha": -1}):
         with pytest.raises(DataError):
             simes_permutation_diagnostic(**kwargs)
 
 
 def test_simes_permutation_diagnostic_levels():
-    rates = simes_permutation_diagnostic(n=25, m_values=(25, 500), b=20_000, seed=20)
-    assert set(rates) == {25, 500}
+    # the exact permutation CDF at alpha = 0.05: 142,506 of the C(50, 25)
+    # relabelings at m = 25, and n / (m + 1) at m = 500
+    rates = simes_permutation_diagnostic()
+    assert rates == {25: 142_506 / math.comb(50, 25), 500: 25 / 501}
+    assert f"{rates[25]:.4e} {rates[500]:.6f}" == "1.1273e-09 0.049900"
     # a large pool makes the statistic's null CDF track the uniform one
     assert abs(rates[500] - 0.05) <= 0.03
     # a pool as small as n leaves it far too coarse
     assert abs(rates[25] - 0.05) > abs(rates[500] - 0.05)
+
+
+def test_simes_diagnostic_defaults_hold_no_value_inside_the_tolerance():
+    # "at or below alpha" takes _extreme_bound's relative 1e-12, as permtest
+    # does; at the defaults no Simes value n (1 + c) / ((m + 1) k), in the
+    # engine's float expression, lies in (alpha, bound], so a strict
+    # "samples <= alpha" would count the same relabelings
+    n, m_values, alpha = simes_permutation_diagnostic.__defaults__
+    bound = _extreme_bound(alpha, "small")
+    k = np.arange(1, n + 1)[:, None]
+    for m in m_values:
+        values = n * ((1.0 + np.arange(m + 1)) / (m + 1.0) / k)
+        assert not np.any((values > alpha) & (values <= bound)), m
