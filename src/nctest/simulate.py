@@ -9,7 +9,9 @@ p-values; power-versus-m curves; two probability fixtures (a
 non-PRDS construction and the miscalibration of Fisher's combination
 test); and a permutation diagnostic for the Simes statistic.  The
 studies never leave the z scale: all three p-values are monotone in
-T, so BH runs on T itself against boundaries mapped by Phi^-1.
+T, so BH runs on T itself.  Raw and oracle boundaries are BH's mapped
+by Phi^-1; rank-based boundaries are order statistics of each
+replication's controls, so the studies count no ranks.
 
 Every replication uses its own counter-derived RNG stream, so results
 depend only on the seed.  A study runs its replications block by block:
@@ -39,7 +41,7 @@ from .procedures import (
     _step_prefix,
     fisher_global_statistic,
 )
-from .ranc import PValueVector, ranc_values
+from .ranc import PValueVector
 
 __all__ = [
     "DEPENDENCE_KINDS",
@@ -223,16 +225,18 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
 def _fdp_tpr_rows(values: np.ndarray, boundaries: np.ndarray, null_mask: np.ndarray):
     """Row-wise BH: false discovery proportion and true positive rate per row.
 
-    boundaries are BH's on the scale of values (k q / n for p-values); a
-    stack of them, shape (..., n), runs each on one sort of the values
-    and gives fdp and tpr of shape (..., rows).  The step-up count k
-    never splits a run of tied values: if v_(k+1) = v_(k) <= b_k <=
-    b_(k+1), position k+1 passes too.  So BH rejects {i: v_i <= v_(k)}
-    for any order of the ties, and the sorted values alone give k and
-    the cut; no sort order is needed.
+    boundaries are BH's on the scale of values (k q / n for p-values),
+    broadcast against the sorted (rows, n) values: shape (n,) runs one
+    BH on every row, (rows, n) one per row, and a stack of shape
+    (..., 1, n) or (..., rows, n) runs each entry on one sort of the
+    values and gives fdp and tpr of shape (..., rows).  The step-up
+    count k never splits a run of tied values: if v_(k+1) = v_(k) <=
+    b_k <= b_(k+1), position k+1 passes too.  So BH rejects
+    {i: v_i <= v_(k)} for any order of the ties, and the sorted values
+    alone give k and the cut; no sort order is needed.
     """
     vsort = np.sort(values, axis=1)
-    k = _step_prefix(vsort, boundaries[..., None, :], step_up=True)
+    k = _step_prefix(vsort, boundaries, step_up=True)
     cut = np.where(k > 0, vsort[np.arange(len(values)), np.maximum(k, 1) - 1], -np.inf)
     v = np.count_nonzero((values <= cut[..., None]) & null_mask, axis=-1)
     n1 = int((~null_mask).sum())
@@ -278,18 +282,30 @@ def _cell_rows(config: SimConfig, normals: np.ndarray, p_bounds, z_bounds) -> np
     """FDP and TPR of each method, (method, fdp/tpr, row), on one block of streams.
 
     BH on Phi(T - s) rejects where T <= s + Phi^-1(k q / n), so raw
-    (s = 0) and oracle (s = mu_null) BH share one sort of the z-scale T,
-    and ranks among the controls are counted on T, which Phi keeps.
-    This equals BH on the p scale up to rounding: NormalDist().inv_cdf
-    and scipy's ndtri differ by up to 4 ulp, so a T within a few ulp of
-    a boundary may fall on the other side of it.
+    (s = 0) and oracle (s = mu_null) BH run on the z-scale T.  This
+    equals BH on the p scale up to rounding: NormalDist().inv_cdf and
+    scipy's ndtri differ by up to 4 ulp, so a T within a few ulp of a
+    boundary may fall on the other side of it.
+
+    Rank-based BH counts nothing.  (1 + c) / (1 + m) <= k q / n holds
+    for the counts c <= B_k, where B_k is read off the p-value grid with
+    ranc's own float expression, and #{nc <= T} <= B_k holds exactly
+    when T < nc_(B_k + 1), the (B_k + 1)-th smallest control of the row
+    (a control tied with T counts as below it).  So its boundary is the
+    largest float below that order statistic, or -inf where B_k = -1;
+    B_k < m since q < 1.  BH on the test z's against these row-wise
+    boundaries gives the same k and V as BH on the rank-based p-values.
     """
-    n = config.n
+    n, m = config.n, config.m
     z = _zvalues(config, normals)
-    inv, nc = z[:, :n], z[:, n:]
+    inv = z[:, :n]
     null_mask = np.arange(n) < config.n0
-    raw, oracle = np.stack(_fdp_tpr_rows(inv, z_bounds, null_mask), axis=1)
-    return np.array([raw, _fdp_tpr_rows(ranc_values(inv, nc), p_bounds, null_mask), oracle])
+    counts = np.searchsorted((1.0 + np.arange(m + 1)) / (1.0 + m), p_bounds, side="right") - 1
+    rank = np.sort(z[:, n:], axis=1)[:, np.maximum(counts, 0)]
+    np.nextafter(rank, -np.inf, out=rank)
+    rank[:, counts < 0] = -np.inf
+    raw, oracle = np.stack(_fdp_tpr_rows(inv, z_bounds[:, None, :], null_mask), axis=1)
+    return np.array([raw, _fdp_tpr_rows(inv, rank, null_mask), oracle])
 
 
 def _report(config: SimConfig, rows: np.ndarray) -> SimReport:

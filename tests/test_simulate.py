@@ -383,6 +383,27 @@ def test_zscale_cell_rows_equal_pscale_reference(config):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("config", [
+    SimConfig(),
+    SimConfig(n0=30, n1=10, m=40, q=0.5),
+    SimConfig(n0=5, n1=5, m=5, q=0.5),
+    SimConfig(n0=1, n1=1, m=1),  # no count passes k q / n: every rank boundary is -inf
+], ids=lambda c: f"n{c.n0}+{c.n1}-m{c.m}-q{c.q}")
+def test_zscale_cell_rows_equal_pscale_reference_on_ties(config):
+    # normals on a 0.1 grid with rho = 0 and mu_null = 0: null tests tie
+    # controls exactly, and a tie counts the control as below the test
+    normals = np.round(_normals(8, range(400), config.n + config.m), 1)
+    z = normals[:, :config.n0, None]
+    assert np.any(z == normals[:, None, config.n:])
+    got = _cell_rows(config, normals, *_boundaries(config))
+    want = _pscale_cell_rows(config, normals)
+    assert got.tobytes() == want.tobytes()
+    if config.m > 1:
+        assert np.any(got[1, 0] > 0)  # rank-based BH rejects nulls in some rows
+    else:
+        np.testing.assert_array_equal(got[1], 0.0)
+
+
 @pytest.mark.parametrize("shift", sorted(NULL_SETTINGS.values()))
 def test_zscale_boundaries_match_pscale_within_ulps(shift):
     # the presets' grid, n = 110 and q = 0.2: raw BH is shift 0, oracle BH mu_null
