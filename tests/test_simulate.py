@@ -393,8 +393,7 @@ def test_zscale_cell_rows_equal_pscale_reference_on_ties(config):
     # normals on a 0.1 grid with rho = 0 and mu_null = 0: null tests tie
     # controls exactly, and a tie counts the control as below the test
     normals = np.round(_normals(8, range(400), config.n + config.m), 1)
-    z = normals[:, :config.n0, None]
-    assert np.any(z == normals[:, None, config.n:])
+    assert np.any(normals[:, :config.n0, None] == normals[:, None, config.n:])
     got = _cell_rows(config, normals, *_boundaries(config))
     want = _pscale_cell_rows(config, normals)
     assert got.tobytes() == want.tobytes()
