@@ -784,10 +784,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"nctest: usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"nctest: data error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (OSError, DataError) as exc:
         print(f"nctest: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,18 +32,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_float_array(values, what: str) -> np.ndarray:
-    """values as a read-only float array that the caller cannot change.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr if it is read-only, else a read-only copy, so a caller's array stays writeable."""
+    return _read_only(arr.copy()) if arr.flags.writeable else arr
 
-    A writeable array is copied before it is frozen, so the caller's own
-    stays writeable; a read-only one is taken as it is.
-    """
+
+def _as_float_array(values, what: str) -> np.ndarray:
+    """values as a read-only float array that the caller cannot change."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"non-finite value in {what}")
-    return _read_only(arr.copy()) if arr.flags.writeable else arr
+    return _frozen(arr)
 
 
 @dataclass(frozen=True)

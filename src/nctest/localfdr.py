@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._util import float_list
-from .data import StatisticSet
+from .data import StatisticSet, _frozen
 from .errors import DataError
 from .procedures import _check_level
 from .ranc import ecdf_counts, ranc_values
@@ -128,10 +128,8 @@ class LocalFdrCurve:
             raise DataError("breakpoints must be finite and strictly increasing")
         if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) >= 0)):
             raise DataError("local-FDR curve values must be finite and nondecreasing")
-        bp.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "breakpoints", _frozen(bp))
+        object.__setattr__(self, "values", _frozen(vals))
 
     def value_at(self, t):
         """Left-continuous evaluation, NaN beyond the largest breakpoint."""

@@ -24,7 +24,7 @@ import numpy as np
 from ._util import check_integer, rep_rng
 from .data import StatisticSet
 from .errors import DataError
-from .ranc import PValueVector
+from .ranc import PValueVector, _rank_pvalues
 
 
 def _checked_pvalues(p) -> np.ndarray:
@@ -137,6 +137,11 @@ def _check_level(value: float, name: str):
         raise DataError(f"{name} must lie strictly between 0 and 1")
 
 
+def _bh_boundaries(level: float, n: int) -> np.ndarray:
+    """BH's boundaries k * level / n, k = 1..n; Simes' at level alpha."""
+    return level * np.arange(1, n + 1) / n
+
+
 def bonferroni_global(p, alpha: float) -> bool:
     """Global test: reject the intersection null iff min p <= alpha/n."""
     _check_level(alpha, "alpha")
@@ -148,8 +153,7 @@ def simes_global(p, alpha: float) -> bool:
     """Global test: reject iff p_(i) <= i*alpha/n for some i."""
     _check_level(alpha, "alpha")
     values, _ = _pvalues_and_ids(p)
-    n = values.size
-    return bool(_step_prefix(np.sort(values), alpha * np.arange(1, n + 1) / n, step_up=True))
+    return bool(_step_prefix(np.sort(values), _bh_boundaries(alpha, values.size), step_up=True))
 
 
 def holm(p, alpha: float) -> RejectionResult:
@@ -189,8 +193,7 @@ def bh(p, q: float) -> RejectionResult:
     """Benjamini-Hochberg step-up: reject p_(1..k), k = max{i: p_(i) <= i*q/n}."""
     _check_level(q, "q")
     values, ids = _pvalues_and_ids(p)
-    n = values.size
-    boundaries = q * np.arange(1, n + 1) / n
+    boundaries = _bh_boundaries(q, values.size)
     return _prefix_result("bh", {"q": q}, values, ids, boundaries, step_up=True)
 
 
@@ -315,7 +318,7 @@ def _mask_pvalues(masks: np.ndarray, tie_end: np.ndarray | None = None) -> np.nd
         counts = positions - np.arange(positions.shape[1])
     else:
         counts = np.take_along_axis(np.cumsum(~masks, axis=1), tie_end[positions], axis=1)
-    return (1.0 + counts) / (size - positions.shape[1] + 1.0)
+    return _rank_pvalues(counts, size - positions.shape[1])
 
 
 def _mask_blocks(size: int, n: int):
@@ -383,12 +386,12 @@ def _simes_extreme(n: int, m: int, tie_end, observed: float) -> int:
     by counting, in O(n * m) steps and without a mask.
 
     tie_end and observed are as _pooled gives them; simes_permutation_diagnostic
-    passes None and alpha.  A relabeling is not extreme
-    when, for every k, its k-th smallest test, with c controls at or
-    below its tie group, has n * ((1 + c) / (m + 1) / k) above
-    _extreme_bound.  That is the engine's own float expression, and it
-    rises with c, so the condition is c >= f[k].  The tests of one tie
-    group share c, so the group's largest k binds; with q(x) the pool
+    passes None and alpha.  A relabeling is not extreme when, for every
+    k, its k-th smallest test, with c controls at or below its tie
+    group, has n * ((1 + c) / (m + 1) / k) above _extreme_bound, the
+    p-value read off ranc's grid as the engine's mask kernel reads it.
+    That rises with c, so the condition is c >= f[k].  The tests of one
+    tie group share c, so the group's largest k binds; with q(x) the pool
     positions at or below x's tie group, the condition is
     q(x_k) - k >= f[k] at the position x_k of every test k.  That bounds
     the controls before each test from below, so the relabelings that
@@ -398,7 +401,7 @@ def _simes_extreme(n: int, m: int, tie_end, observed: float) -> int:
     """
     bound = _extreme_bound(observed, "small")
     k = np.arange(1, n + 1)
-    f = np.count_nonzero(n * ((1.0 + np.arange(m + 1)) / (m + 1.0) / k[:, None]) <= bound, axis=1)
+    f = np.count_nonzero(n * (_rank_pvalues(np.arange(m + 1), m) / k[:, None]) <= bound, axis=1)
     q = np.arange(1, n + m + 1) if tie_end is None else tie_end + 1
     # controls before test k, at least; a bound past m leaves no path
     lower = np.maximum.accumulate(np.searchsorted(q, f + k) - (k - 1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StatisticSet, _read_only
+from .data import StatisticSet, _frozen, _read_only
 from .errors import DataError
 
 PVALUE_KINDS = ("ranc", "modified_ranc", "parametric_null", "external")
@@ -41,25 +41,19 @@ class PValueVector:
             raise DataError("p-value vector must be one-dimensional and non-empty")
         if not np.all(np.isfinite(arr) & (arr > 0) & (arr <= 1)):
             raise DataError("p-values must be finite and lie in (0, 1]")
-        # a writeable array is copied before it is frozen, so the caller's stays writeable
-        object.__setattr__(self, "values", _read_only(arr.copy()) if arr.flags.writeable else arr)
+        object.__setattr__(self, "values", _frozen(arr))
         object.__setattr__(self, "ids", tuple(self.ids))
 
 
 def counts_at_or_below(nc_values, queries) -> np.ndarray:
-    """#{j: nc_j <= t} for each query t.  Ties count as below-or-equal.
+    """#{j: nc_j <= t} for each query t, of any shape.  Ties count as below-or-equal.
 
-    Two-dimensional controls are taken row by row: row r of queries is
-    counted against row r of nc_values.
+    The controls must be one-dimensional.
     """
-    nc_sorted = np.sort(np.asarray(nc_values, dtype=float), axis=-1)
-    queries = np.asarray(queries, dtype=float)
-    if nc_sorted.ndim == 1:
-        return np.searchsorted(nc_sorted, queries, side="right")
-    counts = np.empty(queries.shape, dtype=np.intp)
-    for r, row in enumerate(nc_sorted):
-        counts[r] = np.searchsorted(row, queries[r], side="right")
-    return counts
+    nc = np.asarray(nc_values, dtype=float)
+    if nc.ndim != 1:
+        raise DataError("negative controls must be one-dimensional")
+    return np.searchsorted(np.sort(nc), np.asarray(queries, dtype=float), side="right")
 
 
 def ecdf_counts(statistics: StatisticSet, at=None):
@@ -75,10 +69,10 @@ def ecdf_counts(statistics: StatisticSet, at=None):
     return t, counts_at_or_below(nc, t), counts_at_or_below(inv, t)
 
 
-def _rank_pvalues(counts, m, shift):
-    # (shift + counts) / (1 + m) capped at 1: shift 1 is RANC, 2 the
-    # modified value.  The cap binds only for shift 2; skipping it at
-    # shift 1 saves a copy of the row matrices simulate_cell passes.
+def _rank_pvalues(counts, m, shift=1.0):
+    # the package's one rank grid, (shift + counts) / (1 + m) capped at 1:
+    # shift 1 is RANC, 2 the modified value.  The cap binds only for shift
+    # 2; skipping it at shift 1 saves a copy of each permutation mask block.
     p = (shift + counts) / (1.0 + m)
     return p if shift == 1.0 else np.minimum(p, 1.0)
 
@@ -86,16 +80,14 @@ def _rank_pvalues(counts, m, shift):
 def ranc_values(test_values, nc_values) -> np.ndarray:
     """Array form of the RANC p-value, (1 + #{nc <= T_i}) / (1 + m).
 
-    Two-dimensional inputs give one vector of p-values per row.
+    The controls must be one-dimensional; the tests may have any shape.
     """
-    nc = np.asarray(nc_values, dtype=float)
-    return _rank_pvalues(counts_at_or_below(nc, test_values), nc.shape[-1], 1.0)
+    return _rank_pvalues(counts_at_or_below(nc_values, test_values), np.size(nc_values))
 
 
 def modified_ranc_values(test_values, nc_values) -> np.ndarray:
     """Array form of the modified p-value, min{(2 + #{nc <= T_i}) / (1 + m), 1}."""
-    nc = np.asarray(nc_values, dtype=float)
-    return _rank_pvalues(counts_at_or_below(nc, test_values), nc.shape[-1], 2.0)
+    return _rank_pvalues(counts_at_or_below(nc_values, test_values), np.size(nc_values), 2.0)
 
 
 def _pvalue_vector(statistics: StatisticSet, kind: str, shift: float) -> PValueVector:

@@ -9,9 +9,10 @@ p-values; power-versus-m curves; two probability fixtures (a
 non-PRDS construction and the miscalibration of Fisher's combination
 test); and a permutation diagnostic for the Simes statistic.  The
 studies never leave the z scale: all three p-values are monotone in
-T, so BH runs on T itself.  Raw and oracle boundaries are BH's mapped
-by Phi^-1; rank-based boundaries are order statistics of each
-replication's controls, so the studies count no ranks.
+T, so BH runs on T itself.  Raw and oracle boundaries are
+procedures._bh_boundaries mapped by Phi^-1; rank-based boundaries are
+order statistics of each replication's controls, picked where
+ranc._rank_pvalues' grid meets BH's, so the studies count no ranks.
 
 Every replication uses its own counter-derived RNG stream, so results
 depend only on the seed.  A study runs its replications block by block:
@@ -33,6 +34,7 @@ from ._util import check_integer, rep_rng
 from .data import TRUTH_NONNULL, TRUTH_NULL, _read_only, make_statistic_set
 from .errors import DataError
 from .procedures import (
+    _bh_boundaries,
     _check_level,
     _count_extreme,
     _mask_pvalues,
@@ -41,7 +43,7 @@ from .procedures import (
     _step_prefix,
     fisher_global_statistic,
 )
-from .ranc import PValueVector
+from .ranc import PValueVector, _rank_pvalues
 
 __all__ = [
     "DEPENDENCE_KINDS",
@@ -273,7 +275,7 @@ def _boundaries(config: SimConfig):
     """BH's boundaries k q / n, and Phi^-1(k q / n) shifted by 0 and by mu_null."""
     from statistics import NormalDist
 
-    p = config.q * np.arange(1, config.n + 1) / config.n
+    p = _bh_boundaries(config.q, config.n)
     z = np.array([NormalDist().inv_cdf(b) for b in p.tolist()])
     return p, np.stack([z, config.mu_null + z])
 
@@ -288,19 +290,19 @@ def _cell_rows(config: SimConfig, normals: np.ndarray, p_bounds, z_bounds) -> np
     boundary may fall on the other side of it.
 
     Rank-based BH counts nothing.  (1 + c) / (1 + m) <= k q / n holds
-    for the counts c <= B_k, where B_k is read off the p-value grid with
-    ranc's own float expression, and #{nc <= T} <= B_k holds exactly
-    when T < nc_(B_k + 1), the (B_k + 1)-th smallest control of the row
-    (a control tied with T counts as below it).  So its boundary is the
-    largest float below that order statistic, or -inf where B_k = -1;
-    B_k < m since q < 1.  BH on the test z's against these row-wise
-    boundaries gives the same k and V as BH on the rank-based p-values.
+    for the counts c <= B_k, where B_k is read off ranc's grid, and
+    #{nc <= T} <= B_k holds exactly when T < nc_(B_k + 1), the
+    (B_k + 1)-th smallest control of the row (a control tied with T
+    counts as below it).  So its boundary is the largest float below
+    that order statistic, or -inf where B_k = -1; B_k < m since q < 1.
+    BH on the test z's against these row-wise boundaries gives the same
+    k and V as BH on the rank-based p-values.
     """
     n, m = config.n, config.m
     z = _zvalues(config, normals)
     inv = z[:, :n]
     null_mask = np.arange(n) < config.n0
-    counts = np.searchsorted((1.0 + np.arange(m + 1)) / (1.0 + m), p_bounds, side="right") - 1
+    counts = np.searchsorted(_rank_pvalues(np.arange(m + 1), m), p_bounds, side="right") - 1
     rank = np.sort(z[:, n:], axis=1)[:, np.maximum(counts, 0)]
     np.nextafter(rank, -np.inf, out=rank)
     rank[:, counts < 0] = -np.inf

@@ -31,10 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from ._util import float_list
-from .data import StatisticSet
+from .data import StatisticSet, _frozen
 from .errors import DataError
 from .procedures import _check_level, _step_prefix, bh
-from .ranc import ecdf_counts, modified_ranc_pvalues
+from .ranc import _rank_pvalues, ecdf_counts, modified_ranc_pvalues
 
 __all__ = [
     "StepCurve",
@@ -69,10 +69,8 @@ class StepCurve:
             raise DataError("breakpoints must be finite and strictly increasing")
         if not (np.all(np.isfinite(vals)) and np.isfinite(self.left_value)):
             raise DataError("step curve values must be finite")
-        bp.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "breakpoints", _frozen(bp))
+        object.__setattr__(self, "values", _frozen(vals))
 
     def value_at(self, t):
         """Evaluate the curve, scalar in scalar out."""
@@ -138,13 +136,13 @@ def _check_lambda(lam: float):
 
 
 def _rank_table(statistics: StatisticSet):
-    """ecdf_counts with the rank (1 + c) / (1 + m) of each row.
+    """ecdf_counts with the rank (1 + c) / (1 + m) of each row, on ranc's grid.
 
     A statistic's rank is the rank of its row, and the rank grows with
     c, so the rows at or below any lambda form a prefix of the table.
     """
     t, c, r = ecdf_counts(statistics)
-    return t, c, r, (1.0 + c) / (1.0 + statistics.m)
+    return t, c, r, _rank_pvalues(c, statistics.m)
 
 
 def _pi_hat(n, m, c, r, rank, lam):

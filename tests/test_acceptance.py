@@ -175,7 +175,7 @@ def test_criterion_3_validity_and_fdr_control(six_cell_run):
         r_rng = rep_rng(17, r)
         t = np.concatenate([r_rng.normal(size=n0), r_rng.normal(-3.0, 1.0, size=n1)])
         nc = r_rng.normal(-0.5, 1.0, size=m)
-        fdp, _ = _fdp_tpr_rows(ranc_values(t[None, :], nc[None, :]), bh_bounds, null_mask)
+        fdp, _ = _fdp_tpr_rows(ranc_values(t[None, :], nc), bh_bounds, null_mask)
         fdps[r] = fdp[0]
     mis_fdr = float(fdps.mean())
     mis_se = float(fdps.std(ddof=1)) / np.sqrt(mis_reps)

@@ -6,8 +6,10 @@ import pytest
 
 from nctest import (
     DataError,
+    LocalFdrCurve,
     PValueVector,
     StatisticSet,
+    StepCurve,
     load_csv,
     make_statistic_set,
     ranc_pvalues,
@@ -267,6 +269,19 @@ def test_values_read_only():
     p.flags.writeable = False
     assert PValueVector(values=p, ids=("a", "b"), kind="external").values is p
     assert not ranc_pvalues(s).values.flags.writeable
+
+
+@pytest.mark.parametrize("curve", [lambda b, v: StepCurve(b, v, 0.0),
+                                   lambda b, v: LocalFdrCurve(b, v, 1.0)],
+                         ids=["StepCurve", "LocalFdrCurve"])
+def test_curves_leave_caller_arrays_writeable(curve):
+    # a curve freezes its own copy of a writeable array, as StatisticSet does
+    breakpoints, values = np.array([1.0, 2.0]), np.array([0.1, 0.3])
+    c = curve(breakpoints, values)
+    assert breakpoints.flags.writeable and values.flags.writeable
+    assert not (c.breakpoints.flags.writeable or c.values.flags.writeable)
+    breakpoints[0], values[0] = 0.5, 0.2
+    assert c.breakpoints.tolist() == [1.0, 2.0] and c.values.tolist() == [0.1, 0.3]
 
 
 def test_jitter_breaks_ties_and_preserves_order():

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
-from nctest import localfdr_curve, pi_hat, ranc_pvalues, ranc_values, stepup_threshold  # noqa: E402
+from nctest import localfdr_curve, pi_hat, ranc_pvalues, stepup_threshold  # noqa: E402
 from nctest import data, localfdr, procedures  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import (  # noqa: E402
@@ -320,26 +320,6 @@ def test_stepup_at_lambda_one_is_bh_on_modified_pvalues(tests, controls, q):
     s = make_statistic_set(np.array(tests, dtype=float), np.array(controls, dtype=float))
     stepup = stepup_threshold(s, lam=1.0, q=q)
     assert stepup.rejected == bh(modified_ranc_pvalues(s), q).rejected
-
-
-@st.composite
-def _rows_of_controls_and_queries(draw):
-    rows = draw(st.integers(1, 6))
-    return (_grid_matrix(draw, rows, draw(st.integers(1, 10)), 6),
-            _grid_matrix(draw, rows, draw(st.integers(1, 10)), 6) - 0.5 * draw(st.booleans()))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=_rows_of_controls_and_queries())
-def test_row_counts_equal_one_dimensional_counts(data):
-    nc, queries = data
-    counts = counts_at_or_below(nc, queries)
-    pvalues = ranc_values(queries, nc)
-    for r in range(len(nc)):
-        one = counts_at_or_below(nc[r], queries[r])
-        assert counts[r].dtype == one.dtype
-        assert counts[r].tobytes() == one.tobytes()
-        assert pvalues[r].tobytes() == ranc_values(queries[r], nc[r]).tobytes()
 
 
 # signed zeros tie each other and the other values tie across roles

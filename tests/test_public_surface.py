@@ -2,7 +2,10 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import nctest
+from nctest.ranc import counts_at_or_below
 
 
 def test_every_listed_name_resolves_once():
@@ -100,3 +103,16 @@ def test_public_parameters_recorded():
         if name != "DataError"
     }
     assert actual == PUBLIC_PARAMETERS
+
+
+@pytest.mark.parametrize("count", [
+    counts_at_or_below,
+    lambda nc, queries: nctest.ranc_values(queries, nc),
+    lambda nc, queries: nctest.modified_ranc_values(queries, nc),
+], ids=["counts_at_or_below", "ranc_values", "modified_ranc_values"])
+def test_rank_counts_take_one_dimensional_controls(count):
+    # 2-D controls are rejected at the entry point;
+    # the queries may keep any shape
+    with pytest.raises(nctest.DataError, match="one-dimensional"):
+        count([[0.1, 0.2], [0.3, 0.4]], [[0.15, 0.35], [0.25, 0.45]])
+    assert count([0.2, 0.1], [[0.15, 0.35], [0.05, 0.2]]).shape == (2, 2)
