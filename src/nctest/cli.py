@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import datetime
-import hashlib
 import io
 import itertools
 import json
@@ -29,12 +28,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, svg
+from . import __version__
 from ._util import float_list
 from .data import load_csv
 from .errors import DataError
-from .localfdr import cdf_threshold, localfdr_curve
-from .nullfit import falsify_subgroups, null_diagnostics_table
 from .procedures import (
     RejectionResult,
     bh,
@@ -46,15 +43,18 @@ from .procedures import (
     simes_global,
 )
 from .ranc import ranc_pvalues
-from .simulate import (
-    SimConfig,
-    fisher_miscalibration_demo,
-    power_vs_m,
-    prds_counterexample,
-    run_table1,
-    simes_permutation_diagnostic,
-)
-from .stepup import stepup_threshold
+
+# Every subcommand uses the modules imported above; the others load inside
+# the commands that call them, svg only under --plots svg.  The commands
+# look the names in _LATE up on this module when they run, so a wrapper set
+# on it is the one called; unset, they resolve through the package's table.
+_LATE = ("cdf_threshold", "localfdr_curve", "fisher_miscalibration_demo")
+
+
+def __getattr__(name):
+    if name in _LATE:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # layout version of every JSON payload, pinned by the schemas in nctest/schemas
 SCHEMA_VERSION = 5
@@ -161,6 +161,8 @@ def _json_text(payload) -> str:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -419,6 +421,7 @@ def cmd_analyze(ns, manifest) -> Report:
     columns = (p.ids, statistics.investigation, p.values, rejected)
     svg_text = None
     if _want_svg(ns):
+        from . import svg
         marks = [] if threshold is None else [(threshold, "p cutoff")]
         svg_text = svg.histogram_svg(
             p.values, bins=min(40, max(5, statistics.n // 2)), thresholds=marks,
@@ -432,6 +435,8 @@ def cmd_analyze(ns, manifest) -> Report:
 
 
 def _stepup_report(ns, manifest, statistics) -> Report:
+    from .stepup import stepup_threshold
+
     q = 0.1 if ns.q is None else ns.q
     lam = 1.0 if ns.lam is None else ns.lam
     result = stepup_threshold(statistics, lam=lam, q=q)
@@ -444,6 +449,7 @@ def _stepup_report(ns, manifest, statistics) -> Report:
         payload["result"]["fdr_curve"].update(breakpoints=Spliced(0), values=Spliced(1))
     svg_text = None
     if _want_svg(ns):
+        from . import svg
         marks = [] if result.tau_statistic is None else [(result.tau_statistic, "tau")]
         svg_text = svg.histogram_svg(
             statistics.investigation, bins=min(40, max(5, statistics.n // 2)),
@@ -468,11 +474,12 @@ def cmd_localfdr(ns, manifest) -> Report:
         lam = ns.q / ns.pi if ns.pi else math.inf  # cdf_threshold rejects pi = 0
     else:
         raise UsageError("localfdr needs --lambda, or --q together with --pi")
-    result = cdf_threshold(statistics, lam, q=ns.q, pi=ns.pi)
+    here = sys.modules[__name__]
+    result = here.cdf_threshold(statistics, lam, q=ns.q, pi=ns.pi)
     threshold = result.to_dict()
     payload = {"n": statistics.n, "m": statistics.m, "threshold": threshold}
     if ns.pi is not None:
-        payload["curve"] = localfdr_curve(statistics, ns.pi).to_dict()
+        payload["curve"] = here.localfdr_curve(statistics, ns.pi).to_dict()
     header = ("t", "objective")
     # the boundary row that rejects nothing comes first: no t, objective 0
     columns = (np.ma.concatenate([np.ma.masked_all(1), result.candidates]),
@@ -480,6 +487,7 @@ def cmd_localfdr(ns, manifest) -> Report:
     threshold["objective_at_candidates"] = {"t": Spliced(0), "objective": Spliced(1)}
     svg_text = None
     if _want_svg(ns):
+        from . import svg
         marks = [] if result.tau_hat is None else [(result.tau_hat, "tau")]
         svg_text = svg.step_curve_svg(
             result.candidates, result.objective, left_value=0.0,
@@ -507,6 +515,8 @@ def _split_csv_flag(raw: str, aliases: dict, what: str) -> tuple:
 
 
 def cmd_null_fit(ns, manifest) -> Report:
+    from .nullfit import null_diagnostics_table
+
     statistics = _load(ns)
     q = 0.2 if ns.q is None else ns.q
     sources = _split_csv_flag(ns.sources, _SOURCE_ALIASES, "source")
@@ -523,6 +533,7 @@ def cmd_null_fit(ns, manifest) -> Report:
     columns = [[row[key] for row in table] for key in header]
     svg_text = None
     if _want_svg(ns):
+        from . import svg
         svg_text = svg.histogram_svg(
             statistics.investigation, bins=min(60, max(5, statistics.n // 5)),
             title="investigation statistics", xlabel="statistic", desc=_desc(manifest),
@@ -534,6 +545,8 @@ def cmd_null_fit(ns, manifest) -> Report:
 
 
 def cmd_falsify(ns, manifest) -> Report:
+    from .nullfit import falsify_subgroups
+
     statistics = _load(ns)
     report = falsify_subgroups(statistics)
     qq = {
@@ -549,6 +562,7 @@ def cmd_falsify(ns, manifest) -> Report:
     worst = min(rows, key=lambda row: row[2], default=None)
     svg_text = None
     if _want_svg(ns) and worst is not None:
+        from . import svg
         qa, qb = report.qq[(worst[0], worst[1])]
         svg_text = svg.qq_svg(
             qa, qb, title=f"{worst[0]} vs {worst[1]} (KS p={worst[2]:.3g})",
@@ -586,6 +600,14 @@ def _power_rows(curves: dict):
 
 
 def cmd_simulate(ns, manifest) -> Report:
+    from .simulate import (
+        SimConfig,
+        power_vs_m,
+        prds_counterexample,
+        run_table1,
+        simes_permutation_diagnostic,
+    )
+
     preset = ns.preset
     seed = ns.seed
     if preset == "table1":
@@ -615,7 +637,8 @@ def cmd_simulate(ns, manifest) -> Report:
                 ("p_b", float(exact[1]), float(mc[1]))]
     elif preset == "b2":
         reps = 1000 if ns.reps is None else ns.reps
-        chi2_rate, perm_rate = fisher_miscalibration_demo(reps=reps, seed=seed)
+        chi2_rate, perm_rate = sys.modules[__name__].fisher_miscalibration_demo(
+            reps=reps, seed=seed)
         payload = {"preset": preset, "reps": reps,
                    "chi2_reject_rate": chi2_rate, "perm_reject_rate": perm_rate}
         header = ("calibration", "reject_rate")
@@ -631,6 +654,7 @@ def cmd_simulate(ns, manifest) -> Report:
         raise UsageError(f"unknown preset {preset!r}")
     svg_text = None
     if _want_svg(ns) and preset in ("power-vs-m", "power-vs-m-weak"):
+        from . import svg
         svg_text = svg.step_curve_svg(
             curves["m"], curves["bh_ranc"],
             title=f"{preset}: rank-based BH power", xlabel="control pool size",
@@ -670,6 +694,7 @@ def cmd_permtest(ns, manifest) -> Report:
     if _want_svg(ns) and counted:
         warnings.warn("the exact Simes p-value is counted without a null sample; no plot written")
     elif _want_svg(ns):
+        from . import svg
         svg_text = svg.histogram_svg(
             samples, bins=min(50, max(5, samples.size // 20)),
             thresholds=[(result.observed, "observed")],

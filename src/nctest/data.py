@@ -37,12 +37,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return _read_only(arr.copy()) if arr.flags.writeable else arr
 
 
-def _as_float_array(values, what: str) -> np.ndarray:
-    """values as a read-only float array that the caller cannot change."""
+def _float_array(values) -> np.ndarray:
+    """np.asarray(values, dtype=float), frozen in place when it is a new
+    array built from a list or tuple, which no caller holds."""
     arr = np.asarray(values, dtype=float)
+    return _read_only(arr) if isinstance(values, (list, tuple)) else arr
+
+
+def _as_float_array(values, what: str) -> np.ndarray:
+    """values as a read-only float array that the caller cannot change;
+    only a writeable array that the caller holds is copied."""
+    arr = _float_array(values)
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    # the extremes reach every NaN and infinity without a mask the size of
+    # arr; the initial value lets an empty array through to its caller's check
+    if not (math.isfinite(arr.min(initial=0.0)) and math.isfinite(arr.max(initial=0.0))):
         raise DataError(f"non-finite value in {what}")
     return _frozen(arr)
 
@@ -144,8 +154,8 @@ def make_statistic_set(
     Ids default to t1..tn and c1..cm.  Values are given on the caller's
     scale; they are negated here when orientation is large_is_significant.
     """
-    inv = np.asarray(investigation_values, dtype=float)
-    nc = np.asarray(nc_values, dtype=float)
+    inv = _float_array(investigation_values)
+    nc = _float_array(nc_values)
     if orientation == "large_is_significant":
         inv, nc = _read_only(-inv), _read_only(-nc)
     if investigation_ids is None:

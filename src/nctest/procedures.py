@@ -454,7 +454,7 @@ def permutation_global(statistics: StatisticSet, statistic: str = "simes_min_rat
     if not _within_cap(n, m, _MAX_ENUMERATION):
         samples = _random_null(rep_rng(seed, 0), B, n + m, n, stat_rows, tie_end)
         extreme = int(_count_extreme(samples, observed, direction))
-        return PermutationResult((1 + extreme) / (1 + B), samples, observed, B)
+        return PermutationResult(_rank_pvalues(extreme, B), samples, observed, B)
     total = math.comb(n + m, n)
     if statistic == "simes_min_ratio":
         samples = np.empty(0)

@@ -61,17 +61,27 @@ def ecdf_counts(statistics: StatisticSet, at=None):
 
     c[k] = #{j: nc_j <= t[k]} and r[k] = #{i: T_i <= t[k]}, the
     negative-control and investigation ECDFs times m and n.  t defaults
-    to the distinct pooled values; np.unique of the roles concatenated
-    in input order decides which of -0.0 and 0.0 stands for a tie.
+    to the distinct pooled values, found as np.unique finds them without
+    the numpy.ma it loads: the roles concatenated in input order are
+    sorted and the first value of each run is kept, which decides
+    whether -0.0 or 0.0 stands for a tie.
     """
     inv, nc = statistics.investigation, statistics.negative_controls
-    t = np.unique(np.concatenate([inv, nc])) if at is None else np.asarray(at, dtype=float)
+    if at is None:
+        t = np.sort(np.concatenate([inv, nc]))
+        first = np.empty(t.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(t[1:], t[:-1], out=first[1:])
+        t = t[first]
+    else:
+        t = np.asarray(at, dtype=float)
     return t, counts_at_or_below(nc, t), counts_at_or_below(inv, t)
 
 
 def _rank_pvalues(counts, m, shift=1.0):
     # the package's one rank grid, (shift + counts) / (1 + m) capped at 1:
-    # shift 1 is RANC, 2 the modified value.  The cap binds only for shift
+    # shift 1 is RANC, and with m = B draws the add-one Monte-Carlo p-value
+    # (1 + #extreme) / (1 + B); shift 2 is the modified value.  The cap binds only for shift
     # 2; skipping it at shift 1 saves a copy of each permutation mask block.
     p = (shift + counts) / (1.0 + m)
     return p if shift == 1.0 else np.minimum(p, 1.0)

@@ -453,7 +453,7 @@ def fisher_miscalibration_demo(
     ])
     b = 20 * reps
     null = _random_null(rep_rng(seed, reps), b, n + m, n, fisher_global_statistic)
-    p_perm = (1.0 + _count_extreme(null, observed, "large")) / (b + 1.0)
+    p_perm = _rank_pvalues(_count_extreme(null, observed, "large"), b)
     return float(np.mean(_chi2_sf_even(observed, n) < alpha)), float(np.mean(p_perm <= alpha))
 
 

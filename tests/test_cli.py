@@ -989,8 +989,8 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
 
 def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
     # only localfdr's boundary row is a masked array; plain float columns
-    # are written without loading numpy.ma (stepup still loads it through
-    # np.unique, which asks np.ma.is_masked)
+    # are written without loading numpy.ma, and stepup's distinct values
+    # skip np.unique, which asks np.ma.is_masked
     script = (
         "import contextlib, io, sys\n"
         "from nctest.cli import main\n"
@@ -1005,7 +1005,9 @@ def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
         [sys.executable, "-c", script,
          f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
          f"analyze --in {toy_csv} --procedure bh",
-         f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}"],
+         f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}",
+         f"analyze --in {toy_csv} --procedure stepup",
+         f"stepup --in {toy_csv} --out {tmp_path / 's'}"],
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
@@ -1036,3 +1038,97 @@ def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _fresh_process(script, *args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script, *args],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# the modules every subcommand loads, and what each loads beyond them
+_EVERY_RUN = {"nctest", "nctest._util", "nctest.cli", "nctest.data", "nctest.errors",
+              "nctest.procedures", "nctest.ranc"}
+_LOADED = [
+    ("analyze --in {toy}", set()),
+    ("analyze --in {toy} --procedure stepup", {"nctest.stepup"}),
+    ("stepup --in {toy}", {"nctest.stepup"}),
+    ("localfdr --in {toy} --q 0.2 --pi 0.8", {"nctest.localfdr", "nctest.stepup"}),
+    ("permtest --in {toy} --reps 50", set()),
+    ("null-fit --in {rich}", {"nctest.nullfit"}),
+    ("falsify --in {rich}", {"nctest.nullfit"}),
+    ("simulate --preset table1 --reps 5", {"nctest.simulate"}),
+    ("simulate --preset b2 --reps 5", {"nctest.simulate"}),
+    ("simulate --preset simes-perm", {"nctest.simulate"}),
+    ("analyze --in {toy} --out {out} --plots svg", {"nctest.svg"}),
+    ("localfdr --in {toy} --lambda 1 --out {out} --plots svg",
+     {"nctest.localfdr", "nctest.stepup", "nctest.svg"}),
+]
+
+
+@pytest.mark.parametrize("args, extra", _LOADED, ids=[args for args, _ in _LOADED])
+def test_each_subcommand_loads_only_its_modules(toy_csv, rich_csv, tmp_path, args, extra):
+    # one fresh process per run: the package loads each module on first use,
+    # svg only under --plots svg, and hashlib only to hash an input file
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from nctest.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'nctest'),\n"
+        "                  'hashlib' in sys.modules]))\n"
+    )
+    argv = args.format(toy=toy_csv, rich=rich_csv, out=tmp_path / "out").split()
+    loaded, hashed = json.loads(_fresh_process(script, *argv))
+    assert set(loaded) == _EVERY_RUN | extra
+    if "--in" in argv:
+        assert hashed
+    if args == "simulate --preset simes-perm":
+        # no input and no random draw (numpy.random loads hashlib itself)
+        assert not hashed
+
+
+def test_import_nctest_loads_no_submodule():
+    script = (
+        "import sys\n"
+        "import nctest\n"
+        "assert [m for m in sys.modules if m.startswith('nctest.')] == [], sys.modules\n"
+        "names = {}\n"
+        "exec('from nctest import *', names)\n"
+        "assert len(nctest.__all__) == 58 and set(nctest.__all__) <= set(names)\n"
+        "assert all(names[k] is getattr(nctest, k) for k in nctest.__all__)\n"
+        "assert set(nctest.__all__) <= set(dir(nctest))\n"
+        "try:\n"
+        "    nctest.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('nctest.no_such_name resolved')\n"
+        "import nctest.cli\n"
+        "assert not hasattr(nctest.cli, 'ranc_values'), 'cli resolves only its late names'\n"
+    )
+    _fresh_process(script)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("cdf_threshold", ["localfdr", "--in", "{toy}", "--q", "0.2", "--pi", "0.8"]),
+    ("localfdr_curve", ["localfdr", "--in", "{toy}", "--q", "0.2", "--pi", "0.8"]),
+    ("fisher_miscalibration_demo", ["simulate", "--preset", "b2", "--reps", "5"]),
+])
+def test_commands_call_the_names_set_on_cli(monkeypatch, capsys, toy_csv, name, args):
+    # the lazily loaded names are looked up on the cli module when a command
+    # runs, so a wrapper set there (as a tracer sets one) is the one called
+    real = getattr(cli, name)
+    assert real is getattr(importlib.import_module("nctest"), name)
+    calls = []
+
+    def wrapper(*a, **k):
+        calls.append(name)
+        return real(*a, **k)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    _payload(capsys, [arg.format(toy=toy_csv) for arg in args])
+    assert calls == [name]

@@ -1,5 +1,7 @@
 import io
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +271,37 @@ def test_values_read_only():
     p.flags.writeable = False
     assert PValueVector(values=p, ids=("a", "b"), kind="external").values is p
     assert not ranc_pvalues(s).values.flags.writeable
+
+
+def _traced_peak(build, values) -> int:
+    tracemalloc.start()
+    try:
+        build(values)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda values: data._as_float_array(values, "values"),
+    lambda values: make_statistic_set(values, [0.5]).investigation,
+], ids=["_as_float_array", "make_statistic_set"])
+def test_list_values_are_converted_once(build):
+    # the array built from a list is frozen in place, not copied again: it
+    # costs one conversion more than a read-only array, which is taken as it is
+    values = [float(k) for k in range(1_000_000)]
+    arr = build(values)
+    assert not arr.flags.writeable and arr.tolist() == values
+    extra = _traced_peak(build, values) - _traced_peak(build, arr)
+    assert extra <= 1.1 * arr.nbytes, extra / arr.nbytes
+
+
+def test_extremes_find_every_non_finite_value():
+    # the finiteness check reads the minimum and maximum, which NaN and both infinities reach
+    for bad in ([0.1, math.nan], (math.inf, 0.2), np.array([0.3, -math.inf]), [math.nan] * 3):
+        with pytest.raises(DataError, match="non-finite value in values"):
+            data._as_float_array(bad, "values")
+    assert data._as_float_array([], "values").size == 0  # left to its callers to refuse
 
 
 @pytest.mark.parametrize("curve", [lambda b, v: StepCurve(b, v, 0.0),

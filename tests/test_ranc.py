@@ -13,6 +13,7 @@ from nctest import (
     ranc_pvalues,
     ranc_values,
 )
+from nctest.ranc import ecdf_counts
 
 NC = np.array([0.1, 0.2, 0.3])
 
@@ -87,6 +88,20 @@ def test_cross_tie_warning():
     # the tied control counts as below-or-equal: the step sits at 0.2
     np.testing.assert_array_equal(p.values, [0.75, 1.0])
     assert ranc_values(np.nextafter(0.2, -np.inf), NC) == 0.5
+
+
+@pytest.mark.parametrize("size", [3, 40, 5000])
+def test_distinct_pooled_values_are_those_of_np_unique(size):
+    # ecdf_counts finds the distinct values by np.unique's sort-and-keep-first,
+    # so the same one of -0.0 and 0.0 stands for their tie, bit for bit
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        tests = rng.choice([-0.0, 0.0, -1.5, 0.5, 2.0], size=size)
+        controls = rng.choice([0.0, -0.0, 0.5, -2.5], size=size + 1)
+        t, _, _ = ecdf_counts(make_statistic_set(tests, controls))
+        expected = np.unique(np.concatenate([tests, controls]))
+        np.testing.assert_array_equal(t, expected)
+        np.testing.assert_array_equal(np.signbit(t), np.signbit(expected))
 
 
 def test_uniform_on_grid_under_exchangeability():
