@@ -56,6 +56,7 @@ def __getattr__(name):
         return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 # layout version of every JSON payload, pinned by the schemas in nctest/schemas
 SCHEMA_VERSION = 5
 PRESETS = ("table1", "power-vs-m", "power-vs-m-weak", "b1", "b2", "simes-perm")

@@ -81,8 +81,9 @@ def ecdf_counts(statistics: StatisticSet, at=None):
 def _rank_pvalues(counts, m, shift=1.0):
     # the package's one rank grid, (shift + counts) / (1 + m) capped at 1:
     # shift 1 is RANC, and with m = B draws the add-one Monte-Carlo p-value
-    # (1 + #extreme) / (1 + B); shift 2 is the modified value.  The cap binds only for shift
-    # 2; skipping it at shift 1 saves a copy of each permutation mask block.
+    # (1 + #extreme) / (1 + B); shift 2 is the modified value.  The cap
+    # binds only for shift 2; skipping it at shift 1 saves a copy of each
+    # permutation mask block.
     p = (shift + counts) / (1.0 + m)
     return p if shift == 1.0 else np.minimum(p, 1.0)
 

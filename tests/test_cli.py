@@ -953,6 +953,15 @@ def test_python_m_nctest_runs():
     assert "nctest 0.1.0" in result.stdout
 
 
+def _fresh_process(script, *args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script, *args],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
     # the rank-based paths need only numpy; scipy loads where it is called
     script = (
@@ -969,22 +978,18 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
         "    assert code == 0, (args, code)\n"
         "    assert 'scipy' not in sys.modules, args\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script, "--version",
-         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'} --plots svg",
-         f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
-         f"permtest --in {toy_csv} --reps 200",
-         "simulate --preset b1 --reps 2000",
-         "simulate --preset simes-perm",
-         "simulate --preset b2 --reps 20",
-         "simulate --preset table1 --reps 20",
-         "simulate --preset power-vs-m --reps 20",
-         "simulate --preset power-vs-m-weak --reps 20"],
-        capture_output=True, text=True, env=env,
+    _fresh_process(
+        script, "--version",
+        f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'} --plots svg",
+        f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
+        f"permtest --in {toy_csv} --reps 200",
+        "simulate --preset b1 --reps 2000",
+        "simulate --preset simes-perm",
+        "simulate --preset b2 --reps 20",
+        "simulate --preset table1 --reps 20",
+        "simulate --preset power-vs-m --reps 20",
+        "simulate --preset power-vs-m-weak --reps 20",
     )
-    assert result.returncode == 0, result.stderr
 
 
 def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
@@ -999,18 +1004,14 @@ def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
         "        assert main(args.split()) == 0, args\n"
         "    assert 'numpy.ma' not in sys.modules, args\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script,
-         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
-         f"analyze --in {toy_csv} --procedure bh",
-         f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}",
-         f"analyze --in {toy_csv} --procedure stepup",
-         f"stepup --in {toy_csv} --out {tmp_path / 's'}"],
-        capture_output=True, text=True, env=env,
+    _fresh_process(
+        script,
+        f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
+        f"analyze --in {toy_csv} --procedure bh",
+        f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}",
+        f"analyze --in {toy_csv} --procedure stepup",
+        f"stepup --in {toy_csv} --out {tmp_path / 's'}",
     )
-    assert result.returncode == 0, result.stderr
 
 
 def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
@@ -1028,25 +1029,12 @@ def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
         "    assert 'numpy.random' not in sys.modules, args\n"
     )
     small = _pool_csv(tmp_path / "small.csv", [-1.0, 0.5, -0.2], np.linspace(-2, 2, 10))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script, "--version",
-         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
-         f"permtest --in {small} --out {tmp_path / 'p'}",
-         "simulate --preset simes-perm"],
-        capture_output=True, text=True, env=env,
+    _fresh_process(
+        script, "--version",
+        f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
+        f"permtest --in {small} --out {tmp_path / 'p'}",
+        "simulate --preset simes-perm",
     )
-    assert result.returncode == 0, result.stderr
-
-
-def _fresh_process(script, *args):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", script, *args],
-                            capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
 
 
 # the modules every subcommand loads, and what each loads beyond them
