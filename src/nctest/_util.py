@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG streams, seed and count checks, JSON float lists, NCTEST_THREADS."""
+"""Small shared helpers: RNG streams, seed and count checks, distinct values, JSON float lists, NCTEST_THREADS."""
 
 from __future__ import annotations
 
@@ -48,6 +48,20 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     Streams depend only on (seed, rep).
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+
+
+def distinct(values):
+    """(t, at_or_below): the distinct values ascending, and #{values <= t}, where the next run starts.
+
+    Each run keeps its first value, as numpy's unique keeps it, so the same
+    one of -0.0 and 0.0 stands for a tie, without the numpy.ma unique loads.
+    """
+    s = np.sort(values, axis=None)
+    first = np.empty(s.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return s[starts], np.append(starts[1:], s.size)
 
 
 def float_list(values) -> list:

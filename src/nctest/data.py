@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import check_integer
+from ._util import check_integer, distinct
 from .errors import DataError
 
 ORIENTATIONS = ("small_is_significant", "large_is_significant")
@@ -93,9 +93,9 @@ class StatisticSet:
         ids_nc = tuple(map(str, self.nc_ids))
         if len(ids_inv) != inv.size or len(ids_nc) != nc.size:
             raise DataError("id list and value list lengths differ")
-        distinct = set(ids_inv)
-        distinct.update(ids_nc)
-        if len(distinct) != inv.size + nc.size:
+        unique_ids = set(ids_inv)
+        unique_ids.update(ids_nc)
+        if len(unique_ids) != inv.size + nc.size:
             seen = set()
             for i in ids_inv + ids_nc:
                 if i in seen:
@@ -345,11 +345,8 @@ def with_jitter(statistics: StatisticSet, seed: int) -> StatisticSet:
     """
     check_integer(seed, "seed")
     values = np.concatenate([statistics.investigation, statistics.negative_controls])
-    distinct = np.unique(values)
-    if distinct.size > 1:
-        gap = np.min(np.diff(distinct))
-    else:
-        gap = 1.0
+    t, _ = distinct(values)
+    gap = np.min(np.diff(t)) if t.size > 1 else 1.0
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-0.25 * gap, 0.25 * gap, size=values.size)
     inv = _read_only(statistics.investigation + noise[: statistics.n])

@@ -30,11 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import float_list
+from ._util import distinct, float_list
 from .data import StatisticSet, _frozen
 from .errors import DataError
 from .procedures import _check_level
-from .ranc import ecdf_counts, ranc_values
+from .ranc import counts_at_or_below, ecdf_counts, ranc_values
 from .stepup import StepCurve
 
 __all__ = [
@@ -231,7 +231,7 @@ def cdf_threshold_orderstat(statistics: StatisticSet, lam: float, q: float | Non
     order = np.argsort(statistics.investigation, kind="stable")
     t_sorted = statistics.investigation[order]
     p_sorted = pvals[order]
-    cand_t = np.unique(t_sorted)
+    cand_t = np.unique(t_sorted)  # not _util.distinct: this route checks the one ecdf_counts takes
     # rank r of each distinct value = count of statistics at or below it
     r = np.searchsorted(t_sorted, cand_t, side="right")
     # controls at or below, recovered from the p-value at each distinct value
@@ -253,7 +253,8 @@ def localfdr_curve(statistics: StatisticSet, pi: float) -> LocalFdrCurve:
     """
     _check_levels(pi=pi)
     n, m = statistics.n, statistics.m
-    cand_t, c, r = ecdf_counts(statistics, np.unique(statistics.investigation))
+    cand_t, r = distinct(statistics.investigation)
+    c = counts_at_or_below(statistics.negative_controls, cand_t)
     # lines score_k(lam) = a_k - b_k*lam; the boundary is the zero line
     a = c.astype(float) * n
     b = r.astype(float) * m

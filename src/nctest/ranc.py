@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import distinct
 from .data import StatisticSet, _frozen, _read_only
 from .errors import DataError
 
@@ -45,6 +46,15 @@ class PValueVector:
         object.__setattr__(self, "ids", tuple(self.ids))
 
 
+def _counts(sorted_values, queries):
+    """#{v in sorted_values: v <= t} for each query t, in the queries' shape: the one rank-count kernel."""
+    q = np.asarray(queries)
+    order = np.argsort(q, axis=None)  # sorted queries search several times faster at 1e6 rows
+    counts = np.empty(q.size, dtype=np.intp)
+    counts[order] = np.searchsorted(sorted_values, q.ravel()[order], side="right")
+    return counts.reshape(q.shape)[()]
+
+
 def counts_at_or_below(nc_values, queries) -> np.ndarray:
     """#{j: nc_j <= t} for each query t, of any shape.  Ties count as below-or-equal.
 
@@ -53,7 +63,7 @@ def counts_at_or_below(nc_values, queries) -> np.ndarray:
     nc = np.asarray(nc_values, dtype=float)
     if nc.ndim != 1:
         raise DataError("negative controls must be one-dimensional")
-    return np.searchsorted(np.sort(nc), np.asarray(queries, dtype=float), side="right")
+    return _counts(np.sort(nc), np.asarray(queries, dtype=float))
 
 
 def ecdf_counts(statistics: StatisticSet, at=None):
@@ -61,20 +71,15 @@ def ecdf_counts(statistics: StatisticSet, at=None):
 
     c[k] = #{j: nc_j <= t[k]} and r[k] = #{i: T_i <= t[k]}, the
     negative-control and investigation ECDFs times m and n.  t defaults
-    to the distinct pooled values, found as np.unique finds them without
-    the numpy.ma it loads: the roles concatenated in input order are
-    sorted and the first value of each run is kept, which decides
-    whether -0.0 or 0.0 stands for a tie.
+    to the distinct pooled values, _util.distinct of the roles
+    concatenated in input order.
     """
     inv, nc = statistics.investigation, statistics.negative_controls
     if at is None:
-        t = np.sort(np.concatenate([inv, nc]))
-        first = np.empty(t.shape, dtype=bool)
-        first[:1] = True
-        np.not_equal(t[1:], t[:-1], out=first[1:])
-        t = t[first]
-    else:
-        t = np.asarray(at, dtype=float)
+        t, pooled = distinct(np.concatenate([inv, nc]))
+        c = counts_at_or_below(nc, t)
+        return t, c, pooled - c
+    t = np.asarray(at, dtype=float)
     return t, counts_at_or_below(nc, t), counts_at_or_below(inv, t)
 
 
@@ -102,18 +107,11 @@ def modified_ranc_values(test_values, nc_values) -> np.ndarray:
 
 
 def _pvalue_vector(statistics: StatisticSet, kind: str, shift: float) -> PValueVector:
-    # one sort of the controls: right counts give the p-values, and a
-    # left count below the right one flags an exact cross tie.  The tests
-    # are searched in sorted order, which halves the time of each pass at
-    # 1e6 rows, and the counts are scattered back to the input order.
+    # one sort of the controls and one count; a test ties a control
+    # exactly when the largest control at or below it equals it
     nc_sorted = np.sort(statistics.negative_controls)
-    order = np.argsort(statistics.investigation)
-    queries = statistics.investigation[order]
-    below_sorted = np.searchsorted(nc_sorted, queries, side="right")
-    strictly = np.searchsorted(nc_sorted, queries, side="left")
-    tied = int(np.count_nonzero(below_sorted > strictly))
-    below = np.empty_like(below_sorted)
-    below[order] = below_sorted
+    below = _counts(nc_sorted, statistics.investigation)
+    tied = int(np.count_nonzero(nc_sorted[np.maximum(below - 1, 0)] == statistics.investigation))
     if tied:
         warnings.warn(
             f"{tied} investigation value(s) exactly tie a negative control; "

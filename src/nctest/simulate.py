@@ -25,7 +25,7 @@ depend on the block size.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -111,18 +111,7 @@ class SimConfig:
         return self.n0 + self.n1
 
     def to_dict(self):
-        return {
-            "n0": self.n0,
-            "n1": self.n1,
-            "m": self.m,
-            "rho": self.rho,
-            "mu_null": self.mu_null,
-            "mu_alt": self.mu_alt,
-            "q": self.q,
-            "reps": self.reps,
-            "seed": self.seed,
-            "dependence": self.dependence,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -142,11 +131,7 @@ class SimReport:
                     raise DataError(f"{name}.{key}_sd negative or NaN")
 
     def to_dict(self):
-        return {
-            "config": self.config.to_dict(),
-            "reps": self.reps,
-            "methods": {k: dict(v) for k, v in self.methods.items()},
-        }
+        return asdict(self)
 
 
 def _normals(seed: int, reps: range, width: int) -> np.ndarray:

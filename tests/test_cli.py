@@ -1014,6 +1014,20 @@ def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
     )
 
 
+def test_jitter_and_localfdr_curve_do_not_import_numpy_ma():
+    # their distinct values come from _util.distinct, not np.unique
+    script = (
+        "import sys\n"
+        "from nctest import localfdr_curve, make_statistic_set, with_jitter\n"
+        "s = make_statistic_set([0.1, 0.2, 0.2, -0.0], [0.0, 0.2, 0.5])\n"
+        "with_jitter(s, 1)\n"
+        "assert 'numpy.ma' not in sys.modules, 'with_jitter'\n"
+        "localfdr_curve(s, 0.8)\n"
+        "assert 'numpy.ma' not in sys.modules, 'localfdr_curve'\n"
+    )
+    _fresh_process(script)
+
+
 def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
     # numpy.random loads with the first draw, not with the package
     script = (

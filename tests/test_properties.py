@@ -23,7 +23,7 @@ from nctest.procedures import (  # noqa: E402
     _step_prefix,
     permutation_global,
 )
-from nctest.ranc import counts_at_or_below, ecdf_counts  # noqa: E402
+from nctest.ranc import ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows, simes_permutation_diagnostic  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
@@ -323,26 +323,39 @@ def test_stepup_at_lambda_one_is_bh_on_modified_pvalues(tests, controls, q):
 
 
 # signed zeros tie each other and the other values tie across roles
-_tied_values = st.lists(st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=12)
+_tied = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 2.0])
+_tied_values = st.lists(_tied, min_size=1, max_size=12)
+# a grid of any shape: a scalar, empty, 1-D or 2-D
+_tied_grid = _tied | st.just([]) | _tied_values | st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(_tied, min_size=k, max_size=k), min_size=1, max_size=3))
 
 
 @settings(max_examples=200, deadline=None)
-@given(tests=_tied_values, controls=_tied_values, queries=st.none() | _tied_values)
+@given(tests=_tied_values, controls=_tied_values, queries=st.none() | _tied_grid)
 def test_ecdf_counts_are_the_counts_of_each_role(tests, controls, queries):
     s = make_statistic_set(np.array(tests), np.array(controls))
     t, c, r = ecdf_counts(s, queries)
     # which of -0.0 and 0.0 stands for a tie is what the CSVs print
     expected_t = np.unique(np.array(tests + controls)) if queries is None else np.array(queries)
     assert t.tobytes() == expected_t.tobytes()
-    assert c.tobytes() == counts_at_or_below(s.negative_controls, t).tobytes()
-    assert r.tobytes() == counts_at_or_below(s.investigation, t).tobytes()
+    # the rank-count kernel keeps the value, dtype, shape and scalar type of one search
+    for got, role in ((c, s.negative_controls), (r, s.investigation)):
+        expected = np.searchsorted(np.sort(role), t, side="right")
+        assert type(got) is type(expected) and got.shape == expected.shape
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+_rounded_normals = np.round(np.random.default_rng(2024).normal(size=(2, 300)), 1).tolist()
 
 
 @settings(max_examples=200, deadline=None)
 @given(tests=_tied_values, controls=_tied_values, modified=st.booleans())
+# normals on a 0.1 grid: many cross ties, signed zeros among them
+@example(tests=_rounded_normals[0], controls=_rounded_normals[1], modified=False)
 def test_sorted_query_pvalues_equal_the_two_pass_form(tests, controls, modified):
-    # the two searchsorted passes over the tests in input order, which the
-    # sorted-query search with its scatter back must reproduce
+    # a right and a left search over the tests in input order, whose
+    # difference counts the cross ties; the kernel's one search and the
+    # gather of the largest control at or below must reproduce both
     s = make_statistic_set(np.array(tests), np.array(controls))
     nc_sorted = np.sort(s.negative_controls)
     below = np.searchsorted(nc_sorted, s.investigation, side="right")

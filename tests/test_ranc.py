@@ -13,6 +13,7 @@ from nctest import (
     ranc_pvalues,
     ranc_values,
 )
+from nctest._util import distinct
 from nctest.ranc import ecdf_counts
 
 NC = np.array([0.1, 0.2, 0.3])
@@ -92,16 +93,20 @@ def test_cross_tie_warning():
 
 @pytest.mark.parametrize("size", [3, 40, 5000])
 def test_distinct_pooled_values_are_those_of_np_unique(size):
-    # ecdf_counts finds the distinct values by np.unique's sort-and-keep-first,
-    # so the same one of -0.0 and 0.0 stands for their tie, bit for bit
+    # distinct, which ecdf_counts uses, finds the values by np.unique's
+    # sort-and-keep-first, so the same one of -0.0 and 0.0 stands for their
+    # tie, bit for bit; its counts are those of a right-side search
     rng = np.random.default_rng(size)
     for _ in range(20):
         tests = rng.choice([-0.0, 0.0, -1.5, 0.5, 2.0], size=size)
         controls = rng.choice([0.0, -0.0, 0.5, -2.5], size=size + 1)
-        t, _, _ = ecdf_counts(make_statistic_set(tests, controls))
-        expected = np.unique(np.concatenate([tests, controls]))
-        np.testing.assert_array_equal(t, expected)
-        np.testing.assert_array_equal(np.signbit(t), np.signbit(expected))
+        pooled = np.concatenate([tests, controls])
+        expected = np.unique(pooled)
+        t, at_or_below = distinct(pooled)
+        for got in (t, ecdf_counts(make_statistic_set(tests, controls))[0]):
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        assert at_or_below.tobytes() == np.searchsorted(np.sort(pooled), t, side="right").tobytes()
 
 
 def test_uniform_on_grid_under_exchangeability():
