@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import csv
 import datetime
 import io
@@ -58,7 +59,7 @@ def __getattr__(name):
 
 
 # layout version of every JSON payload, pinned by the schemas in nctest/schemas
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 PRESETS = ("table1", "power-vs-m", "power-vs-m-weak", "b1", "b2", "simes-perm")
 _ORIENTATION = {"small": "small_is_significant", "large": "large_is_significant"}
 _SOURCE_ALIASES = {
@@ -201,11 +202,10 @@ class Report:
     """One subcommand's results: JSON payload plus tabular/plot forms.
 
     columns are the CSV's per-row columns, aligned with header: numpy
-    arrays (a masked entry is a missing value) or sequences of Python
-    values.  Missing values and None are written empty in the CSV and
-    null in the JSON; floats are written by repr in the CSV, and NaN and
-    inf as null in the JSON.  The payload holds Spliced placeholders for
-    the columns that the JSON carries too.
+    arrays, Coded columns or sequences of Python values.  None is
+    written empty in the CSV and null in the JSON; floats are written by
+    repr in the CSV, and NaN and inf as null in the JSON.  The payload
+    holds Spliced placeholders for the columns that the JSON carries too.
     """
 
     def __init__(self, payload, header, columns, svg_text=None):
@@ -215,6 +215,26 @@ class Report:
         self.header = header
         self.columns = columns
         self.svg_text = svg_text
+
+
+class Coded:
+    """A float column given as integer codes into a few levels.
+
+    Each level is formatted once, here; a row's texts are those of its
+    level.  Slicing keeps the formatted levels.
+    """
+
+    def __init__(self, codes: np.ndarray, levels: np.ndarray):
+        self.codes = codes
+        self.texts = tuple(np.array(t, dtype=object) for t in _cell_texts(levels))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> Coded:
+        part = copy.copy(self)
+        part.codes = self.codes[rows]
+        return part
 
 
 # rows formatted at a time: each value is formatted once per chunk and the
@@ -252,20 +272,16 @@ def _json_value(value) -> str:
 
 def _cell_texts(chunk):
     """CSV and JSON texts of a chunk of one column."""
+    if isinstance(chunk, Coded):
+        return tuple(texts[chunk.codes].tolist() for texts in chunk.texts)
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
-        if hasattr(chunk, "mask"):  # only a masked chunk loads numpy.ma
-            data, missing = np.ma.getdata(chunk), np.ma.getmaskarray(chunk)
-        else:
-            data, missing = chunk, np.zeros(chunk.shape, dtype=bool)
-        texts = list(map(float.__repr__, data.tolist()))
-        null = np.flatnonzero(missing | ~np.isfinite(data)).tolist()
+        texts = list(map(float.__repr__, chunk.tolist()))
+        null = np.flatnonzero(~np.isfinite(chunk)).tolist()
         if not null:
             return texts, texts
         json_texts = texts.copy()
         for k in null:
             json_texts[k] = "null"
-        for k in np.flatnonzero(missing).tolist():
-            texts[k] = ""
         return texts, json_texts
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
         texts = list(map(str, chunk.tolist()))
@@ -477,15 +493,21 @@ def cmd_localfdr(ns, manifest) -> Report:
         raise UsageError("localfdr needs --lambda, or --q together with --pi")
     here = sys.modules[__name__]
     result = here.cdf_threshold(statistics, lam, q=ns.q, pi=ns.pi)
-    threshold = result.to_dict()
-    payload = {"n": statistics.n, "m": statistics.m, "threshold": threshold}
+    payload = {"n": statistics.n, "m": statistics.m, "qhat": Spliced(2, keys=0),
+               "threshold": result.to_dict()}
+    # q_hat(T_i) is the curve's value_at rule: level k of the curve, NaN past
+    # its last breakpoint, and NaN in every row when there is no curve
+    codes, levels = np.zeros(statistics.n, dtype=np.intp), np.array([np.nan])
     if ns.pi is not None:
-        payload["curve"] = here.localfdr_curve(statistics, ns.pi).to_dict()
-    header = ("t", "objective")
-    # the boundary row that rejects nothing comes first: no t, objective 0
-    columns = (np.ma.concatenate([np.ma.masked_all(1), result.candidates]),
-               np.concatenate([[0.0], result.objective]))
-    threshold["objective_at_candidates"] = {"t": Spliced(0), "objective": Spliced(1)}
+        curve = here.localfdr_curve(statistics, ns.pi)
+        payload["curve"] = curve.to_dict()
+        codes = np.searchsorted(curve.breakpoints, statistics.investigation, side="left")
+        levels = np.append(curve.values, np.nan)
+    rejected = np.zeros(statistics.n, dtype=np.int8)
+    rejected[result.rejected_positions] = 1
+    header = ("id", "statistic", "qhat", "rejected")
+    columns = (statistics.investigation_ids, statistics.investigation,
+               Coded(codes, levels), rejected)
     svg_text = None
     if _want_svg(ns):
         from . import svg
@@ -667,6 +689,23 @@ def cmd_simulate(ns, manifest) -> Report:
 # ---------------------------------------------------------------- permtest
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """np.quantile(ordered, q) of an ascending sample, bit for bit.
+
+    numpy's linear rule on the virtual index (n - 1)*q, in its lerp form;
+    np.quantile itself runs np.unique, which loads numpy's masked arrays.
+    """
+    index = (ordered.size - 1) * q
+    below = math.floor(index)
+    if below >= ordered.size - 1:
+        return float(ordered[-1])
+    a, b = ordered[below], ordered[below + 1]
+    gamma = index - below
+    if gamma >= 0.5:
+        return float(b - (b - a) * (1 - gamma))
+    return float(a + (b - a) * gamma)
+
+
 def cmd_permtest(ns, manifest) -> Report:
     statistics = _load(ns)
     b = 999 if ns.reps is None else ns.reps
@@ -674,6 +713,7 @@ def cmd_permtest(ns, manifest) -> Report:
     p_value, samples = result
     # an exact Simes p-value is counted: no sample to summarise, write or plot
     counted = samples.size == 0
+    ordered = np.sort(samples)
     payload = {
         "n": statistics.n,
         "m": statistics.m,
@@ -684,9 +724,9 @@ def cmd_permtest(ns, manifest) -> Report:
         "null_summary": None if counted else {
             "mean": float(samples.mean()),
             "sd": float(samples.std(ddof=1)) if samples.size > 1 else None,
-            "q05": float(np.quantile(samples, 0.05)),
-            "q50": float(np.quantile(samples, 0.50)),
-            "q95": float(np.quantile(samples, 0.95)),
+            "q05": _quantile(ordered, 0.05),
+            "q50": _quantile(ordered, 0.50),
+            "q95": _quantile(ordered, 0.95),
         },
     }
     header = ("draw", "statistic")

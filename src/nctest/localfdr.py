@@ -60,8 +60,8 @@ class LocalFdrResult:
     boundary as 0, so a threshold is candidates[argmin_index - 1].
     rejected_positions index ids, the investigation ids.  rejected and
     objective_at_candidates present these as ids and (t, objective)
-    pairs, with (None, 0.0) for the boundary first; to_dict gives the
-    same pairs as two equal-length columns, "t" and "objective".
+    pairs, with (None, 0.0) for the boundary first.  to_dict leaves the
+    candidates out.
     """
 
     tau_hat: float | None
@@ -95,10 +95,6 @@ class LocalFdrResult:
             "n_rejected": self.n_rejected,
             "rejected_ids": sorted(self.rejected),
             "argmin_index": self.argmin_index,
-            "objective_at_candidates": {
-                "t": [None] + self.candidates.tolist(),
-                "objective": [0.0] + self.objective.tolist(),
-            },
         }
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from nctest import cli, procedures
 from nctest.data import load_csv, make_statistic_set
-from nctest.localfdr import cdf_threshold
+from nctest.localfdr import cdf_threshold, localfdr_curve
 from nctest.procedures import bh, permutation_global
 from nctest.ranc import ranc_pvalues
 from nctest.simulate import simes_permutation_diagnostic
@@ -110,7 +110,7 @@ PINNED = {
     ),
     "localfdr": (
         ["localfdr", "--q", "0.2", "--pi", "0.8"],
-        "a1fa476fdb7e5d57419719989eeb70f9d1c62ebe51c7ec56a0e6b8ebf3e014a2",
+        "88deb5d2934aebe32e00d9c781ba98cf45aa478eab34a8cde803ae5d9d1e549e",
         "9abc7765422ec644b6e103a6c85e6aef19cb4200acddc650ec60b1a465a9f4fc",
     ),
     "permtest": (
@@ -204,13 +204,18 @@ def test_chunk_edges_match_the_per_row_writer(monkeypatch, tmp_path, rows):
     rng = np.random.default_rng(rows)
     ids = tuple(f"t{k}" for k in range(rows))
     x, count = rng.normal(size=rows), np.arange(rows)
-    header = ("id", "x", "count")
-    payload = {"x": cli.Spliced(1), "by_id": cli.Spliced(1, keys=0), "count": cli.Spliced(2)}
-    body, text = _emit_bundle(cli.Report(payload, header, (ids, x, count)), tmp_path / "b")
-    assert body == _per_row_csv(header, zip(ids, x.tolist(), count.tolist()))
+    levels = np.array([0.25, -0.0, np.nan, 1e-300])
+    codes = rng.integers(0, levels.size, size=rows)
+    header = ("id", "x", "count", "level")
+    payload = {"x": cli.Spliced(1), "by_id": cli.Spliced(1, keys=0), "count": cli.Spliced(2),
+               "level": cli.Spliced(3, keys=0)}
+    columns = (ids, x, count, cli.Coded(codes, levels))
+    body, text = _emit_bundle(cli.Report(payload, header, columns), tmp_path / "b")
+    level = levels[codes].tolist()
+    assert body == _per_row_csv(header, zip(ids, x.tolist(), count.tolist(), level))
     assert text == cli._json_text({
-        "schema_version": 5, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
-        "count": count.tolist(), "manifest": {"flags": {}},
+        "schema_version": 6, "x": x.tolist(), "by_id": dict(zip(ids, x.tolist())),
+        "count": count.tolist(), "level": dict(zip(ids, level)), "manifest": {"flags": {}},
     }) + "\n"
 
 
@@ -227,15 +232,17 @@ def test_string_chunk_texts_are_those_of_each_value(chunk):
 
 def test_writer_keeps_non_finite_text_in_the_csv(tmp_path):
     values = [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 2.0]
-    column = np.ma.masked_array(values, mask=[False] * 5 + [True])
-    header = ("label", "value")
+    listed = values[:5] + [None]  # a missing value is None in a column of Python values
+    header = ("label", "value", "listed")
     labels = list("abcdef")
-    payload = {"value": cli.Spliced(1), "scalar": float("nan")}
-    body, text = _emit_bundle(cli.Report(payload, header, (labels, column)), tmp_path / "b")
-    assert body == _per_row_csv(header, zip(labels, values[:5] + [None]))
-    assert "nan\n" in body and "-inf\n" in body and "f,\n" in body
+    payload = {"value": cli.Spliced(1), "listed": cli.Spliced(2), "scalar": float("nan")}
+    columns = (labels, np.array(values), listed)
+    body, text = _emit_bundle(cli.Report(payload, header, columns), tmp_path / "b")
+    assert body == _per_row_csv(header, zip(labels, values, listed))
+    assert "nan,nan\n" in body and "-inf,-inf\n" in body and "f,2.0,\n" in body
     parsed = json.loads(text, parse_constant=_refuse_constant)
-    assert parsed["value"] == [1.5, None, None, None, -0.0, None]
+    assert parsed["value"] == [1.5, None, None, None, -0.0, 2.0]
+    assert parsed["listed"] == [1.5, None, None, None, -0.0, None]
     assert parsed["scalar"] is None
 
 
@@ -379,7 +386,7 @@ def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
     payload = _payload(
         capsys, ["analyze", "--in", tied_csv, "--procedure", "bh", "--q", "0.2"], schema="analyze"
     )
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     result = payload["result"]
     assert "audit" not in result
     pvalues, q = payload["pvalues"], result["parameters"]["q"]
@@ -398,30 +405,36 @@ def test_analyze_json_rebuilds_the_audit(capsys, tied_csv):
 
 
 def test_localfdr_json_columns_are_the_csv_rows(capsys, tied_csv, tmp_path):
-    out = tmp_path / "localfdr"
-    code, _, err = _run(
-        capsys, ["localfdr", "--in", tied_csv, "--q", "0.2", "--pi", "0.8", "--out", str(out)]
-    )
-    assert code == 0, err
-    threshold = json.loads((out / "result.json").read_text())["threshold"]
-    columns = threshold["objective_at_candidates"]
-    assert len(columns["t"]) == len(columns["objective"]) > 1
-    assert (columns["t"][0], columns["objective"][0]) == (None, 0.0)
-    assert columns["t"][threshold["argmin_index"]] == threshold["tau_hat"]
-    with open(out / "result.csv", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))[2:]  # manifest line, header
-    # csv writes None empty and floats by repr, which keeps the sign of -0.0
-    zipped = [["" if t is None else repr(t), repr(v)]
-              for t, v in zip(columns["t"], columns["objective"])]
-    assert zipped == rows
+    s = load_csv(tied_csv)
+    header = ("id", "statistic", "qhat", "rejected")
+    for levels, curve in ((("--q", "0.2", "--pi", "0.8"), localfdr_curve(s, 0.8)),
+                          (("--lambda", "0.3"), None)):
+        out = tmp_path / levels[0][2:]
+        code, _, err = _run(capsys, ["localfdr", "--in", tied_csv, *levels, "--out", str(out)])
+        assert code == 0, err
+        payload = json.loads((out / "result.json").read_text())
+        assert "objective_at_candidates" not in payload["threshold"]
+        body = (out / "result.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+        rows = list(csv.reader(io.StringIO(body)))[1:]
+        # the JSON map is the CSV's id and qhat columns as repr text, NaN written null
+        assert [[i, "nan" if v is None else repr(v)] for i, v in payload["qhat"].items()] == \
+            [row[::2] for row in rows]
+        # the rows are the per-row writer's, in input order: q_hat is the library
+        # curve's value at each statistic, NaN in every row without a curve
+        qhat = np.full(s.n, np.nan) if curve is None else curve.value_at(s.investigation)
+        result = cdf_threshold(s, payload["threshold"]["lambda"])
+        rejected = [int(i in result.rejected) for i in s.investigation_ids]
+        assert sum(rejected) == payload["threshold"]["n_rejected"] > 0
+        assert body == _per_row_csv(header, zip(s.investigation_ids, s.investigation.tolist(),
+                                                qhat.tolist(), rejected))
+        assert any(v is not None for v in payload["qhat"].values()) == (curve is not None)
 
 
 def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
     analyze = _payload(capsys, ["analyze", "--in", tied_csv, "--procedure", "bh"], "analyze")
     localfdr = _payload(capsys, ["localfdr", "--in", tied_csv, "--lambda", "1.0"], "localfdr")
     stepup = _payload(capsys, ["stepup", "--in", tied_csv], "stepup")
-    columns = localfdr["threshold"]["objective_at_candidates"]
-    per_candidate = [{"t": t, "objective": v} for t, v in zip(columns["t"], columns["objective"])]
+    candidates = {"t": [None, -0.5], "objective": [0.0, -0.25]}
     unversioned = {k: v for k, v in analyze.items() if k != "schema_version"}
     unwarned = {k: v for k, v in stepup.items() if k != "warnings"}
     for name, payload in [
@@ -430,9 +443,16 @@ def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
         ("analyze", {**analyze, "schema_version": 2}),
         ("analyze", {**analyze, "schema_version": 3}),
         ("analyze", {**analyze, "schema_version": 4}),
+        ("analyze", {**analyze, "schema_version": 5}),
         ("analyze", unversioned),
+        ("localfdr", {**localfdr, "schema_version": 5}),
+        # the v5 layout: the objective at every candidate, and no q_hat
+        ("localfdr", {**{k: v for k, v in localfdr.items() if k != "qhat"},
+                      "threshold": {**localfdr["threshold"],
+                                    "objective_at_candidates": candidates}}),
         ("localfdr", {**localfdr, "threshold": {**localfdr["threshold"],
-                                                "objective_at_candidates": per_candidate}}),
+                                                "objective_at_candidates": candidates}}),
+        ("localfdr", {k: v for k, v in localfdr.items() if k != "qhat"}),
         ("stepup", {**stepup, "result": {**stepup["result"], "diagnostics": []}}),
         ("stepup", unwarned),
     ]:
@@ -441,7 +461,7 @@ def test_schemas_refuse_the_v1_layout(capsys, tied_csv):
     for name in ("analyze", "falsify", "localfdr", "null-fit", "permtest", "simulate", "stepup"):
         schema = _schema(name)
         assert {"schema_version", "warnings"} <= set(schema["required"])
-        assert schema["properties"]["schema_version"] == {"const": 5}
+        assert schema["properties"]["schema_version"] == {"const": 6}
         assert schema["properties"]["warnings"] == {"type": "array", "items": {"type": "string"}}
 
 
@@ -993,9 +1013,9 @@ def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
 
 
 def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
-    # only localfdr's boundary row is a masked array; plain float columns
-    # are written without loading numpy.ma, and stepup's distinct values
-    # skip np.unique, which asks np.ma.is_masked
+    # no report column is a masked array, stepup's distinct values skip
+    # np.unique, which asks np.ma.is_masked, and permtest's null quantiles
+    # skip np.quantile, which runs np.unique
     script = (
         "import contextlib, io, sys\n"
         "from nctest.cli import main\n"
@@ -1011,6 +1031,13 @@ def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
         f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}",
         f"analyze --in {toy_csv} --procedure stepup",
         f"stepup --in {toy_csv} --out {tmp_path / 's'}",
+        f"localfdr --in {toy_csv} --q 0.2 --pi 0.8",
+        f"localfdr --in {toy_csv} --lambda 0.5",
+        f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
+        f"localfdr --in {toy_csv} --lambda 0.5 --out {tmp_path / 'k'} --plots svg",
+        f"permtest --in {toy_csv} --statistic fisher --reps 200",
+        # C(27, 12) relabelings is above the enumeration cap: a Monte-Carlo Simes null
+        f"permtest --in {toy_csv} --reps 200",
     )
 
 

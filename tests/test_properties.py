@@ -1,8 +1,12 @@
 """Property tests of the input contract and the testing kernels, generated with hypothesis."""
 
+import contextlib
 import csv
 import io
+import json
 import math
+import os
+import tempfile
 import string
 import warnings
 from unittest import mock
@@ -16,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, stepup_threshold  # noqa: E402
-from nctest import data, localfdr, procedures  # noqa: E402
+from nctest import cli, data, localfdr, procedures  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import (  # noqa: E402
     _count_extreme,
@@ -709,3 +713,71 @@ def test_count_extreme_matches_brute_force(data):
                 want = np.sum(samples >= obs - tol)
             assert got[k] == want
             assert _count_extreme(samples, obs, direction) == want
+
+
+@st.composite
+def _null_samples(draw):
+    # sizes up to a few thousand draws, three scales, a quarter of them integer-tied
+    n = draw(st.integers(1, 3000))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        return rng.integers(-20, 21, size=n).astype(float)
+    return rng.normal(size=n) * scale
+
+
+# -0.0 and 0.0 compare equal, so which of them a sort or a partition puts at
+# an index is the algorithm's choice; the samples hold no -0.0 (a permutation
+# null statistic is positive), and every other pair of equal floats shares its bits
+@settings(max_examples=300, deadline=None)
+@given(samples=_null_samples() | st.lists(
+    st.floats(min_value=-1e300, max_value=1e300).map(lambda v: v + 0.0) | st.sampled_from([0.0, 1.0]),
+    min_size=1, max_size=40).map(np.array))
+@example(samples=np.array([0.0]))
+@example(samples=np.array([2.0, 2.0, 3.0]))
+def test_null_quantiles_are_numpys_bit_for_bit(samples):
+    ordered = np.sort(samples)
+    for q in (0.05, 0.5, 0.95):
+        got = np.float64(cli._quantile(ordered, q))
+        assert got.tobytes() == np.quantile(samples, q).tobytes(), (q, got)
+
+
+_qhat_pool = st.one_of(
+    st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=40),
+    st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=40),  # ties within and across roles
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tests=_qhat_pool, controls=_qhat_pool, shift=st.sampled_from([0.0, -2.0]),
+       levels=st.sampled_from([(0.2, 0.8), (0.1, 1.0), (0.3, 0.5), (0.05, 0.9)]))
+def test_localfdr_qhat_is_the_smallest_rejecting_level(tests, controls, shift, levels):
+    # a row is rejected at level q when its q_hat is at most q, and q_hat
+    # is the library curve's value at the row's statistic
+    q, pi = levels
+    tests = [t + shift for t in tests]
+    lines = ["id,value,role"] + [f"t{k},{v!r},test" for k, v in enumerate(tests)]
+    lines += [f"c{k},{v!r},nc" for k, v in enumerate(controls)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pool.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["localfdr", "--in", path, "--q", repr(q), "--pi", repr(pi)]) == 0
+    payload = json.loads(out.getvalue())
+    rejected = set(payload["threshold"]["rejected_ids"])
+    curve = localfdr_curve(make_statistic_set(np.array(tests), np.array(controls)), pi)
+    names = [f"t{k}" for k in range(len(tests))]
+    assert list(payload["qhat"]) == names
+    for name, t in zip(names, tests):
+        qhat, want = payload["qhat"][name], curve.value_at(t)
+        assert (qhat is None) == math.isnan(want)
+        if qhat is None:
+            assert name not in rejected
+            continue
+        assert qhat == want
+        if name in rejected:
+            assert qhat <= q * (1 + 1e-12)
+        if qhat < q * (1 - 1e-12):
+            assert name in rejected
