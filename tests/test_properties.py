@@ -6,8 +6,8 @@ import io
 import json
 import math
 import os
-import tempfile
 import string
+import tempfile
 import warnings
 from unittest import mock
 
@@ -752,8 +752,8 @@ _qhat_pool = st.one_of(
 @given(tests=_qhat_pool, controls=_qhat_pool, shift=st.sampled_from([0.0, -2.0]),
        levels=st.sampled_from([(0.2, 0.8), (0.1, 1.0), (0.3, 0.5), (0.05, 0.9)]))
 def test_localfdr_qhat_is_the_smallest_rejecting_level(tests, controls, shift, levels):
-    # a row is rejected at level q when its q_hat is at most q, and q_hat
-    # is the library curve's value at the row's statistic
+    # a row whose q_hat is below q is rejected at q, a rejected row has q_hat
+    # at most q, and q_hat is the library curve's value at the row's statistic
     q, pi = levels
     tests = [t + shift for t in tests]
     lines = ["id,value,role"] + [f"t{k},{v!r},test" for k, v in enumerate(tests)]
