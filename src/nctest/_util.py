@@ -42,12 +42,114 @@ def check_integer(value, name: str, minimum: int = 0) -> int:
     return int(value)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL = 4
+
+
+def _hash(value, const, mult: int):
+    """(hashed value, next constant): SeedSequence's hashmix and output hash.
+
+    const may be a column of successive constants, which hashes value
+    under each of them at once.
+    """
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _column(const: int, mult: int, count: int):
+    """(column, next constant): count successive hash constants from const, as uint64 rows."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], dtype=np.uint64)[:, None], consts[-1]
+
+
+def _words(n: int) -> list:
+    """n's uint32 words, least significant first, as SeedSequence splits an int (0 is [0])."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _absorb(pool: np.ndarray, word, const: int):
+    """(pool, const) after SeedSequence mixes one entropy word past the pool into each of its rows."""
+    column, const = _column(const, _MULT_A, _POOL)
+    value, _ = _hash(word, column, _MULT_A)
+    return _mix(pool, value), const
+
+
+def stream_states(seed: int, reps: range) -> list:
+    """The PCG64 state of stream (seed, rep) for each rep, to assign to a bit_generator.state.
+
+    Stream (seed, rep) is numpy's PCG64 seeded by the SeedSequence of
+    entropy seed and spawn_key (rep,); this is that seeding, done for a
+    block of reps at once.  The seed's words fill and mix the pool once,
+    in Python ints.  Each rep's spawn words are mixed in, and the pool is
+    hashed into four uint64 words, with uint32 arithmetic held in a
+    (pool row, rep) uint64 array.  PCG64 reads the words, high half
+    first, as the 128-bit initstate and initseq and sets
+    inc = 2 initseq + 1, state = ((inc + initstate) MULT + inc) mod
+    2**128, in Python ints.
+    """
+    seed = check_integer(seed, "seed")
+    if len(reps) and min(reps[0], reps[-1]) < 0:
+        raise DataError("rep must be non-negative")
+    entropy = _words(seed)
+    entropy += [0] * (_POOL - len(entropy))  # a spawned sequence pads its seed to the pool
+    pool, const = [], _INIT_A
+    for word in entropy[:_POOL]:
+        value, const = _hash(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    for word in entropy[_POOL:]:
+        pool, const = _absorb(pool, word, const)
+    top = max(reps[0], reps[-1]) if len(reps) else 0
+    for shift in range(0, max(top.bit_length(), 1), 32):
+        word = np.array([rep >> shift & _MASK32 for rep in reps], dtype=np.uint64)
+        mixed, const = _absorb(pool, word, const)
+        if shift:  # a rep of fewer words takes no part
+            mixed = np.where(np.array([rep >> shift > 0 for rep in reps], dtype=bool), mixed, pool)
+        pool = mixed
+    column, _ = _column(_INIT_B, _MULT_B, 8)
+    # generate_state(4, uint64): eight uint32 words from the cycled pool, low one first
+    words, _ = _hash(np.tile(pool, (2, 1)), column, _MULT_B)
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        initstate, initseq = state_hi << 64 | state_lo, seq_hi << 64 | seq_lo
+        inc = (initseq << 1 | 1) & _MASK128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent generator for replication `rep` of a run seeded by `seed`.
 
-    Streams depend only on (seed, rep).
+    Streams depend only on (seed, rep); stream_states derives them.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    rep = check_integer(rep, "rep")
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = stream_states(seed, range(rep, rep + 1))[0]
+    return rng
 
 
 def distinct(values):

@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_integer, rep_rng
+from ._util import check_integer, distinct, rep_rng
 from .data import StatisticSet
 from .errors import DataError
-from .ranc import PValueVector, _counts, _rank_pvalues
+from .ranc import PValueVector, _rank_pvalues
 
 
 def _checked_pvalues(p) -> np.ndarray:
@@ -358,7 +358,8 @@ def _pooled(statistics: StatisticSet, stat_rows):
     pool = values[order]
     tie_end = None
     if np.any(pool[1:] == pool[:-1]):
-        tie_end = _counts(pool, pool) - 1
+        _, ends = distinct(pool)  # where the next tie group starts, once per group
+        tie_end = np.repeat(ends - 1, np.diff(ends, prepend=0))
     observed = float(stat_rows(_mask_pvalues((order < statistics.n)[None], tie_end))[0])
     return tie_end, observed
 

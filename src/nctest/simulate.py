@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import procedures
-from ._util import check_integer, rep_rng
+from ._util import check_integer, distinct, rep_rng, stream_states
 from .data import TRUTH_NONNULL, TRUTH_NULL, _read_only, make_statistic_set
 from .errors import DataError
 from .procedures import (
@@ -139,10 +139,13 @@ def _normals(seed: int, reps: range, width: int) -> np.ndarray:
 
     The first k draws of a stream do not depend on how many follow, so
     one draw at the widest cell serves every narrower cell of a study.
+    One generator serves the block, set to each stream's start in turn.
     """
     out = np.empty((len(reps), width))
-    for row, rep in zip(out, reps):
-        row[:] = rep_rng(seed, rep).normal(size=width)
+    rng = np.random.Generator(np.random.PCG64())
+    for row, state in zip(out, stream_states(seed, reps)):
+        rng.bit_generator.state = state
+        row[:] = rng.normal(size=width)
     return out
 
 
@@ -288,9 +291,11 @@ def _cell_rows(config: SimConfig, normals: np.ndarray, p_bounds, z_bounds) -> np
     inv = z[:, :n]
     null_mask = np.arange(n) < config.n0
     counts = np.searchsorted(_rank_pvalues(np.arange(m + 1), m), p_bounds, side="right") - 1
-    rank = np.sort(z[:, n:], axis=1)[:, np.maximum(counts, 0)]
+    cols, _ = distinct(counts)  # one nextafter per distinct column, not per boundary
+    rank = np.sort(z[:, n:], axis=1)[:, np.maximum(cols, 0)]
     np.nextafter(rank, -np.inf, out=rank)
-    rank[:, counts < 0] = -np.inf
+    rank[:, cols < 0] = -np.inf
+    rank = rank[:, np.searchsorted(cols, counts)]
     raw, oracle = np.stack(_fdp_tpr_rows(inv, z_bounds[:, None, :], null_mask), axis=1)
     return np.array([raw, _fdp_tpr_rows(inv, rank, null_mask), oracle])
 

@@ -21,13 +21,14 @@ from hypothesis import strategies as st  # noqa: E402
 from nctest import DataError, bh, load_csv, make_statistic_set, modified_ranc_pvalues  # noqa: E402
 from nctest import localfdr_curve, pi_hat, ranc_pvalues, stepup_threshold  # noqa: E402
 from nctest import cli, data, localfdr, procedures  # noqa: E402
+from nctest._util import rep_rng, stream_states  # noqa: E402
 from nctest.localfdr import neighborhood_threshold  # noqa: E402
 from nctest.procedures import (  # noqa: E402
     _count_extreme,
     _step_prefix,
     permutation_global,
 )
-from nctest.ranc import ecdf_counts  # noqa: E402
+from nctest.ranc import _counts, ecdf_counts  # noqa: E402
 from nctest.simulate import _fdp_tpr_rows, simes_permutation_diagnostic  # noqa: E402
 
 _ids = st.text(alphabet=string.ascii_letters + string.digits + ',"_-', min_size=1, max_size=6)
@@ -781,3 +782,41 @@ def test_localfdr_qhat_is_the_smallest_rejecting_level(tests, controls, shift, l
             assert qhat <= q * (1 + 1e-12)
         if qhat < q * (1 - 1e-12):
             assert name in rejected
+
+
+def _typed(kind, value):
+    """value as a numpy integer of that kind where it holds it, else a Python int."""
+    return kind(value) if kind is not int and value <= np.iinfo(kind).max else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**130 - 1), rep=st.integers(0, 2**40 - 1), count=st.integers(1, 4),
+       kind=st.sampled_from([int, np.int64, np.uint32]))
+@example(seed=0, rep=0, count=1, kind=int)
+@example(seed=2**32 - 1, rep=2**32 - 1, count=1, kind=np.uint32)
+@example(seed=2**32, rep=2**32, count=1, kind=np.int64)
+@example(seed=2**64, rep=2**64, count=1, kind=int)
+@example(seed=3, rep=2**32 - 2, count=4, kind=np.int64)  # one and two spawn words in a block
+def test_stream_states_are_numpys_seeding(seed, rep, count, kind):
+    # stream (seed, rep) is numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(rep,))
+    want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))).state
+            for r in range(rep, rep + count)]
+    assert stream_states(_typed(kind, seed), range(_typed(kind, rep), rep + count)) == want
+    assert rep_rng(_typed(kind, seed), _typed(kind, rep)).bit_generator.state == want[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tests=_tied_values, controls=_tied_values)
+@example(tests=_rounded_normals[0], controls=_rounded_normals[1])
+@example(tests=[1.0, 2.0], controls=[3.0])
+def test_pooled_tie_ends_are_the_rank_counts(tests, controls):
+    # the last position of each pooled value's tie group, read off distinct's
+    # run starts, is the rank count of the sorted pool at that value, less one
+    s = make_statistic_set(np.array(tests), np.array(controls))
+    pool = np.sort(np.concatenate([s.investigation, s.negative_controls]))
+    tie_end, _ = procedures._pooled(s, procedures.simes_statistic)
+    if np.all(pool[1:] != pool[:-1]):
+        assert tie_end is None
+    else:
+        expected = _counts(pool, pool) - 1
+        assert tie_end.dtype == expected.dtype and tie_end.tobytes() == expected.tobytes()

@@ -10,7 +10,7 @@ from scipy import special, stats
 
 from nctest import DataError, make_statistic_set, procedures, ranc_values, with_jitter
 from nctest.cli import _json_text
-from nctest._util import rep_rng, thread_count
+from nctest._util import rep_rng, stream_states, thread_count
 from nctest.procedures import (
     _extreme_bound,
     bh,
@@ -64,8 +64,8 @@ _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
 _ABOVE_CAP = make_statistic_set(np.arange(12.0), np.arange(0.5, 15.0))
 
 
-# every library entry point that takes a seed refuses a negative one before
-# numpy's SeedSequence does; the first case is an exact enumeration, which draws
+# every library entry point that takes a seed refuses a negative one itself,
+# before any stream is derived; the first case is an exact enumeration, which draws
 # nothing.  Counts are refused below their minimum at the entry point as well.
 @pytest.mark.parametrize("message, call", [
     ("seed must be non-negative", lambda: permutation_global(_SMALL, seed=-1)),
@@ -168,6 +168,28 @@ def test_stream_prefix_facts():
         assert wide[0] == shared
         np.testing.assert_array_equal(wide[1:], noise)
         np.testing.assert_array_equal(rep_rng(seed, rep).normal(size=k), wide[:k])
+
+
+@pytest.mark.parametrize("seed, reps, width", [
+    (0, range(0, 5), 311),
+    (9001, range(207, 214), 40),  # a block that starts past rep 0
+    (2**64, range(2**32 - 2, 2**32 + 2), 7),  # reps of one and of two spawn words
+])
+def test_normals_are_the_per_rep_streams(seed, reps, width):
+    # one reused generator per block draws what a fresh generator per stream draws
+    want = np.array([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,))).normal(size=width)
+        for rep in reps
+    ])
+    np.testing.assert_array_equal(_normals(seed, reps, width).view(np.uint64), want.view(np.uint64))
+
+
+def test_streams_refuse_a_negative_rep():
+    with pytest.raises(DataError, match="rep must be non-negative"):
+        rep_rng(0, -1)
+    with pytest.raises(DataError, match="rep must be non-negative"):
+        stream_states(0, range(-1, 2))
+    assert stream_states(0, range(0)) == []
 
 
 def test_simulate_cell_matches_study_cells():
