@@ -103,8 +103,7 @@ class SimConfig:
             raise DataError("independent draws require rho = 0")
         if self.mu_null not in (-0.5, 0.0, 0.5):
             raise DataError("mu_null must be one of -0.5, 0, 0.5")
-        if not 0.0 < self.q < 1.0:
-            raise DataError("q must be in (0, 1)")
+        _check_level(self.q, "q")
 
     @property
     def n(self) -> int:

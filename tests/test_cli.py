@@ -22,6 +22,7 @@ from nctest.procedures import bh, permutation_global
 from nctest.ranc import ranc_pvalues
 from nctest.simulate import simes_permutation_diagnostic
 from nctest.stepup import stepup_threshold
+from test_golden import GOLDEN
 
 
 def _schema(name):
@@ -44,88 +45,26 @@ def _payload(capsys, args, schema=None):
     return payload
 
 
-@pytest.fixture
-def toy_csv(tmp_path):
-    rng = np.random.default_rng(5)
-    values = rng.normal(size=12)
-    values[:4] -= 50.0
-    controls = rng.normal(size=15)
-    lines = ["id,value,role"]
-    lines += [f"t{k},{float(v)!r},test" for k, v in enumerate(values)]
-    lines += [f"c{k},{float(v)!r},nc" for k, v in enumerate(controls)]
-    path = tmp_path / "toy.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+def _golden(row_id):
+    # a golden row's (argv, fixture, csv, svg, json), so each digest is written once
+    (row,) = [p.values for p in GOLDEN if p.id == row_id]
+    return row
 
 
-@pytest.fixture
-def rich_csv(tmp_path):
-    # subgroups and paired columns so null-fit and falsify have inputs
-    rng = np.random.default_rng(9)
-    lines = ["id,value,role,subgroup,treatment,control"]
-    for k in range(120):
-        t = rng.normal()
-        c = rng.normal()
-        lines.append(f"t{k},{float(t - c)!r},test,,{float(t)!r},{float(c)!r}")
-    for k in range(60):
-        t = rng.normal()
-        c = rng.normal()
-        label = "east" if k % 2 else "west"
-        lines.append(f"c{k},{float(t - c)!r},nc,{label},{float(t)!r},{float(c)!r}")
-    path = tmp_path / "rich.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-@pytest.fixture
-def tied_csv(tmp_path):
-    # one-decimal values tie within and across roles; -0.0 and 0.0 both occur
-    rng = np.random.default_rng(17)
-    tests = np.round(rng.normal(size=40), 1)
-    tests[:8] -= 3.0
-    controls = np.round(rng.normal(size=60), 1)
-    lines = ["id,value,role"]
-    lines += [f"t{k},{v!r},test" for k, v in enumerate(tests.tolist())]
-    lines += ["t40,-0.0,test", "t41,0.0,test"]
-    lines += [f"c{k},{v!r},nc" for k, v in enumerate(controls.tolist())]
-    lines += ["c60,0.0,nc", "c61,-0.0,nc"]
-    path = tmp_path / "tied.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-# sha256 of the CSV body after the manifest line and of the SVG without its
-# <desc>, pinned from the per-row writer these outputs must keep matching; the
-# permtest pool is above the enumeration cap, so its pins also hold its Monte-Carlo stream
-PINNED = {
-    "analyze": (
-        ["analyze", "--procedure", "bh", "--q", "0.2"],
-        "4df36871d12e9bcb329c135f772208950fab78f2800d3d94da3ee9aaf99ec2c5",
-        "6da47403e57564db3100ccb1a8306869d85878c9a9aa4b9b21c6c014039f0bc3",
-    ),
-    "stepup": (
-        ["stepup", "--lambda", "0.5", "--q", "0.2"],
-        "724d9483c2c40228aaedcd8d3e9e3a868ab26f62b0eb12c5cc5d86a5c58f9d29",
-        "ec0c5a4935891db5d333f1b7e939239a77d717f01eb30c8a65d048c375a913c4",
-    ),
-    "localfdr": (
-        ["localfdr", "--q", "0.2", "--pi", "0.8"],
-        "88deb5d2934aebe32e00d9c781ba98cf45aa478eab34a8cde803ae5d9d1e549e",
-        "9abc7765422ec644b6e103a6c85e6aef19cb4200acddc650ec60b1a465a9f4fc",
-    ),
-    "permtest": (
-        ["permtest", "--statistic", "fisher"],
-        "74938d253c164b910ba42ddace873dc6e92aba80765afef9a42d2d655043418a",
-        "b1a01a5b56130dd25dc035f084d5b122be86ddbb6e1b63e9b2db2f95b291818a",
-    ),
+# each bundle on the tied file keeps the CSV and SVG digests of its golden row
+BUNDLES = {
+    "analyze": "analyze-bh-tied",
+    "localfdr": "localfdr-tied",
+    "permtest": "permtest-fisher-tied",
+    "stepup": "stepup-tied",
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", sorted(BUNDLES))
 def test_bundle_bytes_pinned(capsys, tied_csv, tmp_path, name):
-    args, csv_digest, svg_digest = PINNED[name]
+    argv, _, csv_digest, svg_digest, _ = _golden(BUNDLES[name])
     out = tmp_path / name
-    code, _, err = _run(capsys, args + ["--in", tied_csv, "--plots", "svg", "--out", str(out)])
+    code, _, err = _run(capsys, argv.split() + ["--in", tied_csv, "--out", str(out)])
     assert code == 0, err
     body = (out / "result.csv").read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == csv_digest
@@ -139,8 +78,8 @@ def test_bundle_bytes_pinned(capsys, tied_csv, tmp_path, name):
 _TIED_REJECTED = ["t0", "t1", "t10", "t12", "t2", "t26", "t28", "t29", "t3", "t4", "t5", "t6", "t7"]
 
 
-# the threshold fields of the stepup JSON, pinned like the bundle bytes above;
-# "nothing rejected" is tau null with n_rejected 0, not a warning
+# the threshold fields of the stepup JSON, spelled out; "nothing rejected" is
+# tau null with n_rejected 0, not a warning
 @pytest.mark.parametrize("lam, q, expected", [
     ("0.5", "0.2", (0.031746031746031744, -1.9, 0.8823529411764706, _TIED_REJECTED, [])),
     ("1", "0.2", (0.031746031746031744, -1.9, 1.0, _TIED_REJECTED, [])),
@@ -489,20 +428,6 @@ def test_analyze_reports_ties_in_warnings(capsys, tied_csv):
     assert json.loads(out)["warnings"] == [_TIE_WARNING.format(21)]
 
 
-@pytest.fixture
-def zero_mad_csv(tmp_path):
-    # seven of ten differences in each role are exactly zero, so every MAD is zero
-    # and seven tests tie a control
-    lines = ["id,value,role,treatment,control"]
-    for role, prefix, step in (("test", "t", 0.5), ("nc", "c", 0.3)):
-        for k in range(10):
-            t = 1.0 if k < 7 else 1.0 + step * k
-            lines.append(f"{prefix}{k},{t - 1.0!r},{role},{t!r},1.0")
-    path = tmp_path / "zero_mad.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def test_null_fit_warnings_reach_the_json_once_each(capsys, zero_mad_csv):
     # every cell warns again; the payload keeps each message once, in first-seen order
     code, out, err = _run(capsys, ["null-fit", "--in", zero_mad_csv])
@@ -680,42 +605,11 @@ def test_permtest_deterministic(capsys, toy_csv):
     assert first["null_summary"]["q05"] <= first["null_summary"]["q95"]
 
 
-def test_permtest_above_the_cap_keeps_its_bytes(capsys, toy_csv, tmp_path):
-    # C(27, 12) relabelings exceed the enumeration cap, so Simes still samples; digests
-    # of the CSV body and the SVG less its <desc>, pinned from the enumerating engine
-    assert math.comb(27, 12) > procedures._MAX_ENUMERATION
-    out = tmp_path / "perm"
-    args = ["permtest", "--in", toy_csv, "--reps", "200", "--seed", "3", "--plots", "svg"]
-    code, _, err = _run(capsys, args + ["--out", str(out)])
-    assert code == 0, err
-    body = (out / "result.csv").read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == (
-        "35374aa66f0024785d14021f1b4118fa318b8de64ea78369e1c76d52c1383e85"
-    )
-    plot = re.sub(rb"<desc>.*</desc>\n", b"", (out / "plot.svg").read_bytes())
-    assert hashlib.sha256(plot).hexdigest() == (
-        "f5f11231851a26d2d0d3959388e45cf758d8ee443c4db815ca6504112cf6cb47"
-    )
-    payload = json.loads((out / "result.json").read_text())
-    assert (payload["p_value"], payload["observed"], payload["draws"]) == (
-        0.024875621890547265, 0.1875, 200)
-
-
-def _pool_csv(path, tests, controls):
-    lines = ["id,value,role"]
-    lines += [f"t{k},{float(v)!r},test" for k, v in enumerate(tests)]
-    lines += [f"c{k},{float(v)!r},nc" for k, v in enumerate(controls)]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def test_permtest_exact_simes_is_counted(capsys, tmp_path, enumerate_simes):
+def test_permtest_exact_simes_is_counted(capsys, tmp_path, enumerate_simes, counted_pool_csv):
     # within the cap the p-value is a count: the enumerator's p, observed and orbit
     # size, with no sample to summarise, write or plot
-    rng = np.random.default_rng(31)
-    tests, controls = np.round(rng.normal(size=5) - 1.0, 1), np.round(rng.normal(size=20), 1)
-    path = _pool_csv(tmp_path / "pool.csv", tests, controls)
-    p, samples, observed = enumerate_simes(make_statistic_set(tests, controls))
+    path = counted_pool_csv
+    p, samples, observed = enumerate_simes(load_csv(path))
     assert samples.size == math.comb(25, 5)
     out = tmp_path / "exact"
     code, _, err = _run(capsys, ["permtest", "--in", path, "--plots", "svg", "--out", str(out)])
@@ -735,7 +629,7 @@ def test_permtest_exact_simes_is_counted(capsys, tmp_path, enumerate_simes):
         "null_summary": None, "warnings": []}
 
 
-def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch):
+def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch, pool_csv):
     # the two slowest pools under the cap: untied n = 3, m = 178 and, tied at
     # one decimal, n = 2, m = 1,400, where enumeration took seconds; neither the
     # CLI nor the library enumerates them
@@ -748,7 +642,7 @@ def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch):
         tests, controls = rng.normal(size=n) - 1.0, rng.normal(size=m)
         if decimals is not None:
             tests, controls = np.round(tests, decimals), np.round(controls, decimals)
-        path = _pool_csv(tmp_path / f"pool{n}.csv", tests, controls)
+        path = pool_csv(tmp_path / f"pool{n}.csv", tests, controls)
         payload = _payload(capsys, ["permtest", "--in", path], schema="permtest")
         assert math.comb(n + m, n) <= procedures._MAX_ENUMERATION
         assert payload["draws"] == math.comb(n + m, n)
@@ -759,12 +653,12 @@ def test_permtest_exact_path_never_enumerates(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("statistic, n, m", [
     ("fisher", 5, 20), ("simes_min_ratio", 5, 20), ("simes_min_ratio", 12, 15)])
-def test_permtest_reports_the_library_result(capsys, tmp_path, statistic, n, m):
+def test_permtest_reports_the_library_result(capsys, tmp_path, pool_csv, statistic, n, m):
     # permtest makes one permutation_global call: Fisher within the cap
     # enumerates, Simes within it counts and Simes above it samples
     rng = np.random.default_rng(7)
     tests, controls = np.round(rng.normal(size=n) - 0.5, 1), np.round(rng.normal(size=m), 1)
-    path = _pool_csv(tmp_path / "pool.csv", tests, controls)
+    path = pool_csv(tmp_path / "pool.csv", tests, controls)
     args = ["permtest", "--in", path, "--statistic", statistic, "--reps", "300", "--seed", "5"]
     payload = _payload(capsys, args, schema="permtest")
     result = permutation_global(make_statistic_set(tests, controls), statistic, B=300, seed=5)
@@ -784,25 +678,10 @@ def test_simulate_table1_byte_identical(capsys, tmp_path):
     assert code == 0
     assert other.read_bytes() == first
     assert b"created_utc" not in first
-    body = first.split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == (
-        "9defa7bd035a11c27216b19a013cb2ad6d7c8ba18de87fb7687df46e804059c3"
-    )
     assert (tmp_path / "report.json").exists()
     payload = json.loads((tmp_path / "report.json").read_text())
     jsonschema.validate(payload, _schema("simulate"))
     assert len(payload["cells"]) == 6
-
-
-def test_simulate_table1_benchmark_setting_pinned(tmp_path):
-    # the setting of the simulate-table1 benchmark workload
-    out = tmp_path / "table1.csv"
-    args = ["simulate", "--preset", "table1", "--reps", "2500", "--seed", "9001"]
-    assert cli.main(args + ["--out", str(out)]) == 0
-    body = out.read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == (
-        "7827cf2740d74472732681fdaea3299bfab81b299ef0b179f8bd27a254274540"
-    )
 
 
 def test_negative_seed_is_a_usage_error(capsys, toy_csv):
@@ -814,41 +693,12 @@ def test_negative_seed_is_a_usage_error(capsys, toy_csv):
         assert "Traceback" not in err
 
 
-# sha256 of the CSV body after the manifest line at --reps 20 --seed 0
-POWER_PINS = {
-    "power-vs-m": "acdeab55c093259435db3a720bd2b9def2b8f24bc459c7af36628eaa5d48c106",
-    "power-vs-m-weak": "c25fb12d5fa1c15cc9ddf33f40231e201f128458bf28a93a4f9a5d37402837a6",
-}
-
-
-@pytest.mark.parametrize("preset", sorted(POWER_PINS))
-def test_simulate_power_presets_byte_identical(capsys, tmp_path, preset):
-    out = tmp_path / "power.csv"
-    code, _, err = _run(
-        capsys,
-        ["simulate", "--preset", preset, "--reps", "20", "--seed", "0", "--out", str(out)],
-    )
-    assert code == 0, err
-    body = out.read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == POWER_PINS[preset]
-
-
 def test_simulate_b1(capsys):
     payload = _payload(
         capsys, ["simulate", "--preset", "b1", "--reps", "20000"], schema="simulate"
     )
     assert payload["exact"] == {"p_a": 4 / 9, "p_b": 5 / 12}
     assert payload["monte_carlo"] == {"p_a": 0.42842817748809225, "p_b": 0.40336912254720475}
-
-
-def test_simulate_b1_pinned(tmp_path):
-    out = tmp_path / "b1.csv"
-    args = ["simulate", "--preset", "b1", "--reps", "20000", "--seed", "0"]
-    assert cli.main(args + ["--out", str(out)]) == 0
-    body = out.read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == (
-        "60b7bb9462f653545c800aa77b5e60903a8f8464130bb0119b10b5b35e57a75d"
-    )
 
 
 def test_simulate_simes_perm(capsys):
@@ -868,17 +718,6 @@ def test_simulate_simes_perm_refuses_reps(capsys):
     assert err == "nctest: usage error: simes-perm is exact and takes no --reps\n"
 
 
-def test_simulate_simes_perm_pinned(tmp_path):
-    # the exact rates of schema v5, which no seed or --reps changes
-    out = tmp_path / "simes.csv"
-    args = ["simulate", "--preset", "simes-perm"]
-    assert cli.main(args + ["--out", str(out)]) == 0
-    body = out.read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == (
-        "d2a1fea264000670bec3de28290b3ea2e3bd3432484af31a67d8fa4efcab85d7"
-    )
-
-
 @pytest.mark.parametrize("reps, seed, rate", [(40, 9001, 0.05), (200, 0, 0.085)])
 def test_simulate_b2_chi2_rate_pinned(capsys, reps, seed, rate):
     # the chi-square rate reads only the observed pools, not the permutation null
@@ -889,14 +728,13 @@ def test_simulate_b2_chi2_rate_pinned(capsys, reps, seed, rate):
 
 
 def test_simulate_b2_benchmark_setting_pinned(tmp_path):
-    # the b2 setting of the permutation benchmark workload
+    # the b2 setting of the permutation benchmark workload, written to a file
+    # rather than a bundle directory
+    argv, _, csv_digest, _, _ = _golden("simulate-b2-40-9001")
     out = tmp_path / "b2.csv"
-    args = ["simulate", "--preset", "b2", "--reps", "40", "--seed", "9001"]
-    assert cli.main(args + ["--out", str(out)]) == 0
+    assert cli.main(argv.split() + ["--out", str(out)]) == 0
     body = out.read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == (
-        "2d7124825bf8718c13833425e9ac68c2eae4beaad4ed6f407fd014959f5965b7"
-    )
+    assert hashlib.sha256(body).hexdigest() == csv_digest
 
 
 def test_simulate_b2(capsys):
@@ -1055,7 +893,7 @@ def test_jitter_and_localfdr_curve_do_not_import_numpy_ma():
     _fresh_process(script)
 
 
-def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
+def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path, pool_csv):
     # numpy.random loads with the first draw, not with the package
     script = (
         "import contextlib, io, sys\n"
@@ -1069,7 +907,7 @@ def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path):
         "    assert code == 0, (args, code)\n"
         "    assert 'numpy.random' not in sys.modules, args\n"
     )
-    small = _pool_csv(tmp_path / "small.csv", [-1.0, 0.5, -0.2], np.linspace(-2, 2, 10))
+    small = pool_csv(tmp_path / "small.csv", [-1.0, 0.5, -0.2], np.linspace(-2, 2, 10))
     _fresh_process(
         script, "--version",
         f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",

@@ -57,6 +57,9 @@ def test_config_validation():
         SimConfig(rho=1.0, dependence="exchangeable")
     with pytest.raises(DataError, match="seed"):
         SimConfig(seed=-1)
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(DataError, match="q must lie strictly between 0 and 1"):
+            SimConfig(q=bad)
 
 
 _SMALL = make_statistic_set([0.1, 0.4], [0.2, 0.3, 0.5])
