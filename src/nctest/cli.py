@@ -6,6 +6,8 @@ Results go to stdout as JSON, or into --out as a bundle of JSON, CSV
 and optional SVG.  Every output embeds or references a run manifest so
 a report can be traced back to the exact invocation.  Every JSON payload
 lists, under "warnings", the messages the library raised while computing it.
+main runs each subcommand in three stages: it loads --in once, the cmd_*
+function only computes a Report, and _emit writes it and draws its plot.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -46,7 +48,7 @@ from .procedures import (
 from .ranc import ranc_pvalues
 
 # Every subcommand uses the modules imported above; the others load inside
-# the commands that call them, svg only under --plots svg.  The commands
+# the commands that call them, and svg in _emit under --plots svg.  The commands
 # look the names in _LATE up on this module when they run, so a wrapper set
 # on it is the one called; unset, they resolve through the package's table.
 _LATE = ("cdf_threshold", "localfdr_curve", "fisher_miscalibration_demo")
@@ -206,15 +208,17 @@ class Report:
     written empty in the CSV and null in the JSON; floats are written by
     repr in the CSV, and NaN and inf as null in the JSON.  The payload
     holds Spliced placeholders for the columns that the JSON carries too.
+    plot, if any, is the name of an svg function and its keyword
+    arguments less desc, drawn under --plots svg.
     """
 
-    def __init__(self, payload, header, columns, svg_text=None):
+    def __init__(self, payload, header, columns, plot=None):
         if len({len(column) for column in columns}) > 1:
             raise ValueError("report columns differ in length")
         self.payload = payload
         self.header = header
         self.columns = columns
-        self.svg_text = svg_text
+        self.plot = plot
 
 
 class Coded:
@@ -361,15 +365,21 @@ def _emit(report: Report, manifest: dict, ns: argparse.Namespace) -> None:
         fragments = _format_rows(report, splices)
         _write_json(pieces, splices, fragments, sys.stdout.write)
         return
+    svg_text = None
+    if report.plot is not None and ns.plots == "svg":
+        from . import svg
+        # looked up on the module now, so a wrapper set there is the one called
+        name, kwargs = report.plot
+        svg_text = getattr(svg, name)(**kwargs, desc=_stable_manifest_line(manifest)[2:])
     if out.endswith(".csv"):
         stem = out[: -len(".csv")]
         csv_path, json_path = out, stem + ".json"
-        extra = {stem + ".svg": report.svg_text}
+        extra = {stem + ".svg": svg_text}
     else:
         csv_path = os.path.join(out, "result.csv")
         json_path = os.path.join(out, "result.json")
         extra = {os.path.join(out, "manifest.json"): _json_text(manifest) + "\n",
-                 os.path.join(out, "plot.svg"): report.svg_text}
+                 os.path.join(out, "plot.svg"): svg_text}
     extra = {path: text for path, text in extra.items() if text is not None}
     os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
     with _replacing([csv_path, json_path, *extra]) as temps:
@@ -384,27 +394,12 @@ def _emit(report: Report, manifest: dict, ns: argparse.Namespace) -> None:
                 fh.write(text)
 
 
-def _load(ns: argparse.Namespace):
-    if not getattr(ns, "infile", None):
-        raise UsageError("--in is required for this subcommand")
-    return load_csv(ns.infile, orientation=_ORIENTATION[ns.direction])
-
-
-def _want_svg(ns: argparse.Namespace) -> bool:
-    return ns.plots == "svg"
-
-
-def _desc(manifest: dict) -> str:
-    return _stable_manifest_line(manifest)[2:]
-
-
 # ---------------------------------------------------------------- analyze
 
 
-def cmd_analyze(ns, manifest) -> Report:
-    statistics = _load(ns)
+def cmd_analyze(ns, statistics) -> Report:
     if ns.procedure == "stepup":
-        return _stepup_report(ns, manifest, statistics)
+        return cmd_stepup(ns, statistics)
     p = ranc_pvalues(statistics)
     q = 0.1 if ns.q is None else ns.q
     alpha = 0.05 if ns.alpha is None else ns.alpha
@@ -436,22 +431,17 @@ def cmd_analyze(ns, manifest) -> Report:
     header = ("id", "statistic", "pvalue", "rejected")
     # p follows the investigation rows, so the columns line up by position
     columns = (p.ids, statistics.investigation, p.values, rejected)
-    svg_text = None
-    if _want_svg(ns):
-        from . import svg
-        marks = [] if threshold is None else [(threshold, "p cutoff")]
-        svg_text = svg.histogram_svg(
-            p.values, bins=min(40, max(5, statistics.n // 2)), thresholds=marks,
-            title=f"{ns.procedure}: {int(rejected.sum())} rejections",
-            xlabel="rank-based p-value", desc=_desc(manifest),
-        )
-    return Report(payload, header, columns, svg_text)
+    return Report(payload, header, columns, ("histogram_svg", dict(
+        values=p.values, bins=min(40, max(5, statistics.n // 2)),
+        thresholds=[] if threshold is None else [(threshold, "p cutoff")],
+        title=f"{ns.procedure}: {int(rejected.sum())} rejections",
+        xlabel="rank-based p-value")))
 
 
 # ----------------------------------------------------------------- stepup
 
 
-def _stepup_report(ns, manifest, statistics) -> Report:
+def cmd_stepup(ns, statistics) -> Report:
     from .stepup import stepup_threshold
 
     q = 0.1 if ns.q is None else ns.q
@@ -464,27 +454,16 @@ def _stepup_report(ns, manifest, statistics) -> Report:
     if curve is not None:
         columns = (curve.breakpoints, curve.values)
         payload["result"]["fdr_curve"].update(breakpoints=Spliced(0), values=Spliced(1))
-    svg_text = None
-    if _want_svg(ns):
-        from . import svg
-        marks = [] if result.tau_statistic is None else [(result.tau_statistic, "tau")]
-        svg_text = svg.histogram_svg(
-            statistics.investigation, bins=min(40, max(5, statistics.n // 2)),
-            thresholds=marks, title=f"step-up at q={q:g}: {result.n_rejected} rejections",
-            xlabel="statistic", desc=_desc(manifest),
-        )
-    return Report(payload, header, columns, svg_text)
-
-
-def cmd_stepup(ns, manifest) -> Report:
-    return _stepup_report(ns, manifest, _load(ns))
+    return Report(payload, header, columns, ("histogram_svg", dict(
+        values=statistics.investigation, bins=min(40, max(5, statistics.n // 2)),
+        thresholds=[] if result.tau_statistic is None else [(result.tau_statistic, "tau")],
+        title=f"step-up at q={q:g}: {result.n_rejected} rejections", xlabel="statistic")))
 
 
 # --------------------------------------------------------------- localfdr
 
 
-def cmd_localfdr(ns, manifest) -> Report:
-    statistics = _load(ns)
+def cmd_localfdr(ns, statistics) -> Report:
     if ns.lam is not None:
         lam = ns.lam
     elif ns.q is not None and ns.pi is not None:
@@ -508,16 +487,10 @@ def cmd_localfdr(ns, manifest) -> Report:
     header = ("id", "statistic", "qhat", "rejected")
     columns = (statistics.investigation_ids, statistics.investigation,
                Coded(codes, levels), rejected)
-    svg_text = None
-    if _want_svg(ns):
-        from . import svg
-        marks = [] if result.tau_hat is None else [(result.tau_hat, "tau")]
-        svg_text = svg.step_curve_svg(
-            result.candidates, result.objective, left_value=0.0,
-            thresholds=marks, title=f"objective at lambda={lam:g}",
-            xlabel="candidate threshold", ylabel="objective", desc=_desc(manifest),
-        )
-    return Report(payload, header, columns, svg_text)
+    return Report(payload, header, columns, ("step_curve_svg", dict(
+        breakpoints=result.candidates, values=result.objective, left_value=0.0,
+        thresholds=[] if result.tau_hat is None else [(result.tau_hat, "tau")],
+        title=f"objective at lambda={lam:g}", xlabel="candidate threshold", ylabel="objective")))
 
 
 # ---------------------------------------------------------------- null-fit
@@ -537,10 +510,9 @@ def _split_csv_flag(raw: str, aliases: dict, what: str) -> tuple:
     return tuple(dict.fromkeys(names))
 
 
-def cmd_null_fit(ns, manifest) -> Report:
-    from .nullfit import null_diagnostics_table
+def cmd_null_fit(ns, statistics) -> Report:
+    from .nullfit import _TABLE_COLUMNS, null_diagnostics_table
 
-    statistics = _load(ns)
     q = 0.2 if ns.q is None else ns.q
     sources = _split_csv_flag(ns.sources, _SOURCE_ALIASES, "source")
     methods = _split_csv_flag(
@@ -551,26 +523,18 @@ def cmd_null_fit(ns, manifest) -> Report:
         bins=ns.bins, degree=ns.degree,
     )
     payload = {"n": statistics.n, "m": statistics.m, "q": q, "table": table}
-    header = ("source", "method", "mu", "sigma", "kind",
-              "ks_pvalue", "ad_pvalue", "n_in_window", "bh_rejections", "error")
-    columns = [[row[key] for row in table] for key in header]
-    svg_text = None
-    if _want_svg(ns):
-        from . import svg
-        svg_text = svg.histogram_svg(
-            statistics.investigation, bins=min(60, max(5, statistics.n // 5)),
-            title="investigation statistics", xlabel="statistic", desc=_desc(manifest),
-        )
-    return Report(payload, header, columns, svg_text)
+    columns = [[row[key] for row in table] for key in _TABLE_COLUMNS]
+    return Report(payload, _TABLE_COLUMNS, columns, ("histogram_svg", dict(
+        values=statistics.investigation, bins=min(60, max(5, statistics.n // 5)),
+        title="investigation statistics", xlabel="statistic")))
 
 
 # ----------------------------------------------------------------- falsify
 
 
-def cmd_falsify(ns, manifest) -> Report:
+def cmd_falsify(ns, statistics) -> Report:
     from .nullfit import falsify_subgroups
 
-    statistics = _load(ns)
     report = falsify_subgroups(statistics)
     qq = {
         f"{a}|{b}": {"a": float_list(qa), "b": float_list(qb)}
@@ -582,16 +546,12 @@ def cmd_falsify(ns, manifest) -> Report:
     rows = [(a, b, float(report.pvalues[i, j]))
             for i, a in enumerate(report.subgroups)
             for j, b in enumerate(report.subgroups) if j > i]
-    worst = min(rows, key=lambda row: row[2], default=None)
-    svg_text = None
-    if _want_svg(ns) and worst is not None:
-        from . import svg
-        qa, qb = report.qq[(worst[0], worst[1])]
-        svg_text = svg.qq_svg(
-            qa, qb, title=f"{worst[0]} vs {worst[1]} (KS p={worst[2]:.3g})",
-            xlabel=worst[0], ylabel=worst[1], desc=_desc(manifest),
-        )
-    return Report(payload, header, list(zip(*rows)), svg_text)
+    # falsify_subgroups compares at least two subgroups, so there is a worst pair
+    a, b, p_value = min(rows, key=lambda row: row[2])
+    qa, qb = report.qq[(a, b)]
+    return Report(payload, header, list(zip(*rows)), ("qq_svg", dict(
+        quantiles_a=qa, quantiles_b=qb, title=f"{a} vs {b} (KS p={p_value:.3g})",
+        xlabel=a, ylabel=b)))
 
 
 # ---------------------------------------------------------------- simulate
@@ -622,7 +582,7 @@ def _power_rows(curves: dict):
     return header, rows
 
 
-def cmd_simulate(ns, manifest) -> Report:
+def cmd_simulate(ns, statistics) -> Report:
     from .simulate import (
         SimConfig,
         power_vs_m,
@@ -675,15 +635,15 @@ def cmd_simulate(ns, manifest) -> Report:
         rows = [(m, float(rate)) for m, rate in sorted(rates.items())]
     else:  # argparse choices make this unreachable
         raise UsageError(f"unknown preset {preset!r}")
-    svg_text = None
-    if _want_svg(ns) and preset in ("power-vs-m", "power-vs-m-weak"):
-        from . import svg
-        svg_text = svg.step_curve_svg(
-            curves["m"], curves["bh_ranc"],
+    plot = None
+    if preset in ("power-vs-m", "power-vs-m-weak"):
+        plot = ("step_curve_svg", dict(
+            breakpoints=curves["m"], values=curves["bh_ranc"],
             title=f"{preset}: rank-based BH power", xlabel="control pool size",
-            ylabel="mean true-positive rate", desc=_desc(manifest),
-        )
-    return Report(payload, header, list(zip(*rows)), svg_text)
+            ylabel="mean true-positive rate"))
+    elif ns.plots == "svg":
+        warnings.warn(f"the {preset} preset has no plot; no plot written")
+    return Report(payload, header, list(zip(*rows)), plot)
 
 
 # ---------------------------------------------------------------- permtest
@@ -706,8 +666,7 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return float(a + (b - a) * gamma)
 
 
-def cmd_permtest(ns, manifest) -> Report:
-    statistics = _load(ns)
+def cmd_permtest(ns, statistics) -> Report:
     b = 999 if ns.reps is None else ns.reps
     result = permutation_global(statistics, statistic=ns.statistic, B=b, seed=ns.seed)
     p_value, samples = result
@@ -731,18 +690,15 @@ def cmd_permtest(ns, manifest) -> Report:
     }
     header = ("draw", "statistic")
     columns = (np.arange(samples.size), samples)
-    svg_text = None
-    if _want_svg(ns) and counted:
-        warnings.warn("the exact Simes p-value is counted without a null sample; no plot written")
-    elif _want_svg(ns):
-        from . import svg
-        svg_text = svg.histogram_svg(
-            samples, bins=min(50, max(5, samples.size // 20)),
+    plot = None
+    if not counted:
+        plot = ("histogram_svg", dict(
+            values=samples, bins=min(50, max(5, samples.size // 20)),
             thresholds=[(result.observed, "observed")],
-            title=f"{ns.statistic} permutation null (p={p_value:.3g})",
-            xlabel="statistic", desc=_desc(manifest),
-        )
-    return Report(payload, header, columns, svg_text)
+            title=f"{ns.statistic} permutation null (p={p_value:.3g})", xlabel="statistic"))
+    elif ns.plots == "svg":
+        warnings.warn("the exact Simes p-value is counted without a null sample; no plot written")
+    return Report(payload, header, columns, plot)
 
 
 # ------------------------------------------------------------------ parser
@@ -843,7 +799,12 @@ def main(argv=None) -> int:
         # which is safe because nctest runs on one thread
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = ns.func(ns, manifest)
+            statistics = None
+            if hasattr(ns, "infile"):  # every subcommand but simulate reads --in
+                if not ns.infile:
+                    raise UsageError("--in is required for this subcommand")
+                statistics = load_csv(ns.infile, orientation=_ORIENTATION[ns.direction])
+            report = ns.func(ns, statistics)
         report.payload["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
         _emit(report, manifest, ns)
         return 0

@@ -129,12 +129,7 @@ class LocalFdrCurve:
 
     def value_at(self, t):
         """Left-continuous evaluation, NaN beyond the largest breakpoint."""
-        if self.breakpoints.size == 0:
-            result = np.full(np.shape(t), np.nan)
-        else:
-            idx = np.searchsorted(self.breakpoints, t, side="left")
-            inside = idx < self.breakpoints.size
-            result = np.where(inside, self.values[np.minimum(idx, self.values.size - 1)], np.nan)
+        result = np.append(self.values, np.nan)[np.searchsorted(self.breakpoints, t, side="left")]
         if np.isscalar(t) or np.ndim(t) == 0:
             return float(result)
         return result

@@ -44,6 +44,10 @@ MAD_FACTOR = 1.4826
 
 NULL_SOURCES = ("investigation", "all", "negative_controls")
 
+# the keys of a null_diagnostics_table row, in the CLI's CSV column order
+_TABLE_COLUMNS = ("source", "method", "mu", "sigma", "kind",
+                  "ks_pvalue", "ad_pvalue", "n_in_window", "bh_rejections", "error")
+
 
 @dataclass(frozen=True)
 class NullModel:
@@ -435,15 +439,7 @@ def null_diagnostics_table(
                     bh_rejections=bh(p, q).n_rejected,
                 )
             except DataError as exc:
-                row.update(
-                    mu=None,
-                    sigma=None,
-                    kind=None,
-                    ks_pvalue=None,
-                    ad_pvalue=None,
-                    n_in_window=None,
-                    bh_rejections=None,
-                    error=str(exc),
-                )
+                # every result key between (source, method) and error is None
+                row.update(dict.fromkeys(_TABLE_COLUMNS[2:-1]), error=str(exc))
             rows.append(row)
     return rows

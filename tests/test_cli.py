@@ -513,10 +513,16 @@ def test_stepup_bundle(capsys, toy_csv, tmp_path):
     ET.fromstring((out / "plot.svg").read_text())
 
 
-def test_localfdr_requires_parameters(capsys, toy_csv):
-    code, _, err = _run(capsys, ["localfdr", "--in", toy_csv])
-    assert code == 1
-    assert "lambda" in err
+_IN_COMMANDS = ("analyze", "stepup", "localfdr", "null-fit", "falsify", "permtest")
+
+
+@pytest.mark.parametrize("args, message", [
+    *[([command], "--in is required for this subcommand") for command in _IN_COMMANDS],
+    (["localfdr", "--in", "{toy}"], "localfdr needs --lambda, or --q together with --pi"),
+], ids=[*_IN_COMMANDS, "localfdr-levels"])
+def test_missing_inputs_are_usage_errors(capsys, toy_csv, args, message):
+    code, out, err = _run(capsys, [arg.format(toy=toy_csv) for arg in args])
+    assert (code, out, err) == (1, "", f"nctest: usage error: {message}\n")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -701,7 +707,7 @@ def test_simulate_b1(capsys):
     assert payload["monte_carlo"] == {"p_a": 0.42842817748809225, "p_b": 0.40336912254720475}
 
 
-def test_simulate_simes_perm(capsys):
+def test_simulate_simes_perm(capsys, tmp_path):
     payload = _payload(
         capsys, ["simulate", "--preset", "simes-perm"], schema="simulate",
     )
@@ -710,6 +716,14 @@ def test_simulate_simes_perm(capsys):
     assert payload["reject_rates"] == {
         str(m): rate for m, rate in simes_permutation_diagnostic().items()
     }
+    # the preset draws no plot, and says so under --plots svg
+    out = tmp_path / "b"
+    code, _, err = _run(
+        capsys, ["simulate", "--preset", "simes-perm", "--plots", "svg", "--out", str(out)])
+    assert code == 0, err
+    assert json.loads((out / "result.json").read_text())["warnings"] == [
+        "the simes-perm preset has no plot; no plot written"]
+    assert not (out / "plot.svg").exists()
 
 
 def test_simulate_simes_perm_refuses_reps(capsys):

@@ -289,7 +289,7 @@ def _traced_peak(build, values) -> int:
 def test_list_values_are_converted_once(build):
     # the array built from a list is frozen in place, not copied again: it
     # costs one conversion more than a read-only array, which is taken as it is
-    values = [float(k) for k in range(1_000_000)]
+    values = [float(k) for k in range(100_000)]
     arr = build(values)
     assert not arr.flags.writeable and arr.tolist() == values
     extra = _traced_peak(build, values) - _traced_peak(build, arr)
