@@ -79,11 +79,6 @@ def _column(const: int, mult: int, count: int):
     return np.array(consts[:-1], dtype=np.uint64)[:, None], consts[-1]
 
 
-def _words(n: int) -> list:
-    """n's uint32 words, least significant first, as SeedSequence splits an int (0 is [0])."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
 def _absorb(pool: np.ndarray, word, const: int):
     """(pool, const) after SeedSequence mixes one entropy word past the pool into each of its rows."""
     column, const = _column(const, _MULT_A, _POOL)
@@ -96,10 +91,10 @@ def stream_states(seed: int, reps: range) -> list:
 
     Stream (seed, rep) is numpy's PCG64 seeded by the SeedSequence of
     entropy seed and spawn_key (rep,); this is that seeding, done for a
-    block of reps at once.  The seed's words fill and mix the pool once,
-    in Python ints.  Each rep's spawn words are mixed in, and the pool is
-    hashed into four uint64 words, with uint32 arithmetic held in a
-    (pool row, rep) uint64 array.  PCG64 reads the words, high half
+    block of reps at once.  numpy's SeedSequence of the seed alone fills
+    and mixes the pool once.  Each rep's spawn words are mixed in, and
+    the pool is hashed into four uint64 words, with uint32 arithmetic
+    held in a (pool row, rep) uint64 array.  PCG64 reads the words, high half
     first, as the 128-bit initstate and initseq and sets
     inc = 2 initseq + 1, state = ((inc + initstate) MULT + inc) mod
     2**128, in Python ints.
@@ -107,20 +102,12 @@ def stream_states(seed: int, reps: range) -> list:
     seed = check_integer(seed, "seed")
     if len(reps) and min(reps[0], reps[-1]) < 0:
         raise DataError("rep must be non-negative")
-    entropy = _words(seed)
-    entropy += [0] * (_POOL - len(entropy))  # a spawned sequence pads its seed to the pool
-    pool, const = [], _INIT_A
-    for word in entropy[:_POOL]:
-        value, const = _hash(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    pool = np.array(pool, dtype=np.uint64)[:, None]
-    for word in entropy[_POOL:]:
-        pool, const = _absorb(pool, word, const)
+    # the pool before any spawn word; filling it ran one hashmix per pool row
+    # for each of the seed's uint32 words, padded to the pool, so the hash
+    # constant has advanced that many times
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    const = _INIT_A * pow(_MULT_A, _POOL * max(-(-seed.bit_length() // 32), _POOL), 1 << 32)
+    const &= _MASK32
     top = max(reps[0], reps[-1]) if len(reps) else 0
     for shift in range(0, max(top.bit_length(), 1), 32):
         word = np.array([rep >> shift & _MASK32 for rep in reps], dtype=np.uint64)

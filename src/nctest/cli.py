@@ -626,15 +626,13 @@ def cmd_simulate(ns, statistics) -> Report:
                    "chi2_reject_rate": chi2_rate, "perm_reject_rate": perm_rate}
         header = ("calibration", "reject_rate")
         rows = [("chi2", float(chi2_rate)), ("permutation", float(perm_rate))]
-    elif preset == "simes-perm":
+    else:  # simes-perm; argparse's choices refuse any other preset
         if ns.reps is not None:
             raise UsageError("simes-perm is exact and takes no --reps")
         rates = simes_permutation_diagnostic()
         payload = {"preset": preset, "reject_rates": {str(m): rate for m, rate in rates.items()}}
         header = ("m", "reject_rate")
         rows = [(m, float(rate)) for m, rate in sorted(rates.items())]
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown preset {preset!r}")
     plot = None
     if preset in ("power-vs-m", "power-vs-m-weak"):
         plot = ("step_curve_svg", dict(

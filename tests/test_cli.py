@@ -75,6 +75,82 @@ def test_bundle_bytes_pinned(capsys, tied_csv, tmp_path, name):
     jsonschema.validate(json.loads(text), _schema(name))
 
 
+@pytest.fixture
+def missing_csv(tmp_path):
+    return str(tmp_path / "missing.csv")
+
+
+@pytest.fixture
+def no_controls_csv(tmp_path, pool_csv):
+    return pool_csv(tmp_path / "no_controls.csv", [1.0, 2.0], [])
+
+
+_USAGE, _DATA = "nctest: usage error: ", "nctest: data error: "
+_NO_FILE = _DATA + "[Errno 2] No such file or directory: {path!r}"
+_Q_RANGE = _DATA + "q must lie strictly between 0 and 1"
+
+# every way the CLI fails, by id: (argv, fixture passed as --in, exit code, the
+# one stderr line).  nctest's own messages match exactly; a line ending in "..." is
+# argparse's wording, which differs between Python versions, matched up to the dots
+FAILURES = {
+    "no-subcommand": ("", None, 1, _USAGE + "a subcommand is required (see --help)"),
+    "unknown-flag": ("analyze --nope", "toy_csv", 1, _USAGE + "unrecognized arguments..."),
+    "unknown-preset": ("simulate --preset bogus", None, 1,
+                       _USAGE + "argument --preset: invalid choice..."),
+    "no-preset": ("simulate", None, 1, _USAGE + "the following arguments are required..."),
+    # main's flag checks, made before the input is read
+    "reps-zero": ("simulate --preset table1 --reps 0", None, 1, _USAGE + "--reps must be positive"),
+    "seed-negative": ("simulate --preset table1 --seed -1", None, 1,
+                      _USAGE + "--seed must be non-negative"),
+    "seed-negative-before-load": ("permtest --reps 50 --seed -3", "missing_csv", 1,
+                                  _USAGE + "--seed must be non-negative"),
+    "plots-without-out": ("analyze --plots svg", "toy_csv", 1,
+                          _USAGE + "--plots svg requires --out"),
+    **{f"in-required-{command}": (command, None, 1, _USAGE + "--in is required for this subcommand")
+       for command in ("analyze", "stepup", "localfdr", "null-fit", "falsify", "permtest")},
+    # reading the input
+    "missing-file": ("analyze", "missing_csv", 2, _NO_FILE),
+    "no-controls": ("analyze", "no_controls_csv", 2, _DATA + "no negative controls (role=nc)"),
+    # the input is read before localfdr's levels are checked
+    "localfdr-missing-file-no-level": ("localfdr", "missing_csv", 2, _NO_FILE),
+    # each command's own checks, made after the load
+    "localfdr-no-level": ("localfdr", "toy_csv", 1,
+                          _USAGE + "localfdr needs --lambda, or --q together with --pi"),
+    "localfdr-q-nan": ("localfdr --lambda 0.5 --q nan", "toy_csv", 2, _Q_RANGE),
+    "localfdr-q-negative": ("localfdr --lambda 0.5 --q -5", "toy_csv", 2, _Q_RANGE),
+    "localfdr-q-inf": ("localfdr --q inf --pi 0.5", "toy_csv", 2, _Q_RANGE),
+    "localfdr-pi-zero": ("localfdr --q 0.2 --pi 0", "toy_csv", 2, _DATA + "pi must lie in (0, 1]"),
+    **{f"null-fit-q-{q}": (f"null-fit --q {q}", "rich_csv", 2, _Q_RANGE)
+       for q in ("0", "1", "5", "nan")},
+    "unknown-source": ("null-fit --sources bogus", "rich_csv", 1,
+                       _USAGE + "unknown source 'bogus'"),
+    "unknown-method": ("null-fit --methods bogus", "rich_csv", 1,
+                       _USAGE + "unknown method 'bogus'"),
+    "no-source": ("null-fit --sources ,", "rich_csv", 1, _USAGE + "no source given"),
+    "no-method": ("null-fit --methods ,", "rich_csv", 1, _USAGE + "no method given"),
+    "simes-perm-reps": ("simulate --preset simes-perm --reps 2000", None, 1,
+                        _USAGE + "simes-perm is exact and takes no --reps"),
+    # one draw leaves a conditioning event of the b1 fixture empty
+    "b1-one-draw": ("simulate --preset b1 --reps 1", None, 2,
+                    _DATA + "1 draws leave a conditioning event empty; use more draws"),
+}
+
+
+@pytest.mark.parametrize("argv, fixture, code, line", FAILURES.values(), ids=FAILURES)
+def test_failures(request, capsys, argv, fixture, code, line):
+    args, path = argv.split(), None
+    if fixture is not None:
+        path = request.getfixturevalue(fixture)
+        args += ["--in", path]
+    got, out, err = _run(capsys, args)
+    assert (got, out) == (code, ""), err
+    line = line.format(path=path)
+    if line.endswith("..."):
+        assert err.startswith(line[:-3]) and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == line + "\n"
+
+
 _TIED_REJECTED = ["t0", "t1", "t10", "t12", "t2", "t26", "t28", "t29", "t3", "t4", "t5", "t6", "t7"]
 
 
@@ -513,30 +589,6 @@ def test_stepup_bundle(capsys, toy_csv, tmp_path):
     ET.fromstring((out / "plot.svg").read_text())
 
 
-_IN_COMMANDS = ("analyze", "stepup", "localfdr", "null-fit", "falsify", "permtest")
-
-
-@pytest.mark.parametrize("args, message", [
-    *[([command], "--in is required for this subcommand") for command in _IN_COMMANDS],
-    (["localfdr", "--in", "{toy}"], "localfdr needs --lambda, or --q together with --pi"),
-], ids=[*_IN_COMMANDS, "localfdr-levels"])
-def test_missing_inputs_are_usage_errors(capsys, toy_csv, args, message):
-    code, out, err = _run(capsys, [arg.format(toy=toy_csv) for arg in args])
-    assert (code, out, err) == (1, "", f"nctest: usage error: {message}\n")
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--lambda", "0.5", "--q", "nan"], "q must lie"),
-    (["--lambda", "0.5", "--q", "-5"], "q must lie"),
-    (["--q", "inf", "--pi", "0.5"], "q must lie"),
-    (["--q", "0.2", "--pi", "0"], "pi must lie"),
-])
-def test_localfdr_rejects_bad_levels(capsys, toy_csv, args, message):
-    code, out, err = _run(capsys, ["localfdr", "--in", toy_csv] + args)
-    assert code == 2 and out == ""
-    assert message in err
-
-
 def test_localfdr_matches_library(capsys, toy_csv):
     payload = _payload(
         capsys, ["localfdr", "--in", toy_csv, "--lambda", "1.0"], schema="localfdr"
@@ -576,15 +628,6 @@ def test_null_fit_source_aliases(capsys, rich_csv):
     )
     assert [row["source"] for row in payload["table"]] == ["negative_controls"] * 2
     assert [row["method"] for row in payload["table"]] == ["mad2", "ecdf"]
-    code, _, err = _run(capsys, ["null-fit", "--in", rich_csv, "--sources", "bogus"])
-    assert code == 1 and "bogus" in err
-
-
-@pytest.mark.parametrize("q", ["0", "1", "5", "nan"])
-def test_null_fit_rejects_bad_level(capsys, rich_csv, q):
-    code, out, err = _run(capsys, ["null-fit", "--in", rich_csv, "--q", q])
-    assert code == 2 and out == ""
-    assert "q must lie" in err
 
 
 def test_falsify_output(capsys, rich_csv, tmp_path):
@@ -690,15 +733,6 @@ def test_simulate_table1_byte_identical(capsys, tmp_path):
     assert len(payload["cells"]) == 6
 
 
-def test_negative_seed_is_a_usage_error(capsys, toy_csv):
-    for args in (["simulate", "--preset", "table1", "--seed", "-1"],
-                 ["permtest", "--in", toy_csv, "--reps", "50", "--seed", "-3"]):
-        code, out, err = _run(capsys, args)
-        assert (code, out) == (1, ""), err
-        assert "usage error: --seed must be non-negative" in err
-        assert "Traceback" not in err
-
-
 def test_simulate_b1(capsys):
     payload = _payload(
         capsys, ["simulate", "--preset", "b1", "--reps", "20000"], schema="simulate"
@@ -724,12 +758,6 @@ def test_simulate_simes_perm(capsys, tmp_path):
     assert json.loads((out / "result.json").read_text())["warnings"] == [
         "the simes-perm preset has no plot; no plot written"]
     assert not (out / "plot.svg").exists()
-
-
-def test_simulate_simes_perm_refuses_reps(capsys):
-    code, out, err = _run(capsys, ["simulate", "--preset", "simes-perm", "--reps", "2000"])
-    assert (code, out) == (1, "")
-    assert err == "nctest: usage error: simes-perm is exact and takes no --reps\n"
 
 
 @pytest.mark.parametrize("reps, seed, rate", [(40, 9001, 0.05), (200, 0, 0.085)])
@@ -774,37 +802,6 @@ def test_simulate_power_curve(capsys, tmp_path):
     ET.fromstring((out / "plot.svg").read_text())
 
 
-def test_exit_codes():
-    cases = [
-        (["analyze", "--nope"], 1),
-        (["analyze"], 1),
-        ([], 1),
-        (["simulate", "--preset", "bogus"], 1),
-        (["simulate", "--preset", "table1", "--reps", "0"], 1),
-        (["simulate", "--preset", "table1", "--seed", "-1"], 1),
-        (["permtest", "--in", "/nonexistent/x.csv", "--reps", "50", "--seed", "-3"], 1),
-        # one draw leaves a conditioning event of the b1 fixture empty
-        (["simulate", "--preset", "b1", "--reps", "1"], 2),
-        (["analyze", "--in", "/nonexistent/x.csv"], 2),
-    ]
-    for args, want in cases:
-        assert cli.main(args) == want, args
-
-
-def test_plots_require_out(capsys, toy_csv):
-    code, _, err = _run(capsys, ["analyze", "--in", toy_csv, "--plots", "svg"])
-    assert code == 1
-    assert "--out" in err
-
-
-def test_missing_controls_exit_2(capsys, tmp_path):
-    path = tmp_path / "nonc.csv"
-    path.write_text("id,value,role\na,1.0,test\nb,2.0,test\n")
-    code, _, err = _run(capsys, ["analyze", "--in", str(path)])
-    assert code == 2
-    assert "negative controls" in err
-
-
 def test_console_script_runs():
     result = subprocess.run(
         [sys.executable, "-c",
@@ -834,63 +831,57 @@ def _fresh_process(script, *args):
     return result.stdout
 
 
-def test_rank_subcommands_do_not_import_scipy(toy_csv, tmp_path):
+# a module that the runs leave unloaded, and the runs, in one fresh process per module
+_UNLOADED = {
     # the rank-based paths need only numpy; scipy loads where it is called
+    "scipy": [
+        "--version", "analyze --in {toy} --procedure bh --out {tmp}/a --plots svg",
+        "localfdr --in {toy} --q 0.2 --pi 0.8 --out {tmp}/l --plots svg",
+        "permtest --in {toy} --reps 200", "simulate --preset b1 --reps 2000",
+        "simulate --preset simes-perm",
+        *[f"simulate --preset {preset} --reps 20"
+          for preset in ("b2", "table1", "power-vs-m", "power-vs-m-weak")],
+    ],
+    # no report column is a masked array, stepup's distinct values skip
+    # np.unique, which asks np.ma.is_masked, and permtest's null quantiles
+    # skip np.quantile, which runs np.unique
+    "numpy.ma": [
+        "analyze --in {toy} --procedure bh --out {tmp}/a", "analyze --in {toy} --procedure bh",
+        "analyze --in {toy} --procedure holm --out {tmp}/h",
+        "analyze --in {toy} --procedure stepup", "stepup --in {toy} --out {tmp}/s",
+        "localfdr --in {toy} --q 0.2 --pi 0.8", "localfdr --in {toy} --lambda 0.5",
+        "localfdr --in {toy} --q 0.2 --pi 0.8 --out {tmp}/l --plots svg",
+        "localfdr --in {toy} --lambda 0.5 --out {tmp}/k --plots svg",
+        "permtest --in {toy} --statistic fisher --reps 200",
+        # C(27, 12) relabelings is above the enumeration cap: a Monte-Carlo Simes null
+        "permtest --in {toy} --reps 200",
+    ],
+    # numpy.random loads with the first draw, not with the package
+    "numpy.random": ["--version", "analyze --in {toy} --procedure bh --out {tmp}/a",
+                     "permtest --in {small} --out {tmp}/p", "simulate --preset simes-perm"],
+}
+
+
+@pytest.mark.parametrize("module", _UNLOADED)
+def test_runs_leave_module_unloaded(toy_csv, tmp_path, pool_csv, module):
     script = (
         "import contextlib, io, sys\n"
         "import nctest\n"
-        "assert 'scipy' not in sys.modules, 'import nctest'\n"
+        "module = sys.argv[1]\n"
+        "assert module not in sys.modules, 'import nctest'\n"
         "from nctest.cli import main\n"
-        "for args in sys.argv[1:]:\n"
+        "for args in sys.argv[2:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        try:\n"
         "            code = main(args.split())\n"
         "        except SystemExit as stop:\n"
         "            code = stop.code\n"
         "    assert code == 0, (args, code)\n"
-        "    assert 'scipy' not in sys.modules, args\n"
+        "    assert module not in sys.modules, args\n"
     )
-    _fresh_process(
-        script, "--version",
-        f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'} --plots svg",
-        f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
-        f"permtest --in {toy_csv} --reps 200",
-        "simulate --preset b1 --reps 2000",
-        "simulate --preset simes-perm",
-        "simulate --preset b2 --reps 20",
-        "simulate --preset table1 --reps 20",
-        "simulate --preset power-vs-m --reps 20",
-        "simulate --preset power-vs-m-weak --reps 20",
-    )
-
-
-def test_analyze_does_not_import_numpy_ma(toy_csv, tmp_path):
-    # no report column is a masked array, stepup's distinct values skip
-    # np.unique, which asks np.ma.is_masked, and permtest's null quantiles
-    # skip np.quantile, which runs np.unique
-    script = (
-        "import contextlib, io, sys\n"
-        "from nctest.cli import main\n"
-        "for args in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(args.split()) == 0, args\n"
-        "    assert 'numpy.ma' not in sys.modules, args\n"
-    )
-    _fresh_process(
-        script,
-        f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
-        f"analyze --in {toy_csv} --procedure bh",
-        f"analyze --in {toy_csv} --procedure holm --out {tmp_path / 'h'}",
-        f"analyze --in {toy_csv} --procedure stepup",
-        f"stepup --in {toy_csv} --out {tmp_path / 's'}",
-        f"localfdr --in {toy_csv} --q 0.2 --pi 0.8",
-        f"localfdr --in {toy_csv} --lambda 0.5",
-        f"localfdr --in {toy_csv} --q 0.2 --pi 0.8 --out {tmp_path / 'l'} --plots svg",
-        f"localfdr --in {toy_csv} --lambda 0.5 --out {tmp_path / 'k'} --plots svg",
-        f"permtest --in {toy_csv} --statistic fisher --reps 200",
-        # C(27, 12) relabelings is above the enumeration cap: a Monte-Carlo Simes null
-        f"permtest --in {toy_csv} --reps 200",
-    )
+    small = pool_csv(tmp_path / "small.csv", [-1.0, 0.5, -0.2], np.linspace(-2, 2, 10))
+    _fresh_process(script, module, *(run.format(toy=toy_csv, small=small, tmp=tmp_path)
+                                     for run in _UNLOADED[module]))
 
 
 def test_jitter_and_localfdr_curve_do_not_import_numpy_ma():
@@ -905,29 +896,6 @@ def test_jitter_and_localfdr_curve_do_not_import_numpy_ma():
         "assert 'numpy.ma' not in sys.modules, 'localfdr_curve'\n"
     )
     _fresh_process(script)
-
-
-def test_drawless_runs_do_not_import_numpy_random(toy_csv, tmp_path, pool_csv):
-    # numpy.random loads with the first draw, not with the package
-    script = (
-        "import contextlib, io, sys\n"
-        "from nctest.cli import main\n"
-        "for args in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        try:\n"
-        "            code = main(args.split())\n"
-        "        except SystemExit as stop:\n"
-        "            code = stop.code\n"
-        "    assert code == 0, (args, code)\n"
-        "    assert 'numpy.random' not in sys.modules, args\n"
-    )
-    small = pool_csv(tmp_path / "small.csv", [-1.0, 0.5, -0.2], np.linspace(-2, 2, 10))
-    _fresh_process(
-        script, "--version",
-        f"analyze --in {toy_csv} --procedure bh --out {tmp_path / 'a'}",
-        f"permtest --in {small} --out {tmp_path / 'p'}",
-        "simulate --preset simes-perm",
-    )
 
 
 # the modules every subcommand loads, and what each loads beyond them
