@@ -222,7 +222,7 @@ class Report:
 
 
 class Coded:
-    """A float column given as integer codes into a few levels.
+    """A column given as integer codes into a few levels.
 
     Each level is formatted once, here; a row's texts are those of its
     level.  Slicing keeps the formatted levels.
@@ -430,7 +430,7 @@ def cmd_analyze(ns, statistics) -> Report:
     }
     header = ("id", "statistic", "pvalue", "rejected")
     # p follows the investigation rows, so the columns line up by position
-    columns = (p.ids, statistics.investigation, p.values, rejected)
+    columns = (p.ids, statistics.investigation, p.values, Coded(rejected, np.array([0, 1])))
     return Report(payload, header, columns, ("histogram_svg", dict(
         values=p.values, bins=min(40, max(5, statistics.n // 2)),
         thresholds=[] if threshold is None else [(threshold, "p cutoff")],
@@ -486,7 +486,7 @@ def cmd_localfdr(ns, statistics) -> Report:
     rejected[result.rejected_positions] = 1
     header = ("id", "statistic", "qhat", "rejected")
     columns = (statistics.investigation_ids, statistics.investigation,
-               Coded(codes, levels), rejected)
+               Coded(codes, levels), Coded(rejected, np.array([0, 1])))
     return Report(payload, header, columns, ("step_curve_svg", dict(
         breakpoints=result.candidates, values=result.objective, left_value=0.0,
         thresholds=[] if result.tau_hat is None else [(result.tau_hat, "tau")],

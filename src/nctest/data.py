@@ -9,11 +9,12 @@ once, and everything after that may rely on "small = evidence".
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +51,15 @@ def _as_float_array(values, what: str) -> np.ndarray:
     arr = _float_array(values)
     if arr.ndim != 1:
         raise DataError(f"{what} must be one-dimensional")
+    _check_finite(arr, what)
+    return _frozen(arr)
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
     # the extremes reach every NaN and infinity without a mask the size of
     # arr; the initial value lets an empty array through to its caller's check
     if not (math.isfinite(arr.min(initial=0.0)) and math.isfinite(arr.max(initial=0.0))):
         raise DataError(f"non-finite value in {what}")
-    return _frozen(arr)
 
 
 @dataclass(frozen=True)
@@ -349,8 +354,15 @@ def with_jitter(statistics: StatisticSet, seed: int) -> StatisticSet:
     gap = np.min(np.diff(t)) if t.size > 1 else 1.0
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-0.25 * gap, 0.25 * gap, size=values.size)
-    inv = _read_only(statistics.investigation + noise[: statistics.n])
-    nc = _read_only(statistics.negative_controls + noise[statistics.n :])
-    return replace(statistics, investigation=inv, negative_controls=nc,
-                   subgroup=dict(statistics.subgroup), paired_raw=dict(statistics.paired_raw),
-                   truth=dict(statistics.truth))
+    inv = statistics.investigation + noise[: statistics.n]
+    nc = statistics.negative_controls + noise[statistics.n :]
+    _check_finite(inv, "investigation values")  # a jitter can overflow the float range
+    _check_finite(nc, "negative control values")
+    # a copy with new values and its own side dicts; dataclasses.replace
+    # would check the unchanged ids again
+    jittered = copy.copy(statistics)
+    for name, value in (("investigation", _read_only(inv)), ("negative_controls", _read_only(nc)),
+                        ("subgroup", dict(statistics.subgroup)),
+                        ("paired_raw", dict(statistics.paired_raw)), ("truth", dict(statistics.truth))):
+        object.__setattr__(jittered, name, value)
+    return jittered

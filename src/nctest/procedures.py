@@ -114,7 +114,9 @@ def _step_prefix(sorted_p: np.ndarray, boundaries, step_up: bool):
     passing = sorted_p <= boundaries
     n = passing.shape[-1]
     if step_up:
-        return np.where(passing.any(axis=-1), n - np.argmax(passing[..., ::-1], axis=-1), 0)
+        # j = 0 when the last position passes or none does; the last column tells which
+        j = np.argmax(passing[..., ::-1], axis=-1)
+        return np.where((j > 0) | passing[..., -1], n - j, 0)
     return np.where(passing.all(axis=-1), n, np.argmin(passing, axis=-1))
 
 

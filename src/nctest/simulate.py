@@ -13,6 +13,8 @@ T, so BH runs on T itself.  Raw and oracle boundaries are
 procedures._bh_boundaries mapped by Phi^-1; rank-based boundaries are
 order statistics of each replication's controls, picked where
 ranc._rank_pvalues' grid meets BH's, so the studies count no ranks.
+Cells whose controls read the same normals sort them once per block,
+and each cell sorts its tests once for all three BHs.
 
 Every replication uses its own counter-derived RNG stream, so results
 depend only on the seed.  A study runs its replications block by block:
@@ -138,13 +140,16 @@ def _normals(seed: int, reps: range, width: int) -> np.ndarray:
 
     The first k draws of a stream do not depend on how many follow, so
     one draw at the widest cell serves every narrower cell of a study.
-    One generator serves the block, set to each stream's start in turn.
+    One generator serves the block, set to each stream's start in turn,
+    and standard_normal fills each row in place: the draws of
+    normal(size=width) without its pass that adds loc 0 and multiplies
+    by scale 1, which changes no value and only turns a -0.0 into 0.0.
     """
     out = np.empty((len(reps), width))
     rng = np.random.Generator(np.random.PCG64())
     for row, state in zip(out, stream_states(seed, reps)):
         rng.bit_generator.state = state
-        row[:] = rng.normal(size=width)
+        rng.standard_normal(out=row)
     return out
 
 
@@ -159,6 +164,24 @@ def _blocks(seed: int, reps: int, width: int):
         yield start, _normals(seed, range(start, min(start + rows, reps)), width)
 
 
+def _noise_start(config: SimConfig) -> int:
+    """The stream column where the cell's noise X starts: 1 when column 0 is the shared Z."""
+    return int(config.dependence == "exchangeable")
+
+
+def _zscale(config: SimConfig, noise: np.ndarray, normals: np.ndarray, mu) -> np.ndarray:
+    """mu + sqrt(rho) Z + sqrt(1-rho) X for the noise X, Z read off `normals`.
+
+    Every z-scale statistic of a cell is made here, by the same float
+    operations in the same order, so any columns of X map to the bits
+    that mapping all of them gives.
+    """
+    z = math.sqrt(1.0 - config.rho) * noise
+    z += math.sqrt(config.rho) * (normals[..., :1] if _noise_start(config) else 0.0)
+    z += mu
+    return z
+
+
 def _zvalues(config: SimConfig, normals: np.ndarray) -> np.ndarray:
     """The cell's z-scale statistics mu + sqrt(rho) Z + sqrt(1-rho) X.
 
@@ -167,15 +190,9 @@ def _zvalues(config: SimConfig, normals: np.ndarray) -> np.ndarray:
     as the shared Z and columns [1, n+m+1) as X, in the order the stream
     draws them.
     """
-    size = config.n + config.m
-    if config.dependence == "exchangeable":
-        shared, noise = normals[..., :1], normals[..., 1:size + 1]
-    else:
-        shared, noise = 0.0, normals[..., :size]
-    z = math.sqrt(1.0 - config.rho) * noise
-    z += math.sqrt(config.rho) * shared
-    z += np.repeat([config.mu_null, config.mu_alt, config.mu_null], [config.n0, config.n1, config.m])
-    return z
+    start = _noise_start(config)
+    mu = np.repeat([config.mu_null, config.mu_alt, config.mu_null], [config.n0, config.n1, config.m])
+    return _zscale(config, normals[..., start:start + config.n + config.m], normals, mu)
 
 
 def generate_emn(config: SimConfig, rep_seed: int):
@@ -211,26 +228,29 @@ def oracle_pvalues(statistics, config: SimConfig) -> PValueVector:
     )
 
 
-def _fdp_tpr_rows(values: np.ndarray, boundaries: np.ndarray, null_mask: np.ndarray):
+def _fdp_tpr_rows(values: np.ndarray, boundaries: np.ndarray, null_mask: np.ndarray,
+                  vsort: np.ndarray = None):
     """Row-wise BH: false discovery proportion and true positive rate per row.
 
     boundaries are BH's on the scale of values (k q / n for p-values),
     broadcast against the sorted (rows, n) values: shape (n,) runs one
-    BH on every row, (rows, n) one per row, and a stack of shape
-    (..., 1, n) or (..., rows, n) runs each entry on one sort of the
-    values and gives fdp and tpr of shape (..., rows).  The step-up
-    count k never splits a run of tied values: if v_(k+1) = v_(k) <=
-    b_k <= b_(k+1), position k+1 passes too.  So BH rejects
-    {i: v_i <= v_(k)} for any order of the ties, and the sorted values
-    alone give k and the cut; no sort order is needed.
+    BH on every row and (rows, n) one per row.  vsort is values sorted
+    along each row, passed by a caller that runs several BHs on one sort.
+    The step-up count k never splits a run of tied values: if v_(k+1) =
+    v_(k) <= b_k <= b_(k+1), position k+1 passes too.  So BH rejects
+    the k values {i: v_i <= v_(k)} for any order of the ties, and the
+    sorted values alone give k and the cut; no sort order is needed.
+    Counting the non-nulls at or below the cut gives the true
+    discoveries, and k less them the false ones.
     """
-    vsort = np.sort(values, axis=1)
+    if vsort is None:
+        vsort = np.sort(values, axis=1)
     k = _step_prefix(vsort, boundaries, step_up=True)
     cut = np.where(k > 0, vsort[np.arange(len(values)), np.maximum(k, 1) - 1], -np.inf)
-    v = np.count_nonzero((values <= cut[..., None]) & null_mask, axis=-1)
-    n1 = int((~null_mask).sum())
-    fdp = v / np.maximum(k, 1)
-    tpr = (k - v) / n1 if n1 > 0 else np.full(k.shape, np.nan)
+    nonnull = values[:, ~null_mask]
+    tp = np.count_nonzero(nonnull <= cut[:, None], axis=1)
+    fdp = (k - tp) / np.maximum(k, 1)
+    tpr = tp / nonnull.shape[1] if nonnull.shape[1] else np.full(k.shape, np.nan)
     return fdp, tpr
 
 
@@ -245,16 +265,18 @@ def _run_study(configs) -> list:
     The cells share one seed and replication count.  Each block of
     normals, drawn at the widest cell, is evaluated by every cell before
     the next is drawn; only the per-replication FDP and TPR are kept.
+    What a cell needs of its config alone is computed once, before the
+    first block.
     """
     if not configs:
         return []
     seed, reps = configs[0].seed, configs[0].reps
     width = max(config.n + config.m for config in configs) + 1
     rows = [np.empty((len(METHODS), 2, reps)) for _ in configs]
-    bounds = [_boundaries(config) for config in configs]
+    cells = [(config, _cell_constants(config)) for config in configs]
     for start, normals in _blocks(seed, reps, width):
-        for out, config, boundaries in zip(rows, configs, bounds):
-            out[..., start:start + len(normals)] = _cell_rows(config, normals, *boundaries)
+        for out, block in zip(rows, _block_rows(cells, normals)):
+            out[..., start:start + len(normals)] = block
     return [_report(config, out) for config, out in zip(configs, rows)]
 
 
@@ -267,36 +289,70 @@ def _boundaries(config: SimConfig):
     return p, np.stack([z, config.mu_null + z])
 
 
-def _cell_rows(config: SimConfig, normals: np.ndarray, p_bounds, z_bounds) -> np.ndarray:
+def _cell_constants(config: SimConfig):
+    """(z_bounds, cols, index): what _cell_rows needs of the config alone, once per study.
+
+    z_bounds stacks raw and oracle BH's z-scale boundaries.  Rank-based
+    BH's boundary k lies just below the (B_k + 1)-th smallest control,
+    where B_k = cols[index[k]] is read off ranc's grid; cols holds the
+    distinct B_k ascending, so each order statistic is mapped once.
+    """
+    p, z = _boundaries(config)
+    counts = np.searchsorted(_rank_pvalues(np.arange(config.m + 1), config.m), p, side="right") - 1
+    cols, _ = distinct(counts)
+    return z, cols, np.searchsorted(cols, counts)
+
+
+def _block_rows(cells, normals: np.ndarray) -> list:
+    """_cell_rows of each (config, _cell_constants(config)) on one block of streams.
+
+    Consecutive cells whose controls read the same stream columns, as
+    the cells of one dependence kind do, share one sort of that noise.
+    """
+    span, out = None, []
+    for config, constants in cells:
+        start = _noise_start(config) + config.n
+        if span != (start, start + config.m):
+            span, sorted_noise = (start, start + config.m), None  # free the last sort first
+            sorted_noise = np.sort(normals[:, start:start + config.m], axis=1)
+        out.append(_cell_rows(config, normals, sorted_noise, *constants))
+    return out
+
+
+def _cell_rows(config: SimConfig, normals: np.ndarray, sorted_noise: np.ndarray,
+               z_bounds, cols, index) -> np.ndarray:
     """FDP and TPR of each method, (method, fdp/tpr, row), on one block of streams.
 
-    BH on Phi(T - s) rejects where T <= s + Phi^-1(k q / n), so raw
-    (s = 0) and oracle (s = mu_null) BH run on the z-scale T.  This
-    equals BH on the p scale up to rounding: NormalDist().inv_cdf and
-    scipy's ndtri differ by up to 4 ulp, so a T within a few ulp of a
-    boundary may fall on the other side of it.
+    sorted_noise is each row's control noise X sorted, and the rest
+    comes from _cell_constants.  BH on Phi(T - s) rejects where T <= s +
+    Phi^-1(k q / n), so raw (s = 0) and oracle (s = mu_null) BH run on
+    the z-scale T.  This equals BH on the p scale up to rounding:
+    NormalDist().inv_cdf and scipy's ndtri differ by up to 4 ulp, so a T
+    within a few ulp of a boundary may fall on the other side of it.
 
     Rank-based BH counts nothing.  (1 + c) / (1 + m) <= k q / n holds
-    for the counts c <= B_k, where B_k is read off ranc's grid, and
-    #{nc <= T} <= B_k holds exactly when T < nc_(B_k + 1), the
-    (B_k + 1)-th smallest control of the row (a control tied with T
-    counts as below it).  So its boundary is the largest float below
-    that order statistic, or -inf where B_k = -1; B_k < m since q < 1.
-    BH on the test z's against these row-wise boundaries gives the same
-    k and V as BH on the rank-based p-values.
+    for the counts c <= B_k, and #{nc <= T} <= B_k holds exactly when
+    T < nc_(B_k + 1), the (B_k + 1)-th smallest control of the row (a
+    control tied with T counts as below it).  So its boundary is the
+    largest float below that order statistic, or -inf where B_k = -1;
+    B_k < m since q < 1.  Each float step of _zscale is monotone in X,
+    so the order statistics of the controls' T are the sorted noise's
+    columns mapped through it, bit for bit what sorting T gives.  BH on
+    the test z's against these row-wise boundaries gives the same k and
+    V as BH on the rank-based p-values.  All three BHs run on one sort
+    of the test z's.
     """
-    n, m = config.n, config.m
-    z = _zvalues(config, normals)
-    inv = z[:, :n]
-    null_mask = np.arange(n) < config.n0
-    counts = np.searchsorted(_rank_pvalues(np.arange(m + 1), m), p_bounds, side="right") - 1
-    cols, _ = distinct(counts)  # one nextafter per distinct column, not per boundary
-    rank = np.sort(z[:, n:], axis=1)[:, np.maximum(cols, 0)]
+    n = config.n
+    start = _noise_start(config)
+    tests = _zscale(config, normals[:, start:start + n], normals,
+                    np.repeat([config.mu_null, config.mu_alt], [config.n0, config.n1]))
+    rank = _zscale(config, sorted_noise[:, np.maximum(cols, 0)], normals, config.mu_null)
     np.nextafter(rank, -np.inf, out=rank)
     rank[:, cols < 0] = -np.inf
-    rank = rank[:, np.searchsorted(cols, counts)]
-    raw, oracle = np.stack(_fdp_tpr_rows(inv, z_bounds[:, None, :], null_mask), axis=1)
-    return np.array([raw, _fdp_tpr_rows(inv, rank, null_mask), oracle])
+    null_mask = np.arange(n) < config.n0
+    tsort = np.sort(tests, axis=1)
+    return np.array([_fdp_tpr_rows(tests, bounds, null_mask, tsort)
+                     for bounds in (z_bounds[0], rank[:, index], z_bounds[1])])
 
 
 def _report(config: SimConfig, rows: np.ndarray) -> SimReport:

@@ -233,7 +233,9 @@ def step_curve_svg(breakpoints, values, left_value=None, thresholds=(),
     pad = 0.05 * span
     xlo = min([bp[0] - pad] + [t for t, _ in marks])
     xhi = max([bp[-1] + pad] + [t for t, _ in marks])
-    ys = list(vals) + ([left_value] if left_value is not None else [])
+    # the first lowest and highest value, as min and max of the whole list
+    # pick them, so a tie of -0.0 and 0.0 keeps the same sign
+    ys = [vals[vals.argmin()], vals[vals.argmax()]] + ([left_value] if left_value is not None else [])
     frame = _Frame((xlo, xhi), (min(ys), max(ys)))
     parts = frame.axes(title, xlabel, ylabel)
     x, y = frame.x(bp), frame.y(vals)

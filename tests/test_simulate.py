@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from nctest import DataError, make_statistic_set, procedures, ranc_values, with_jitter
+from nctest import DataError, make_statistic_set, procedures, ranc_values, simulate, with_jitter
 from nctest.cli import _json_text
 from nctest._util import rep_rng, stream_states, thread_count
 from nctest.procedures import (
@@ -36,8 +36,9 @@ from nctest.simulate import (
 from nctest.simulate import (
     DEPENDENCE_KINDS,
     NULL_SETTINGS,
+    _block_rows,
     _boundaries,
-    _cell_rows,
+    _cell_constants,
     _chi2_sf_even,
     _fdp_tpr_rows,
     _normals,
@@ -374,6 +375,11 @@ def _pscale_cell_rows(config, normals):
     return np.array(rows)
 
 
+def _cell_rows_alone(config, normals):
+    """The study kernel's rows for one cell on one block, its controls sorted for it alone."""
+    return _block_rows([(config, _cell_constants(config))], normals)[0]
+
+
 _TABLE1_CELLS = [
     SimConfig(rho=0.5 if dependence == "exchangeable" else 0.0, mu_null=mu_null,
               dependence=dependence)
@@ -395,7 +401,7 @@ _SMALL_CELLS = [
 def test_zscale_cell_rows_equal_pscale_reference(config):
     # BH on the z scale gives the p-scale study's FDP and TPR bit for bit
     normals = _normals(7, range(400), 511)
-    got = _cell_rows(config, normals, *_boundaries(config))
+    got = _cell_rows_alone(config, normals)
     want = _pscale_cell_rows(config, normals)
     assert got.shape == want.shape == (3, 2, 400)
     assert got.tobytes() == want.tobytes()
@@ -412,13 +418,42 @@ def test_zscale_cell_rows_equal_pscale_reference_on_ties(config):
     # controls exactly, and a tie counts the control as below the test
     normals = np.round(_normals(8, range(400), config.n + config.m), 1)
     assert np.any(normals[:, :config.n0, None] == normals[:, None, config.n:])
-    got = _cell_rows(config, normals, *_boundaries(config))
+    got = _cell_rows_alone(config, normals)
     want = _pscale_cell_rows(config, normals)
     assert got.tobytes() == want.tobytes()
     if config.m > 1:
         assert np.any(got[1, 0] > 0)  # rank-based BH rejects nulls in some rows
     else:
         np.testing.assert_array_equal(got[1], 0.0)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("study", ["table1", "power-vs-m"])
+def test_shared_sorts_give_each_cell_its_own_rows(monkeypatch, study, tied):
+    # the cells of a study share each block's sort of the control noise and
+    # each cell's BHs share one sort of its tests; every cell's rows are bit
+    # for bit those of the cell run alone and of the p-scale reference, also
+    # on normals rounded to a 0.1 grid, where tests and controls tie
+    report, normals = simulate._report, simulate._normals
+    rows = []
+    monkeypatch.setattr(simulate, "_report", lambda config, out: (
+        rows.append((config, out.copy())), report(config, out))[1])
+    if tied:
+        monkeypatch.setattr(simulate, "_normals", lambda *args: np.round(normals(*args), 1))
+    if study == "table1":
+        run_table1(reps=300, seed=13)
+    else:
+        power_vs_m(SimConfig(reps=300, seed=13), [5, 25, 50, 110, 400])
+    studied = list(rows)
+    assert len({(c.dependence, c.mu_null, c.m) for c, _ in studied}) == len(studied) >= 5
+    for config, got in studied:
+        rows.clear()
+        simulate_cell(config)
+        [(_, alone)] = rows
+        streams = simulate._normals(config.seed, range(config.reps), config.n + config.m + 1)
+        want = _pscale_cell_rows(config, streams)
+        assert got.tobytes() == alone.tobytes() == want.tobytes(), config
+    assert any(np.any(got[1, 0] > 0) for _, got in studied)  # rank-based BH rejects nulls
 
 
 @pytest.mark.parametrize("shift", sorted(NULL_SETTINGS.values()))
