@@ -9,6 +9,11 @@ lists, under "warnings", the messages the library raised while computing it.
 main runs each subcommand in three stages: it loads --in once, the cmd_*
 function only computes a Report, and _emit writes it and draws its plot.
 
+Importing this module caps numpy's OpenBLAS at one thread, unless
+OPENBLAS_NUM_THREADS is already set or numpy is already loaded: the one
+BLAS call on a command's path, null-fit's small least-squares fit, is too
+small to split, and an idle OpenBLAS worker spins for CPU time.
+
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -19,6 +24,7 @@ import contextlib
 import copy
 import csv
 import datetime
+import gc
 import io
 import itertools
 import json
@@ -29,10 +35,14 @@ import sys
 import warnings
 from json.encoder import encode_basestring_ascii
 
+# OpenBLAS reads the variable once, when numpy first loads it
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
-from ._util import float_list
+from ._util import distinct, float_list
 from .data import load_csv
 from .errors import DataError
 from .procedures import (
@@ -222,7 +232,7 @@ class Report:
 
 
 class Coded:
-    """A column given as integer codes into a few levels.
+    """A column given as integer codes into its distinct values, the levels.
 
     Each level is formatted once, here; a row's texts are those of its
     level.  Slicing keeps the formatted levels.
@@ -429,8 +439,12 @@ def cmd_analyze(ns, statistics) -> Report:
         "result": outcome,
     }
     header = ("id", "statistic", "pvalue", "rejected")
-    # p follows the investigation rows, so the columns line up by position
-    columns = (p.ids, statistics.investigation, p.values, Coded(rejected, np.array([0, 1])))
+    # the p-values lie on the grid (1 + c)/(m + 1), so rows share values and each
+    # distinct one is formatted once; p follows the investigation rows, so the
+    # columns line up by position
+    levels, _ = distinct(p.values)
+    columns = (p.ids, statistics.investigation, Coded(np.searchsorted(levels, p.values), levels),
+               Coded(rejected, np.array([0, 1])))
     return Report(payload, header, columns, ("histogram_svg", dict(
         values=p.values, bins=min(40, max(5, statistics.n // 2)),
         thresholds=[] if threshold is None else [(threshold, "p cutoff")],
@@ -815,6 +829,9 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
+    # the objects alive now, mostly the imported modules', leave every later
+    # collection, the full ones at interpreter exit included
+    gc.freeze()
     return main(sys.argv[1:])
 
 

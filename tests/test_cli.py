@@ -962,6 +962,29 @@ def test_import_nctest_loads_no_submodule():
     _fresh_process(script)
 
 
+@pytest.mark.parametrize("preset, numpy_first, expected", [
+    (None, False, "1"), ("2", False, "2"), (None, True, None),
+], ids=["unset", "preset", "numpy-first"])
+def test_cli_caps_openblas_threads_unless_set(preset, numpy_first, expected):
+    # OpenBLAS reads the variable when numpy loads it: importing the cli sets
+    # one thread, unless the user set a count or numpy loaded first
+    script = (
+        "import json, os, sys\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "if sys.argv[1]:\n"
+        "    os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]\n"
+        "if sys.argv[2] == 'numpy':\n"
+        "    import numpy\n"
+        "import nctest.cli\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+    )
+    value, tasks = json.loads(_fresh_process(script, preset or "", "numpy" if numpy_first else ""))
+    assert value == expected
+    if expected == "1" and sys.platform == "linux":
+        assert tasks == 1
+
+
 @pytest.mark.parametrize("name, args", [
     ("cdf_threshold", ["localfdr", "--in", "{toy}", "--q", "0.2", "--pi", "0.8"]),
     ("localfdr_curve", ["localfdr", "--in", "{toy}", "--q", "0.2", "--pi", "0.8"]),
