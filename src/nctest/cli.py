@@ -9,10 +9,11 @@ lists, under "warnings", the messages the library raised while computing it.
 main runs each subcommand in three stages: it loads --in once, the cmd_*
 function only computes a Report, and _emit writes it and draws its plot.
 
-Importing this module caps numpy's OpenBLAS at one thread, unless
-OPENBLAS_NUM_THREADS is already set or numpy is already loaded: the one
-BLAS call on a command's path, null-fit's small least-squares fit, is too
-small to split, and an idle OpenBLAS worker spins for CPU time.
+Importing this module caps numpy's OpenBLAS at one thread: the one BLAS
+call on a command's path, null-fit's small least-squares fit, is too small
+to split, and an idle OpenBLAS worker spins for CPU time.  Setting
+OPENBLAS_NUM_THREADS overrides this default, and a process that loaded
+numpy before this module keeps its own.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -830,7 +831,7 @@ def main(argv=None) -> int:
 
 def run() -> int:
     # the objects alive now, mostly the imported modules', leave every later
-    # collection, the full ones at interpreter exit included
+    # collection, the full one at interpreter exit included
     gc.freeze()
     return main(sys.argv[1:])
 

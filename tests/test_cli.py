@@ -966,8 +966,8 @@ def test_import_nctest_loads_no_submodule():
     (None, False, "1"), ("2", False, "2"), (None, True, None),
 ], ids=["unset", "preset", "numpy-first"])
 def test_cli_caps_openblas_threads_unless_set(preset, numpy_first, expected):
-    # OpenBLAS reads the variable when numpy loads it: importing the cli sets
-    # one thread, unless the user set a count or numpy loaded first
+    # OpenBLAS reads the variable when numpy loads it: importing the cli, not
+    # the package, sets one thread, unless the user set a count or numpy loaded first
     script = (
         "import json, os, sys\n"
         "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
@@ -975,6 +975,8 @@ def test_cli_caps_openblas_threads_unless_set(preset, numpy_first, expected):
         "    os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]\n"
         "if sys.argv[2] == 'numpy':\n"
         "    import numpy\n"
+        "import nctest\n"
+        "assert os.environ.get('OPENBLAS_NUM_THREADS') == (sys.argv[1] or None), 'import nctest'\n"
         "import nctest.cli\n"
         "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
