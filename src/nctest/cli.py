@@ -6,8 +6,12 @@ Results go to stdout as JSON, or into --out as a bundle of JSON, CSV
 and optional SVG.  Every output embeds or references a run manifest so
 a report can be traced back to the exact invocation.  Every JSON payload
 lists, under "warnings", the messages the library raised while computing it.
-main runs each subcommand in three stages: it loads --in once, the cmd_*
-function only computes a Report, and _emit writes it and draws its plot.
+main runs each subcommand in six stages: parse the flags; check them, its
+own rules first and then the subcommand's in _CHECKS; build the manifest,
+which hashes --in; load --in once; compute, where the cmd_* function only
+returns a Report; and emit, where _emit writes it and draws its plot.
+Every usage error so comes before --in is hashed or read, while a level
+the library rejects is a data error, raised after the load.
 
 Importing this module caps numpy's OpenBLAS at one thread: the one BLAS
 call on a command's path, null-fit's small least-squares fit, is too small
@@ -478,13 +482,16 @@ def cmd_stepup(ns, statistics) -> Report:
 # --------------------------------------------------------------- localfdr
 
 
-def cmd_localfdr(ns, statistics) -> Report:
+def _localfdr_lambda(ns) -> float:
     if ns.lam is not None:
-        lam = ns.lam
-    elif ns.q is not None and ns.pi is not None:
-        lam = ns.q / ns.pi if ns.pi else math.inf  # cdf_threshold rejects pi = 0
-    else:
-        raise UsageError("localfdr needs --lambda, or --q together with --pi")
+        return ns.lam
+    if ns.q is not None and ns.pi is not None:
+        return ns.q / ns.pi if ns.pi else math.inf  # cdf_threshold rejects pi = 0
+    raise UsageError("localfdr needs --lambda, or --q together with --pi")
+
+
+def cmd_localfdr(ns, statistics) -> Report:
+    lam = _localfdr_lambda(ns)
     here = sys.modules[__name__]
     result = here.cdf_threshold(statistics, lam, q=ns.q, pi=ns.pi)
     payload = {"n": statistics.n, "m": statistics.m, "qhat": Spliced(2, keys=0),
@@ -525,14 +532,18 @@ def _split_csv_flag(raw: str, aliases: dict, what: str) -> tuple:
     return tuple(dict.fromkeys(names))
 
 
+def _null_fit_names(ns) -> tuple:
+    """The (sources, methods) that --sources and --methods name."""
+    return (_split_csv_flag(ns.sources, _SOURCE_ALIASES, "source"),
+            _split_csv_flag(ns.methods, {k: k for k in ("mad1", "mad2", "efron", "ecdf")},
+                            "method"))
+
+
 def cmd_null_fit(ns, statistics) -> Report:
     from .nullfit import _TABLE_COLUMNS, null_diagnostics_table
 
     q = 0.2 if ns.q is None else ns.q
-    sources = _split_csv_flag(ns.sources, _SOURCE_ALIASES, "source")
-    methods = _split_csv_flag(
-        ns.methods, {k: k for k in ("mad1", "mad2", "efron", "ecdf")}, "method"
-    )
+    sources, methods = _null_fit_names(ns)
     table = null_diagnostics_table(
         statistics, q=q, sources=sources, methods=methods,
         bins=ns.bins, degree=ns.degree,
@@ -597,6 +608,11 @@ def _power_rows(curves: dict):
     return header, rows
 
 
+def _check_simulate(ns) -> None:
+    if ns.preset == "simes-perm" and ns.reps is not None:
+        raise UsageError("simes-perm is exact and takes no --reps")
+
+
 def cmd_simulate(ns, statistics) -> Report:
     from .simulate import (
         SimConfig,
@@ -642,8 +658,6 @@ def cmd_simulate(ns, statistics) -> Report:
         header = ("calibration", "reject_rate")
         rows = [("chi2", float(chi2_rate)), ("permutation", float(perm_rate))]
     else:  # simes-perm; argparse's choices refuse any other preset
-        if ns.reps is not None:
-            raise UsageError("simes-perm is exact and takes no --reps")
         rates = simes_permutation_diagnostic()
         payload = {"preset": preset, "reject_rates": {str(m): rate for m, rate in rates.items()}}
         header = ("m", "reject_rate")
@@ -715,6 +729,12 @@ def cmd_permtest(ns, statistics) -> Report:
 
 
 # ------------------------------------------------------------------ parser
+
+
+# each subcommand's own flag rules, which main checks before --in is hashed or
+# read; a command reads a checked value through the same function
+_CHECKS = {"localfdr": _localfdr_lambda, "null-fit": _null_fit_names,
+           "simulate": _check_simulate}
 
 
 def build_parser() -> _Parser:
@@ -807,15 +827,18 @@ def main(argv=None) -> int:
             raise UsageError("--seed must be non-negative")
         if getattr(ns, "plots", "none") == "svg" and getattr(ns, "out", None) is None:
             raise UsageError("--plots svg requires --out")
+        reads_input = hasattr(ns, "infile")  # every subcommand but simulate reads --in
+        if reads_input and not ns.infile:
+            raise UsageError("--in is required for this subcommand")
+        if ns.subcommand in _CHECKS:
+            _CHECKS[ns.subcommand](ns)
         manifest = build_manifest(ns.subcommand, ns)
         # the library reports problems only as warnings; recording them is process-global,
         # which is safe because nctest runs on one thread
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             statistics = None
-            if hasattr(ns, "infile"):  # every subcommand but simulate reads --in
-                if not ns.infile:
-                    raise UsageError("--in is required for this subcommand")
+            if reads_input:
                 statistics = load_csv(ns.infile, orientation=_ORIENTATION[ns.direction])
             report = ns.func(ns, statistics)
         report.payload["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))

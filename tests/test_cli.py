@@ -1,7 +1,9 @@
 import argparse
+import ast
 import csv
 import hashlib
 import importlib.resources
+import inspect
 import io
 import json
 import math
@@ -98,7 +100,8 @@ FAILURES = {
     "unknown-preset": ("simulate --preset bogus", None, 1,
                        _USAGE + "argument --preset: invalid choice..."),
     "no-preset": ("simulate", None, 1, _USAGE + "the following arguments are required..."),
-    # main's flag checks, made before the input is read
+    # main's flag checks, then each subcommand's own: every usage error comes before
+    # the input is hashed or read, so a missing file does not hide one
     "reps-zero": ("simulate --preset table1 --reps 0", None, 1, _USAGE + "--reps must be positive"),
     "seed-negative": ("simulate --preset table1 --seed -1", None, 1,
                       _USAGE + "--seed must be non-negative"),
@@ -108,28 +111,32 @@ FAILURES = {
                           _USAGE + "--plots svg requires --out"),
     **{f"in-required-{command}": (command, None, 1, _USAGE + "--in is required for this subcommand")
        for command in ("analyze", "stepup", "localfdr", "null-fit", "falsify", "permtest")},
+    "localfdr-no-level": ("localfdr", "toy_csv", 1,
+                          _USAGE + "localfdr needs --lambda, or --q together with --pi"),
+    "localfdr-no-level-before-load": ("localfdr", "missing_csv", 1,
+                                      _USAGE + "localfdr needs --lambda, or --q together with --pi"),
+    "unknown-source": ("null-fit --sources bogus", "rich_csv", 1,
+                       _USAGE + "unknown source 'bogus'"),
+    "unknown-method": ("null-fit --methods bogus", "rich_csv", 1,
+                       _USAGE + "unknown method 'bogus'"),
+    "null-fit-unknown-method-before-load": ("null-fit --methods bogus", "missing_csv", 1,
+                                            _USAGE + "unknown method 'bogus'"),
+    "no-source": ("null-fit --sources ,", "rich_csv", 1, _USAGE + "no source given"),
+    "null-fit-no-source-before-load": ("null-fit --sources ,", "missing_csv", 1,
+                                       _USAGE + "no source given"),
+    "no-method": ("null-fit --methods ,", "rich_csv", 1, _USAGE + "no method given"),
+    "simes-perm-reps": ("simulate --preset simes-perm --reps 2000", None, 1,
+                        _USAGE + "simes-perm is exact and takes no --reps"),
     # reading the input
     "missing-file": ("analyze", "missing_csv", 2, _NO_FILE),
     "no-controls": ("analyze", "no_controls_csv", 2, _DATA + "no negative controls (role=nc)"),
-    # the input is read before localfdr's levels are checked
-    "localfdr-missing-file-no-level": ("localfdr", "missing_csv", 2, _NO_FILE),
-    # each command's own checks, made after the load
-    "localfdr-no-level": ("localfdr", "toy_csv", 1,
-                          _USAGE + "localfdr needs --lambda, or --q together with --pi"),
+    # a level the library rejects is a data error, raised on the loaded input
     "localfdr-q-nan": ("localfdr --lambda 0.5 --q nan", "toy_csv", 2, _Q_RANGE),
     "localfdr-q-negative": ("localfdr --lambda 0.5 --q -5", "toy_csv", 2, _Q_RANGE),
     "localfdr-q-inf": ("localfdr --q inf --pi 0.5", "toy_csv", 2, _Q_RANGE),
     "localfdr-pi-zero": ("localfdr --q 0.2 --pi 0", "toy_csv", 2, _DATA + "pi must lie in (0, 1]"),
     **{f"null-fit-q-{q}": (f"null-fit --q {q}", "rich_csv", 2, _Q_RANGE)
        for q in ("0", "1", "5", "nan")},
-    "unknown-source": ("null-fit --sources bogus", "rich_csv", 1,
-                       _USAGE + "unknown source 'bogus'"),
-    "unknown-method": ("null-fit --methods bogus", "rich_csv", 1,
-                       _USAGE + "unknown method 'bogus'"),
-    "no-source": ("null-fit --sources ,", "rich_csv", 1, _USAGE + "no source given"),
-    "no-method": ("null-fit --methods ,", "rich_csv", 1, _USAGE + "no method given"),
-    "simes-perm-reps": ("simulate --preset simes-perm --reps 2000", None, 1,
-                        _USAGE + "simes-perm is exact and takes no --reps"),
     # one draw leaves a conditioning event of the b1 fixture empty
     "b1-one-draw": ("simulate --preset b1 --reps 1", None, 2,
                     _DATA + "1 draws leave a conditioning event empty; use more draws"),
@@ -149,6 +156,30 @@ def test_failures(request, capsys, argv, fixture, code, line):
         assert err.startswith(line[:-3]) and err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert err == line + "\n"
+
+
+def _usage_error_starts():
+    """The literal start of each UsageError message that cli.py writes out."""
+    tree = ast.parse(inspect.getsource(cli))
+    starts = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "UsageError" and node.args):
+            continue
+        message = node.args[0]
+        if isinstance(message, ast.JoinedStr) and message.values:
+            message = message.values[0]
+        if isinstance(message, ast.Constant) and isinstance(message.value, str):
+            starts.append(message.value)
+    return starts
+
+
+def test_every_usage_error_has_a_failure_row():
+    # a new usage rule cannot land without a row that pins its exit code and line
+    starts = _usage_error_starts()
+    assert len(starts) >= 9  # the messages cli.py writes today; fewer means the walk missed some
+    lines = [line for _, _, code, line in FAILURES.values() if code == 1]
+    assert [s for s in starts if not any(line.startswith(_USAGE + s) for line in lines)] == []
 
 
 _TIED_REJECTED = ["t0", "t1", "t10", "t12", "t2", "t26", "t28", "t29", "t3", "t4", "t5", "t6", "t7"]
