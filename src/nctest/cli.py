@@ -10,8 +10,8 @@ main runs each subcommand in six stages: parse the flags; check them, its
 own rules first and then the subcommand's in _CHECKS; build the manifest,
 which hashes --in; load --in once; compute, where the cmd_* function only
 returns a Report; and emit, where _emit writes it and draws its plot.
-Every usage error so comes before --in is hashed or read, while a level
-the library rejects is a data error, raised after the load.
+So every usage error comes before --in is hashed or read; a level the
+library rejects is still a data error, raised after the load.
 
 Importing this module caps numpy's OpenBLAS at one thread: the one BLAS
 call on a command's path, null-fit's small least-squares fit, is too small
